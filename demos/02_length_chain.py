@@ -14,7 +14,6 @@ from subalg import (
     length_of_system,
     li_chain,
     li_chain_spans,
-    mat_pow,
     witness_system,
 )
 
@@ -37,8 +36,9 @@ print(f"  length(short) = {length_of_system(short, target)}")
 spans = li_chain_spans(short)
 b1 = dict(short.members)["B1"]
 print("\nchain powers of B1 enter one step at a time:")
+power = b1
 for s in range(2, params.k + 2):
-    power = mat_pow(b1, s)
+    power = power * b1
     before = spans[s - 1].contains_matrix(power)
     after = spans[s].contains_matrix(power)
     print(f"  B1^{s} in L_{s - 1}: {before}; in L_{s}: {after}")

@@ -20,9 +20,7 @@ from .constructions import (
     dimension_formula,
     dimension_formula_bkm,
     index_sets,
-    mat_power_of_chain,
     shift_matrix,
-    shift_power_support,
     valid_bkm_params,
     valid_bkml_params,
     witness_system,
@@ -55,7 +53,6 @@ from .exact_linalg import (
     field_from_name,
     kernel,
     mat_mul,
-    mat_pow,
     matrix_unit,
     rref,
     span_of,

@@ -11,6 +11,8 @@ field, and seed.
 from __future__ import annotations
 
 import argparse
+import itertools
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -26,13 +28,7 @@ from .constructions import (
     witness_system,
     witness_system_bkm,
 )
-from .errors import (
-    BudgetExceeded,
-    InvalidGeneratorFile,
-    InvalidParams,
-    NotLocalForm,
-    SubalgError,
-)
+from .errors import InvalidParams, NotLocalForm, SubalgError
 from .exact_linalg import field_from_name, span_of
 from .jsonio import dumps, load_system, matrix_entries, system_to_dict
 from .lengths import (
@@ -106,6 +102,18 @@ def _build_family(family: str, params, field):
     return build_bkm(params, field), witness_system_bkm(params, field)
 
 
+def _samples_block(closure, samples: int, seed: int, nilpotency: int) -> dict:
+    """Lengths of seeded random generating systems of the closure."""
+    systems = sample_generating_systems(closure, samples, seed)
+    lengths = [length_of_system(s, closure) for s in systems]
+    return {
+        "count": samples,
+        "seed": seed,
+        "lengths": lengths,
+        "all_within_bound": all(v <= nilpotency - 1 for v in lengths),
+    }
+
+
 def _family_report(
     family: str, params_dict: dict, field_name: str, samples: int, seed: int
 ) -> dict:
@@ -146,17 +154,9 @@ def _family_report(
         "bound_holds": bound_holds,
         "samples": None,
     }
-    samples_ok = True
     if samples > 0:
-        systems = sample_generating_systems(closure, samples, seed)
-        lengths = [length_of_system(s, closure) for s in systems]
-        samples_ok = all(v <= nilpotency - 1 for v in lengths)
-        report["samples"] = {
-            "count": samples,
-            "seed": seed,
-            "lengths": lengths,
-            "all_within_bound": samples_ok,
-        }
+        report["samples"] = _samples_block(closure, samples, seed, nilpotency)
+    samples_ok = report["samples"] is None or report["samples"]["all_within_bound"]
     report["pass"] = bool(
         commutes
         and maximal
@@ -200,17 +200,9 @@ def _file_report(path: str, samples: int, seed: int) -> dict:
         "bound_holds": bound_holds,
         "samples": None,
     }
-    samples_ok = True
     if samples > 0 and maximal and nilpotency is not None:
-        systems = sample_generating_systems(closure, samples, seed)
-        lengths = [length_of_system(s, closure) for s in systems]
-        samples_ok = all(v <= nilpotency - 1 for v in lengths)
-        report["samples"] = {
-            "count": samples,
-            "seed": seed,
-            "lengths": lengths,
-            "all_within_bound": samples_ok,
-        }
+        report["samples"] = _samples_block(closure, samples, seed, nilpotency)
+    samples_ok = report["samples"] is None or report["samples"]["all_within_bound"]
     report["pass"] = bool(
         commutes and maximal and bound_holds is not False and samples_ok
     )
@@ -308,74 +300,55 @@ def cmd_centralizer(args) -> int:
 
 
 def _sweep_task(task) -> dict:
+    """One sweep report; a tuple that raises gets a failing report instead."""
     family, params_dict, field_name, samples, seed = task
-    return _family_report(family, params_dict, field_name, samples, seed)
+    try:
+        return _family_report(family, params_dict, field_name, samples, seed)
+    except SubalgError as exc:
+        return {
+            "family": family,
+            "params": dict(params_dict),
+            "field": field_name,
+            "error": f"{type(exc).__name__}: {exc}",
+            "pass": False,
+        }
 
 
 def cmd_sweep(args) -> int:
-    explicit_all = (
-        args.m is not None
-        and args.k is not None
-        and (args.family == "bkm" or args.l is not None)
-    )
+    bkml = args.family == "bkml"
+    cls = ConstructionParams if bkml else BkmParams
+    names = ("n", "m", "l", "k") if bkml else ("n", "m", "k")
+    ranges = (args.m, args.l, args.k) if bkml else (args.m, args.k)
+    explicit_all = all(r is not None for r in ranges)
     selected = []
     skipped = []
     for n in args.n:
         if explicit_all:
-            if args.family == "bkml":
-                combos = [
-                    (n, m, l, k) for m in args.m for l in args.l for k in args.k
-                ]
-                for n_, m, l, k in combos:
-                    try:
-                        selected.append(ConstructionParams(n_, m, l, k))
-                    except InvalidParams as exc:
-                        skipped.append(
-                            {
-                                "params": {"n": n_, "m": m, "l": l, "k": k},
-                                "reason": str(exc),
-                            }
-                        )
-            else:
-                for m in args.m:
-                    for k in args.k:
-                        try:
-                            selected.append(BkmParams(n, m, k))
-                        except InvalidParams as exc:
-                            skipped.append(
-                                {
-                                    "params": {"n": n, "m": m, "k": k},
-                                    "reason": str(exc),
-                                }
-                            )
+            for combo in itertools.product((n,), *ranges):
+                params = dict(zip(names, combo))
+                try:
+                    selected.append(cls(**params))
+                except InvalidParams as exc:
+                    skipped.append({"params": params, "reason": str(exc)})
         else:
-            pool = (
-                valid_bkml_params(n)
-                if args.family == "bkml"
-                else valid_bkm_params(n)
-            )
-            for params in pool:
+            for params in valid_bkml_params(n) if bkml else valid_bkm_params(n):
                 if args.m is not None and params.m not in args.m:
                     continue
                 if args.k is not None and params.k not in args.k:
                     continue
-                if args.family == "bkml" and args.l is not None and params.l not in args.l:
+                if bkml and args.l is not None and params.l not in args.l:
                     continue
                 selected.append(params)
     if not selected:
         return _fail2("sweep selected no valid parameter tuples")
-    key = (
-        (lambda p: (p.n, p.m, p.l, p.k))
-        if args.family == "bkml"
-        else (lambda p: (p.n, p.m, p.k))
-    )
-    selected.sort(key=key)
+    selected.sort(key=lambda p: tuple(_params_dict(p).values()))
     tasks = [
         (args.family, _params_dict(p), args.field.name, args.samples, args.seed)
         for p in selected
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_sweep_task, tasks))
     else:
         reports = [_sweep_task(t) for t in tasks]
@@ -479,8 +452,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         return _fail2(f"cannot read {exc.filename}")
-    except (InvalidParams, InvalidGeneratorFile, BudgetExceeded) as exc:
-        return _fail2(str(exc))
     except SubalgError as exc:
         return _fail2(str(exc))
 

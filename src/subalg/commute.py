@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .constructions import GeneratingSystem
 from .errors import DimensionMismatch, FieldMismatch
-from .exact_linalg import Matrix, Subspace, commutator, kernel
+from .exact_linalg import Subspace, kernel, mat_mul
 from .lengths import algebra_closure
 
 
@@ -20,7 +20,7 @@ def is_commutative(mats) -> tuple:
     mats = list(mats)
     for a in range(len(mats)):
         for b in range(a + 1, len(mats)):
-            if not commutator(mats[a], mats[b]).is_zero():
+            if mat_mul(mats[a], mats[b]) != mat_mul(mats[b], mats[a]):
                 return False, (mats[a], mats[b])
     return True, None
 
@@ -28,7 +28,9 @@ def is_commutative(mats) -> tuple:
 def centralizer(mats) -> Subspace:
     """All X with X*G = G*X for every given G, as a canonical subspace.
 
-    One constraint row per generator and output position of X*G - G*X.
+    One sparse constraint row per generator and output position (i, j) of
+    X*G - G*X: it reads column j of G and row i of G, so positions where
+    both are empty give no row.
     """
     mats = list(mats)
     if not mats:
@@ -40,26 +42,22 @@ def centralizer(mats) -> Subspace:
             raise DimensionMismatch(f"matrix sizes differ: {m.n} vs {n}")
         if m.field != f:
             raise FieldMismatch(f"fields differ: {m.field.name} vs {f.name}")
-    zero = f.zero()
+    minus_one = f.neg(f.one())
     rows = []
     for g in mats:
-        grows = g.rows
-        for i in range(n):
-            for j in range(n):
-                row = [zero] * (n * n)
-                touched = False
-                for k in range(n):
-                    gkj = grows[k][j]
-                    if gkj:
-                        idx = i * n + k
-                        row[idx] = f.add(row[idx], gkj)
-                        touched = True
-                    gik = grows[i][k]
-                    if gik:
-                        idx = k * n + j
-                        row[idx] = f.sub(row[idx], gik)
-                        touched = True
-                if touched and any(row):
+        grows = g.sparse_rows
+        gcols = [{} for _ in range(n)]
+        for k, grow in enumerate(grows):
+            for j, v in grow.items():
+                gcols[j][k] = v
+        for i, gi in enumerate(grows):
+            for j, gj in enumerate(gcols):
+                if not (gi or gj):
+                    continue
+                # (X*G)[i, j] = sum_k X[i, k] G[k, j], (G*X)[i, j] = sum_k G[i, k] X[k, j]
+                row = {i * n + k: v for k, v in gj.items()}
+                f.axpy(row, minus_one, {k * n + j: v for k, v in gi.items()})
+                if row:
                     rows.append(row)
     return kernel(rows, n, f)
 

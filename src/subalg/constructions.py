@@ -24,7 +24,7 @@ from .errors import (
     InvalidParams,
     UnknownCoefficientKey,
 )
-from .exact_linalg import QQ, Field, Matrix, mat_pow, matrix_unit
+from .exact_linalg import QQ, Field, Matrix, matrix_unit
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,11 @@ def shift_matrix(n: int, start: int, k: int, field: Field = QQ) -> Matrix:
         raise IndexOutOfRange(
             f"chain rows {start}..{start + k} need columns up to {start + k + 1}, n={n}"
         )
-    z, o = field.zero(), field.one()
-    rows = [[z] * n for _ in range(n)]
+    o = field.one()
+    rows = tuple({} for _ in range(n))
     for h in range(k + 1):
         rows[start + h - 1][start + h] = o
-    return Matrix(n, field, tuple(tuple(r) for r in rows))
+    return Matrix(n, field, rows)
 
 
 @dataclass(frozen=True)
@@ -297,26 +297,6 @@ def valid_bkm_params(n: int) -> list:
     return out
 
 
-# Power layout of a shift chain: the s-th power of the chain starting at
-# row `start` is the sum of E(start+h, start+h+s) for h in 0..k+1-s, and
-# every power past k+1 vanishes.  Used by tests and kept next to the
-# builders so the two stay in sync.
-def shift_power_support(start: int, k: int, s: int) -> tuple:
-    if s < 1:
-        raise ValueError("power must be >= 1")
-    if s >= k + 2:
-        return ()
-    return tuple((start + h, start + h + s) for h in range(k + 2 - s))
-
-
-def mat_power_of_chain(p_n: int, start: int, k: int, s: int, field: Field = QQ) -> Matrix:
-    """Closed-form s-th power of a shift chain, for cross-checking mat_pow."""
-    result = Matrix.zero(p_n, field)
-    for i, j in shift_power_support(start, k, s):
-        result = result + matrix_unit(p_n, i, j, field)
-    return result
-
-
 __all__ = [
     "ConstructionParams",
     "BkmParams",
@@ -334,7 +314,4 @@ __all__ = [
     "dimension_formula_bkm",
     "valid_bkml_params",
     "valid_bkm_params",
-    "shift_power_support",
-    "mat_power_of_chain",
-    "mat_pow",
 ]

@@ -1,21 +1,33 @@
-"""Exact dense linear algebra over the rationals and over prime fields.
+"""Exact sparse linear algebra over the rationals and over prime fields.
 
 Scalars are plain Python values: ``gmpy2.mpq`` (``fractions.Fraction`` when
 gmpy2 is unavailable) for rational work, canonical residues in ``range(p)``
 for GF(p).  A ``Field`` object owns the arithmetic, so matrices and
 subspaces never branch on the scalar kind themselves.
 
+Storage is sparse.  A matrix holds one ``{col: value}`` map per row and a
+vector is a ``{coord: value}`` map.  No map ever stores a zero, so equal
+objects hold equal maps and every loop visits only the nonzero entries.
 Matrices are immutable and 1-indexed at the API surface.  A matrix is
-vectorized row-major: entry (i, j) lands at coordinate (i-1)*n + (j-1) of a
-length n*n vector.  Subspaces of that coordinate space are stored in
-reduced row-echelon form at all times.  The RREF basis of a span is unique,
-so two subspaces are equal exactly when their bases compare equal, and the
-result of ``span_of`` never depends on the order of its inputs.
+vectorized row-major: entry (i, j) lands at coordinate (i-1)*n + (j-1) of
+the n*n coordinate space.
+
+Subspaces of that space are stored in reduced row-echelon form at all
+times, indexed by pivot.  Every basis row is zero at every other row's
+pivot, so a vector is reduced by one axpy per coordinate of it that is a
+pivot.  The RREF basis of a span is unique, so two subspaces are equal
+exactly when their bases are, and the result of ``span_of`` never depends
+on the order of its inputs.
+
+Dense views are built on demand for callers that want them:
+``Matrix.rows`` (a tuple of row tuples) and ``Subspace.basis`` (a tuple of
+length-n*n tuples).  ``rref``, ``kernel``, ``unvectorize`` and
+``Subspace.contains_vector`` take dense sequences as well as sparse maps.
+The package itself never reads the dense views.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from math import isqrt
 
@@ -57,6 +69,12 @@ class Field:
 
     def _passthrough(self, value):
         raise InvalidParams(f"not a scalar for {self.name}: {value!r}")
+
+    def scale(self, x: dict, c) -> dict:
+        """c * x for a sparse map x."""
+        if not c:
+            return {}
+        return {k: self.mul(c, v) for k, v in x.items()}
 
     # The remaining methods are supplied by the concrete subclasses.
 
@@ -109,15 +127,20 @@ class RationalField(Field):
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
 
-    def axpy(self, y: list, c, x) -> None:
-        """y += c * x in place, skipping zero entries of x."""
-        if c:
-            for idx, xv in enumerate(x):
-                if xv:
-                    y[idx] = y[idx] + c * xv
-
-    def scale(self, x, c) -> list:
-        return [c * v for v in x]
+    def axpy(self, y: dict, c, x: dict) -> None:
+        """y += c * x in place on sparse maps; cancelled entries are dropped."""
+        if not c:
+            return
+        for k, xv in x.items():
+            v = y.get(k)
+            if v is None:
+                y[k] = c * xv
+            else:
+                v = v + c * xv
+                if v:
+                    y[k] = v
+                else:
+                    del y[k]
 
 
 @dataclass(frozen=True)
@@ -172,17 +195,22 @@ class PrimeField(Field):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def axpy(self, y: list, c, x) -> None:
-        """y += c * x in place, skipping zero entries of x."""
-        if c:
-            p = self.p
-            for idx, xv in enumerate(x):
-                if xv:
-                    y[idx] = (y[idx] + c * xv) % p
-
-    def scale(self, x, c) -> list:
+    def axpy(self, y: dict, c, x: dict) -> None:
+        """y += c * x in place on sparse maps; cancelled entries are dropped."""
+        if not c:
+            return
         p = self.p
-        return [(c * v) % p for v in x]
+        for k, xv in x.items():
+            v = y.get(k)
+            if v is None:
+                # c and xv are nonzero residues and p is prime.
+                y[k] = c * xv % p
+            else:
+                v = (v + c * xv) % p
+                if v:
+                    y[k] = v
+                else:
+                    del y[k]
 
 
 QQ = RationalField()
@@ -208,76 +236,90 @@ def _check_compatible(a, b):
         raise FieldMismatch(f"fields differ: {a.field.name} vs {b.field.name}")
 
 
+def _as_sparse(vec, ncoords: int, field: Field) -> dict:
+    """A fresh {coord: value} copy of a sparse map or a dense sequence."""
+    if isinstance(vec, dict):
+        return dict(vec)
+    if len(vec) != ncoords:
+        raise DimensionMismatch(f"expected {ncoords} coordinates, got {len(vec)}")
+    out = {}
+    for idx, v in enumerate(vec):
+        v = field.coerce(v)
+        if v:
+            out[idx] = v
+    return out
+
+
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense n-by-n matrix with 1-based index accessors."""
+    """Immutable n-by-n matrix with 1-based index accessors.
+
+    ``sparse_rows`` is a tuple of n ``{col: value}`` maps (0-based columns,
+    nonzero values only).  ``rows`` is the dense view.
+    """
 
     n: int
     field: Field
-    rows: tuple
+    sparse_rows: tuple
+
+    @property
+    def rows(self) -> tuple:
+        z, n = self.field.zero(), self.n
+        return tuple(tuple(row.get(j, z) for j in range(n)) for row in self.sparse_rows)
 
     @staticmethod
     def zero(n: int, field: Field = QQ) -> "Matrix":
-        z = field.zero()
-        return Matrix(n, field, tuple(tuple(z for _ in range(n)) for _ in range(n)))
+        return Matrix(n, field, tuple({} for _ in range(n)))
 
     @staticmethod
     def identity(n: int, field: Field = QQ) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return Matrix(
-            n, field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-        )
+        o = field.one()
+        return Matrix(n, field, tuple({i: o} for i in range(n)))
 
     @staticmethod
     def from_rows(rows, field: Field = QQ) -> "Matrix":
         n = len(rows)
-        coerced = []
-        for row in rows:
-            if len(row) != n:
-                raise DimensionMismatch("matrix rows must form a square array")
-            coerced.append(tuple(field.coerce(v) for v in row))
-        return Matrix(n, field, tuple(coerced))
+        if any(len(row) != n for row in rows):
+            raise DimensionMismatch("matrix rows must form a square array")
+        return Matrix(n, field, tuple(_as_sparse(row, n, field) for row in rows))
 
     def entry(self, i: int, j: int):
         """Entry at 1-based position (i, j)."""
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexOutOfRange(f"({i}, {j}) outside 1..{self.n}")
-        return self.rows[i - 1][j - 1]
+        return self.sparse_rows[i - 1].get(j - 1, self.field.zero())
 
     def is_zero(self) -> bool:
-        return all(not v for row in self.rows for v in row)
+        return not any(self.sparse_rows)
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
         f = self.field
-        return Matrix(self.n, f, tuple(tuple(f.mul(c, v) for v in row) for row in self.rows))
+        return Matrix(self.n, f, tuple(f.scale(row, c) for row in self.sparse_rows))
+
+    def _plus(self, other: "Matrix", c) -> "Matrix":
+        """self + c * other."""
+        _check_compatible(self, other)
+        f = self.field
+        out = []
+        for ra, rb in zip(self.sparse_rows, other.sparse_rows):
+            acc = dict(ra)
+            f.axpy(acc, c, rb)
+            out.append(acc)
+        return Matrix(self.n, f, tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        _check_compatible(self, other)
-        f = self.field
-        return Matrix(
-            self.n,
-            f,
-            tuple(
-                tuple(f.add(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        return self._plus(other, self.field.one())
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        _check_compatible(self, other)
-        f = self.field
-        return Matrix(
-            self.n,
-            f,
-            tuple(
-                tuple(f.sub(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            ),
-        )
+        return self._plus(other, self.field.neg(self.field.one()))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
+
+    def __hash__(self) -> int:
+        rows = tuple(frozenset(r.items()) for r in self.sparse_rows)
+        return hash((self.n, self.field, rows))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(self.field.fmt(v) for v in row) for row in self.rows)
@@ -288,33 +330,24 @@ def matrix_unit(n: int, i: int, j: int, field: Field = QQ) -> Matrix:
     """The matrix with a single 1 at 1-based position (i, j)."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise IndexOutOfRange(f"unit position ({i}, {j}) outside 1..{n}")
-    z, o = field.zero(), field.one()
-    rows = [[z] * n for _ in range(n)]
-    rows[i - 1][j - 1] = o
-    return Matrix(n, field, tuple(tuple(r) for r in rows))
+    rows = tuple({} for _ in range(n))
+    rows[i - 1][j - 1] = field.one()
+    return Matrix(n, field, rows)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """A B: each row of A combines the rows of B at its nonzero columns."""
     _check_compatible(a, b)
-    n, f = a.n, a.field
-    brows = b.rows
+    f = a.field
+    axpy = f.axpy
+    brows = b.sparse_rows
     out = []
-    for arow in a.rows:
-        acc = [f.zero()] * n
-        for k, aik in enumerate(arow):
-            if aik:
-                f.axpy(acc, aik, brows[k])
-        out.append(tuple(acc))
-    return Matrix(n, f, tuple(out))
-
-
-def mat_pow(a: Matrix, e: int) -> Matrix:
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = Matrix.identity(a.n, a.field)
-    for _ in range(e):
-        result = mat_mul(result, a)
-    return result
+    for arow in a.sparse_rows:
+        acc: dict = {}
+        for k, aik in arow.items():
+            axpy(acc, aik, brows[k])
+        out.append(acc)
+    return Matrix(a.n, f, tuple(out))
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -322,101 +355,115 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return mat_mul(a, b) - mat_mul(b, a)
 
 
-def vectorize(m: Matrix) -> tuple:
-    """Row-major coordinates: entry (i, j) at position (i-1)*n + (j-1)."""
-    return tuple(v for row in m.rows for v in row)
+def vectorize(m: Matrix) -> dict:
+    """Sparse row-major coordinates: entry (i, j) at (i-1)*n + (j-1)."""
+    n = m.n
+    return {
+        i * n + j: v for i, row in enumerate(m.sparse_rows) for j, v in row.items()
+    }
 
 
 def unvectorize(vec, n: int, field: Field) -> Matrix:
-    if len(vec) != n * n:
-        raise DimensionMismatch(f"expected {n * n} coordinates, got {len(vec)}")
-    return Matrix(n, field, tuple(tuple(vec[i * n : (i + 1) * n]) for i in range(n)))
+    """The matrix of a sparse or dense coordinate vector of length n*n."""
+    rows = tuple({} for _ in range(n))
+    for c, v in _as_sparse(vec, n * n, field).items():
+        rows[c // n][c % n] = v
+    return Matrix(n, field, rows)
 
 
-def _reduce_against(vec: list, rows, pivots, field) -> list:
-    """Eliminate vec against RREF rows in place; pivots must be ascending."""
-    for row, p in zip(rows, pivots):
-        c = vec[p]
-        if c:
-            field.axpy(vec, field.neg(c), row)
+def _reduce(vec: dict, index: dict, field: Field) -> dict:
+    """Eliminate vec in place against RREF rows given as pivot -> row.
+
+    Each row is zero at every other pivot, so one axpy per pivot coordinate
+    present in vec clears all of them.
+    """
+    for c in [c for c in vec if c in index]:
+        field.axpy(vec, field.neg(vec[c]), index[c])
     return vec
 
 
 class _Echelon:
-    """Mutable RREF accumulator over a fixed coordinate length."""
+    """Mutable RREF accumulator: sparse rows indexed by their pivots.
 
-    def __init__(self, ncoords: int, field: Field):
-        self.ncoords = ncoords
+    A stored row is never changed in place (an update stores a new map), so
+    subspaces taken from the accumulator can share its rows.
+    """
+
+    def __init__(self, field: Field, rows: dict | None = None):
         self.field = field
-        self.rows: list[list] = []
-        self.pivots: list[int] = []
+        self.rows = dict(rows or {})
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def insert(self, vec: list) -> bool:
-        """Add one vector; returns True when the dimension grew."""
+    def insert(self, vec: dict) -> bool:
+        """Add one vector, which is consumed; True when the dimension grew."""
         f = self.field
-        _reduce_against(vec, self.rows, self.pivots, f)
-        lead = next((idx for idx, v in enumerate(vec) if v), None)
-        if lead is None:
+        rows = self.rows
+        _reduce(vec, rows, f)
+        if not vec:
             return False
+        lead = min(vec)
         lv = vec[lead]
         if lv != f.one():
             vec = f.scale(vec, f.inv(lv))
-        for row in self.rows:
-            c = row[lead]
-            if c:
-                f.axpy(row, f.neg(c), vec)
-        pos = bisect.bisect_left(self.pivots, lead)
-        self.pivots.insert(pos, lead)
-        self.rows.insert(pos, vec)
+        hits = [(p, c) for p, row in rows.items() if (c := row.get(lead)) is not None]
+        for p, c in hits:
+            row = dict(rows[p])
+            f.axpy(row, f.neg(c), vec)
+            rows[p] = row
+        rows[lead] = vec
         return True
 
-    def contains(self, vec) -> bool:
-        probe = _reduce_against(list(vec), self.rows, self.pivots, self.field)
-        return not any(probe)
-
-    def seed_from(self, subspace: "Subspace") -> None:
-        """Start from an existing RREF basis (rows are copied)."""
-        self.rows = [list(r) for r in subspace.basis]
-        self.pivots = list(subspace.pivots)
-
     def to_subspace(self, n: int) -> "Subspace":
-        return Subspace(n, self.field, tuple(tuple(r) for r in self.rows), tuple(self.pivots))
+        rows = self.rows
+        return Subspace(n, self.field, {p: rows[p] for p in sorted(rows)})
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of vectorized n-by-n matrices, held as a unique RREF basis."""
+    """A subspace of vectorized n-by-n matrices, held as a unique RREF basis.
+
+    ``pivot_rows`` maps each pivot, in ascending order, to its basis row, a
+    ``{coord: value}`` map.  ``basis`` is the dense view of the rows.
+    """
 
     n: int
     field: Field
-    basis: tuple
-    pivots: tuple
+    pivot_rows: dict
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivot_rows)
+
+    @property
+    def pivots(self) -> tuple:
+        return tuple(self.pivot_rows)
+
+    @property
+    def basis(self) -> tuple:
+        z, ncoords = self.field.zero(), self.n * self.n
+        rows = self.pivot_rows.values()
+        return tuple(tuple(row.get(c, z) for c in range(ncoords)) for row in rows)
 
     def contains_vector(self, vec) -> bool:
-        if len(vec) != self.n * self.n:
-            raise DimensionMismatch(
-                f"expected {self.n * self.n} coordinates, got {len(vec)}"
-            )
-        probe = _reduce_against(list(vec), self.basis, self.pivots, self.field)
-        return not any(probe)
+        vec = _as_sparse(vec, self.n * self.n, self.field)
+        return not _reduce(vec, self.pivot_rows, self.field)
 
     def contains_matrix(self, m: Matrix) -> bool:
         if m.n != self.n:
             raise DimensionMismatch(f"matrix size {m.n} vs subspace size {self.n}")
         if m.field != self.field:
             raise FieldMismatch(f"fields differ: {m.field.name} vs {self.field.name}")
-        return self.contains_vector(vectorize(m))
+        return not _reduce(vectorize(m), self.pivot_rows, self.field)
 
     def basis_matrices(self) -> list:
-        return [unvectorize(row, self.n, self.field) for row in self.basis]
+        return [unvectorize(row, self.n, self.field) for row in self.pivot_rows.values()]
+
+    def __hash__(self) -> int:
+        rows = frozenset((p, frozenset(r.items())) for p, r in self.pivot_rows.items())
+        return hash((self.n, self.field, rows))
 
 
 def _infer_square_side(ncoords: int) -> int:
@@ -429,23 +476,18 @@ def _infer_square_side(ncoords: int) -> int:
 def rref(rows, field: Field, n: int | None = None) -> Subspace:
     """Canonical RREF span of coordinate vectors (each of length n*n).
 
-    The result depends only on the span, never on the input order.  Pass n
-    explicitly when rows may be empty.
+    Rows are dense sequences or sparse maps.  The result depends only on
+    the span, never on the input order.  Pass n explicitly when rows may be
+    empty or are sparse.
     """
     rows = list(rows)
-    if not rows:
-        if n is None:
-            raise DimensionMismatch("cannot infer coordinate length from no rows")
-        return Subspace(n, field, (), ())
     if n is None:
+        if not rows or isinstance(rows[0], dict):
+            raise DimensionMismatch("cannot infer coordinate length; pass n")
         n = _infer_square_side(len(rows[0]))
-    ech = _Echelon(n * n, field)
+    ech = _Echelon(field)
     for row in rows:
-        if len(row) != n * n:
-            raise DimensionMismatch(
-                f"row length {len(row)} differs from expected {n * n}"
-            )
-        ech.insert([field.coerce(v) for v in row])
+        ech.insert(_as_sparse(row, n * n, field))
     return ech.to_subspace(n)
 
 
@@ -455,7 +497,7 @@ def span_of(mats, n: int | None = None, field: Field | None = None) -> Subspace:
     if not mats:
         if n is None or field is None:
             raise DimensionMismatch("empty span needs explicit n and field")
-        return Subspace(n, field, (), ())
+        return Subspace(n, field, {})
     first = mats[0]
     for m in mats[1:]:
         _check_compatible(first, m)
@@ -463,9 +505,9 @@ def span_of(mats, n: int | None = None, field: Field | None = None) -> Subspace:
         raise DimensionMismatch(f"matrix size {first.n} vs requested {n}")
     if field is not None and field != first.field:
         raise FieldMismatch(f"fields differ: {first.field.name} vs {field.name}")
-    ech = _Echelon(first.n * first.n, first.field)
+    ech = _Echelon(first.field)
     for m in mats:
-        ech.insert(list(vectorize(m)))
+        ech.insert(vectorize(m))
     return ech.to_subspace(first.n)
 
 
@@ -476,7 +518,7 @@ def subspace_contains(space: Subspace, item) -> bool:
             raise DimensionMismatch(f"subspace sizes differ: {item.n} vs {space.n}")
         if item.field != space.field:
             raise FieldMismatch(f"fields differ: {item.field.name} vs {space.field.name}")
-        return all(space.contains_vector(row) for row in item.basis)
+        return all(space.contains_vector(row) for row in item.pivot_rows.values())
     return space.contains_matrix(item)
 
 
@@ -485,38 +527,33 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
         raise DimensionMismatch(f"subspace sizes differ: {a.n} vs {b.n}")
     if a.field != b.field:
         raise FieldMismatch(f"fields differ: {a.field.name} vs {b.field.name}")
-    ech = _Echelon(a.n * a.n, a.field)
-    ech.seed_from(a)
-    for row in b.basis:
-        ech.insert(list(row))
+    ech = _Echelon(a.field, a.pivot_rows)
+    for row in b.pivot_rows.values():
+        ech.insert(dict(row))
     return ech.to_subspace(a.n)
 
 
 def kernel(rows, n: int, field: Field) -> Subspace:
     """Nullspace of a homogeneous system whose unknowns are n*n coordinates.
 
-    Each input row is one linear constraint of length n*n.  The result is
-    returned as a canonical RREF subspace.
+    Each input row is one linear constraint, a sparse map or a dense
+    sequence of length n*n.  The result is a canonical RREF subspace.
     """
     ncoords = n * n
-    ech = _Echelon(ncoords, field)
+    ech = _Echelon(field)
     for row in rows:
-        if len(row) != ncoords:
-            raise DimensionMismatch(
-                f"constraint length {len(row)} differs from expected {ncoords}"
-            )
-        ech.insert([field.coerce(v) for v in row])
-    pivot_set = set(ech.pivots)
-    out = _Echelon(ncoords, field)
-    zero, one = field.zero(), field.one()
-    for free in range(ncoords):
-        if free in pivot_set:
-            continue
-        vec = [zero] * ncoords
-        vec[free] = one
-        for row, p in zip(ech.rows, ech.pivots):
-            c = row[free]
-            if c:
-                vec[p] = field.neg(c)
-        out.insert(vec)
+        ech.insert(_as_sparse(row, ncoords, field))
+    # In RREF every off-pivot coordinate of a row is free, and free
+    # coordinate c spans the kernel vector e_c - sum over pivots p of
+    # row_p[c] * e_p.
+    one = field.one()
+    free_vecs: dict = {}
+    for p, row in ech.rows.items():
+        for c, v in row.items():
+            if c != p:
+                free_vecs.setdefault(c, {c: one})[p] = field.neg(v)
+    out = _Echelon(field)
+    for c in range(ncoords):
+        if c not in ech.rows:
+            out.insert(free_vecs.get(c) or {c: one})
     return out.to_subspace(n)

@@ -18,6 +18,12 @@ from .exact_linalg import Field, Matrix, field_from_name
 
 SCHEMA_KEYS = {"n", "field", "admit_empty_word", "generators"}
 
+# Largest matrix size a generator-set file may declare.  Certification
+# solves a system in n*n unknowns, so a file at this bound already asks for
+# a 65536-unknown centralizer; a larger n is refused before anything is
+# allocated for it.
+MAX_N = 256
+
 
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -26,13 +32,11 @@ def dumps(obj) -> str:
 def matrix_entries(m: Matrix) -> list:
     """Sparse [i, j, "value"] triples, sorted by (i, j)."""
     f = m.field
-    out = []
-    for i in range(m.n):
-        for j in range(m.n):
-            v = m.rows[i][j]
-            if v:
-                out.append([i + 1, j + 1, f.fmt(v)])
-    return out
+    return [
+        [i + 1, j + 1, f.fmt(row[j])]
+        for i, row in enumerate(m.sparse_rows)
+        for j in sorted(row)
+    ]
 
 
 def system_to_dict(system: GeneratingSystem) -> dict:
@@ -70,6 +74,8 @@ def system_from_dict(doc: dict) -> GeneratingSystem:
     n = doc["n"]
     if not isinstance(n, int) or n < 1:
         raise InvalidGeneratorFile(f"n must be a positive integer, got {n!r}")
+    if n > MAX_N:
+        raise InvalidGeneratorFile(f"n = {n} exceeds the supported maximum {MAX_N}")
     field = _field_from_dict(doc)
     admit = doc["admit_empty_word"]
     if not isinstance(admit, bool):
@@ -86,8 +92,7 @@ def system_from_dict(doc: dict) -> GeneratingSystem:
         label = gen["label"]
         if not isinstance(label, str) or not label:
             raise InvalidGeneratorFile(f"bad generator label {label!r}")
-        z = field.zero()
-        rows = [[z] * n for _ in range(n)]
+        rows = tuple({} for _ in range(n))
         seen = set()
         for entry in gen["entries"]:
             if not (isinstance(entry, list) and len(entry) == 3):
@@ -113,12 +118,14 @@ def system_from_dict(doc: dict) -> GeneratingSystem:
                     f"generator {label!r}: values must be strings, got {raw!r}"
                 )
             try:
-                rows[i - 1][j - 1] = field.parse(raw)
+                value = field.parse(raw)
             except InvalidParams as exc:
                 raise InvalidGeneratorFile(
                     f"generator {label!r}: bad value {raw!r} ({exc})"
                 ) from None
-        members.append((label, Matrix(n, field, tuple(tuple(r) for r in rows))))
+            if value:
+                rows[i - 1][j - 1] = value
+        members.append((label, Matrix(n, field, rows)))
     labels = [lm[0] for lm in members]
     if len(set(labels)) != len(labels):
         raise InvalidGeneratorFile(f"duplicate generator labels: {sorted(labels)}")

@@ -60,13 +60,13 @@ def _chain(system: GeneratingSystem, target: Subspace | None = None):
     if target is not None:
         _check_target(system, target)
     n, f = system.n, system.field
-    ech = _Echelon(n * n, f)
+    ech = _Echelon(f)
     if system.admit_empty_word:
-        ech.insert(list(vectorize(system.identity())))
+        ech.insert(vectorize(system.identity()))
     spans = [ech.to_subspace(n)]
     dims = [ech.dim]
     length = 0 if target is not None and spans[0] == target else None
-    prev_pivots: set = set(ech.pivots)
+    prev_rows = spans[0].pivot_rows
     mats = system.matrices
     frontier: list = []
     step = 0
@@ -74,11 +74,11 @@ def _chain(system: GeneratingSystem, target: Subspace | None = None):
         step += 1
         if step == 1:
             for m in mats:
-                ech.insert(list(vectorize(m)))
+                ech.insert(vectorize(m))
         else:
             for fmat in frontier:
                 for g in mats:
-                    ech.insert(list(vectorize(mat_mul(g, fmat))))
+                    ech.insert(vectorize(mat_mul(g, fmat)))
         cur = ech.to_subspace(n)
         spans.append(cur)
         dims.append(cur.dim)
@@ -89,10 +89,10 @@ def _chain(system: GeneratingSystem, target: Subspace | None = None):
             break
         frontier = [
             unvectorize(row, n, f)
-            for row, p in zip(cur.basis, cur.pivots)
-            if p not in prev_pivots
+            for p, row in cur.pivot_rows.items()
+            if p not in prev_rows
         ]
-        prev_pivots = set(cur.pivots)
+        prev_rows = cur.pivot_rows
     if target is None:
         length = stabilization - 1
         target_dim = dims[-1]
@@ -192,7 +192,7 @@ def _recombined_basis(rng: random.Random, target: Subspace) -> list:
     shuffle, so the mix is invertible over every field by construction.
     """
     f = target.field
-    rows = [list(r) for r in target.basis]
+    rows = [dict(r) for r in target.pivot_rows.values()]
     d = len(rows)
     density = min(1.0, 3.0 / max(d - 1, 1))
     one = f.one()
@@ -206,7 +206,7 @@ def _recombined_basis(rng: random.Random, target: Subspace) -> list:
                 f.axpy(rows[i], one, rows[j])
     rows = [f.scale(row, _random_unit(rng, f)) for row in rows]
     rng.shuffle(rows)
-    return [unvectorize(tuple(row), target.n, f) for row in rows]
+    return [unvectorize(row, target.n, f) for row in rows]
 
 
 def sample_generating_systems(

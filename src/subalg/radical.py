@@ -27,11 +27,10 @@ def radical_span(algebra: Subspace) -> Subspace:
         raise NotLocalForm("the identity is not in the algebra")
     ivec = vectorize(ident)
     # Representation of the identity in the RREF basis reads off pivots.
-    coeffs = [ivec[p] for p in algebra.pivots]
-    anchor = next(idx for idx, c in enumerate(coeffs) if c)
-    rows = tuple(r for idx, r in enumerate(algebra.basis) if idx != anchor)
-    pivots = tuple(p for idx, p in enumerate(algebra.pivots) if idx != anchor)
-    candidate = Subspace(n, f, rows, pivots)
+    anchor = next(p for p in algebra.pivot_rows if p in ivec)
+    candidate = Subspace(
+        n, f, {p: r for p, r in algebra.pivot_rows.items() if p != anchor}
+    )
     for pos, mat in enumerate(candidate.basis_matrices()):
         power = mat
         for _ in range(n - 1):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import sympy
 
-from subalg import Matrix, RationalField
+from subalg import QQ, Field, Matrix, RationalField, mat_mul, matrix_unit
 
 
 def to_sympy(m: Matrix) -> sympy.Matrix:
@@ -81,3 +81,112 @@ def sympy_rref_rows(vectors) -> list:
         if any(v != 0 for v in row):
             rows.append([Fraction(str(v)) for v in row])
     return rows
+
+
+def mat_pow(a: Matrix, e: int) -> Matrix:
+    """a ** e by repeated multiplication; e = 0 gives the identity."""
+    if e < 0:
+        raise ValueError("exponent must be nonnegative")
+    result = Matrix.identity(a.n, a.field)
+    for _ in range(e):
+        result = mat_mul(result, a)
+    return result
+
+
+# Power layout of a shift chain: the s-th power of the chain starting at
+# row `start` is the sum of E(start+h, start+h+s) for h in 0..k+1-s, and
+# every power past k+1 vanishes.
+def shift_power_support(start: int, k: int, s: int) -> tuple:
+    if s < 1:
+        raise ValueError("power must be >= 1")
+    if s >= k + 2:
+        return ()
+    return tuple((start + h, start + h + s) for h in range(k + 2 - s))
+
+
+def mat_power_of_chain(p_n: int, start: int, k: int, s: int, field: Field = QQ) -> Matrix:
+    """Closed-form s-th power of a shift chain, for cross-checking mat_pow."""
+    result = Matrix.zero(p_n, field)
+    for i, j in shift_power_support(start, k, s):
+        result = result + matrix_unit(p_n, i, j, field)
+    return result
+
+
+# -- naive dense reference ----------------------------------------------------
+# Textbook dense Gauss-Jordan on plain Python scalars (Fractions, or residues
+# mod p), sharing no code with the package's sparse core.
+class DenseRef:
+    """Scalar arithmetic of one field: Fractions, or ints reduced mod p."""
+
+    def __init__(self, field):
+        self.p = getattr(field, "p", None)
+
+    def scalar(self, v):
+        """A package scalar or an int, as a plain Fraction or residue."""
+        if self.p is not None:
+            return int(v) % self.p
+        if isinstance(v, int):
+            return Fraction(v)
+        return Fraction(int(v.numerator), int(v.denominator))
+
+    def fix(self, v):
+        return v if self.p is None else v % self.p
+
+    def inv(self, v):
+        return 1 / v if self.p is None else pow(v, -1, self.p)
+
+    def rows(self, rows) -> list:
+        return [[self.scalar(v) for v in row] for row in rows]
+
+    def mat_mul(self, a, b) -> list:
+        n = len(a)
+        return [
+            [self.fix(sum(a[i][k] * b[k][j] for k in range(n))) for j in range(n)]
+            for i in range(n)
+        ]
+
+    def rref(self, rows, ncols: int) -> list:
+        """Canonical reduced row-echelon rows, zero rows dropped."""
+        m = [list(row) for row in rows]
+        r = 0
+        for col in range(ncols):
+            piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+            if piv is None:
+                continue
+            m[r], m[piv] = m[piv], m[r]
+            inv = self.inv(m[r][col])
+            m[r] = [self.fix(v * inv) for v in m[r]]
+            for i in range(len(m)):
+                if i != r and m[i][col]:
+                    c = m[i][col]
+                    m[i] = [self.fix(x - c * y) for x, y in zip(m[i], m[r])]
+            r += 1
+        return m[:r]
+
+    def kernel(self, constraints, ncols: int) -> list:
+        """RREF basis of the nullspace of the constraint rows."""
+        reduced = self.rref(constraints, ncols)
+        pivots = [next(c for c, v in enumerate(row) if v) for row in reduced]
+        vecs = []
+        for free in range(ncols):
+            if free in pivots:
+                continue
+            vec = [self.fix(0)] * ncols
+            vec[free] = self.fix(1)
+            for row, p in zip(reduced, pivots):
+                vec[p] = self.fix(-row[free])
+            vecs.append(vec)
+        return self.rref(vecs, ncols)
+
+    def centralizer(self, mats, n: int) -> list:
+        """RREF basis of {X : X G = G X for every G}, X vectorized row-major."""
+        constraints = []
+        for g in mats:
+            for i in range(n):
+                for j in range(n):
+                    row = [self.fix(0)] * (n * n)
+                    for k in range(n):
+                        row[i * n + k] += g[k][j]
+                        row[k * n + j] -= g[i][k]
+                    constraints.append([self.fix(v) for v in row])
+        return self.kernel(constraints, n * n)

@@ -25,8 +25,6 @@ from subalg import (
     is_commutative,
     length_of_system,
     li_chain_spans,
-    mat_pow,
-    mat_power_of_chain,
     matrix_unit,
     radical_power_dims,
     radical_span,
@@ -37,6 +35,8 @@ from subalg import (
     witness_system,
     witness_system_bkm,
 )
+
+from oracles import mat_pow, mat_power_of_chain
 
 GF2 = PrimeField(2)
 GF7 = PrimeField(7)

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from subalg import QQ, GeneratingSystem, matrix_unit
+import subalg.cli as cli
+from subalg import QQ, GeneratingSystem, NotLocalForm, matrix_unit
 from subalg.cli import main
 from subalg.jsonio import dumps, system_to_dict
 
@@ -251,3 +252,77 @@ def test_console_script_entry_point(tmp_path):
     doc = json.loads(proc.stdout)
     assert doc["n"] == 4
     assert {g["label"] for g in doc["generators"]} >= {"I", "B"}
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    workers: list = []
+
+    def __init__(self, max_workers):
+        _SerialPool.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    _SerialPool.workers = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    return _SerialPool
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_turns_a_raising_tuple_into_a_failing_report(
+    capsys, monkeypatch, serial_pool, jobs
+):
+    real = cli._family_report
+
+    def flaky(family, params_dict, field_name, samples, seed):
+        if params_dict == {"n": 5, "m": 1, "k": 2}:
+            raise NotLocalForm("no local form")
+        return real(family, params_dict, field_name, samples, seed)
+
+    monkeypatch.setattr(cli, "_family_report", flaky)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    rc, out, err = run_cli(
+        capsys, "sweep", "--family", "bkm", "--n", "5", "--samples", "0", "--jobs", jobs
+    )
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["summary"] == {"pass": 5, "fail": 1, "skipped": 0}
+    assert [r["params"] for r in doc["reports"]] == [
+        {"n": 5, "m": m, "k": k} for m, k in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1))
+    ]
+    assert doc["reports"][1] == {
+        "family": "bkm",
+        "params": {"n": 5, "m": 1, "k": 2},
+        "field": "rational",
+        "error": "NotLocalForm: no local form",
+        "pass": False,
+    }
+    assert "sweep: pass 5 fail 1 skipped 0" in err
+    assert serial_pool.workers == ([] if jobs == "1" else [2])
+
+
+def test_sweep_caps_jobs_at_tasks_and_cpus(capsys, monkeypatch, serial_pool):
+    three = ("sweep", "--family", "bkm", "--n", "4", "--samples", "0")  # 3 tuples
+    for cpus, argv, want in (
+        (2, three + ("--jobs", "64"), [2]),
+        (8, three + ("--jobs", "64"), [3]),
+        (8, three + ("--jobs", "2"), [2]),
+        (None, three + ("--jobs", "64"), []),
+        (8, ("sweep", "--family", "bkm", "--n", "3", "--samples", "0", "--jobs", "8"), []),
+    ):
+        serial_pool.workers = []
+        monkeypatch.setattr(cli.os, "cpu_count", lambda c=cpus: c)
+        rc, _, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        assert serial_pool.workers == want, (cpus, argv)

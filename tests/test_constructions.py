@@ -15,16 +15,15 @@ from subalg import (
     dimension_formula,
     dimension_formula_bkm,
     index_sets,
-    mat_pow,
-    mat_power_of_chain,
     matrix_unit,
     shift_matrix,
-    shift_power_support,
     valid_bkm_params,
     valid_bkml_params,
     witness_system,
     witness_system_bkm,
 )
+
+from oracles import mat_pow, mat_power_of_chain, shift_power_support
 
 
 def test_params_validation_names_the_violated_constraint():

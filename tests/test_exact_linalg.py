@@ -11,7 +11,6 @@ from subalg import (
     field_from_name,
     kernel,
     mat_mul,
-    mat_pow,
     matrix_unit,
     rref,
     span_of,
@@ -21,7 +20,13 @@ from subalg import (
     vectorize,
 )
 
-from oracles import as_fraction_rows, sympy_rank_of_matrices, sympy_rref_rows, to_sympy
+from oracles import (
+    as_fraction_rows,
+    mat_pow,
+    sympy_rank_of_matrices,
+    sympy_rref_rows,
+    to_sympy,
+)
 
 
 def test_rational_field_parse_and_fmt():
@@ -111,7 +116,7 @@ def test_vectorize_is_row_major():
         for j in range(1, n + 1):
             vec = vectorize(matrix_unit(n, i, j, QQ))
             expected_pos = (i - 1) * n + (j - 1)
-            assert [k for k, v in enumerate(vec) if v] == [expected_pos]
+            assert vec == {expected_pos: QQ.one()}
     m = Matrix.from_rows([[1, 2], [3, 4]], QQ)
     assert unvectorize(vectorize(m), 2, QQ) == m
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,9 @@ from subalg import (
     build_bkml,
     matrix_unit,
 )
+from subalg.cli import main
 from subalg.jsonio import (
+    MAX_N,
     dumps,
     load_system,
     matrix_entries,
@@ -152,3 +155,27 @@ def test_fraction_values_parse_in_both_fields():
     doc["field"] = "gf:7"
     sys = system_from_dict(doc)
     assert sys.matrices[0].entry(1, 2) == PrimeField(7).from_int(3)
+
+
+def test_oversized_n_is_refused_before_allocation(tmp_path, capsys):
+    doc = {
+        "n": 10**9,
+        "field": "rational",
+        "admit_empty_word": True,
+        "generators": [{"label": "g", "entries": [[1, 2, "1"]]}],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidGeneratorFile, match="exceeds the supported maximum"):
+            load_system(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert main(["verify", "--in", str(path)]) == 2
+    assert "exceeds the supported maximum" in capsys.readouterr().err
+    assert system_from_dict(dict(doc, n=MAX_N)).n == MAX_N
+    with pytest.raises(InvalidGeneratorFile):
+        system_from_dict(dict(doc, n=MAX_N + 1))

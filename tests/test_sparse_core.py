@@ -1,0 +1,133 @@
+"""Oracle tests of the sparse exact core over all four test fields.
+
+Products, spans, kernels and centralizers are compared with the naive dense
+Gauss-Jordan reference in oracles.py, on inputs drawn both mostly-zero and
+dense.  The dense views must round-trip through the sparse constructors,
+and equal spans must compare and hash equal.
+"""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from subalg import (
+    QQ,
+    Matrix,
+    PrimeField,
+    centralizer,
+    kernel,
+    mat_mul,
+    rref,
+    span_of,
+    unvectorize,
+    vectorize,
+)
+
+from oracles import DenseRef
+
+FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
+
+SPARSE_ENTRY = st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1, 2, 3])
+DENSE_ENTRY = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def square(draw, n):
+    entry = draw(st.sampled_from([SPARSE_ENTRY, DENSE_ENTRY]))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@st.composite
+def vectors(draw, ncoords, max_count=6):
+    entry = draw(st.sampled_from([SPARSE_ENTRY, DENSE_ENTRY]))
+    return draw(
+        st.lists(
+            st.lists(entry, min_size=ncoords, max_size=ncoords),
+            min_size=1,
+            max_size=max_count,
+        )
+    )
+
+
+def _basis(ref, subspace):
+    return ref.rows(subspace.basis)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@given(data=st.data())
+def test_mat_mul_matches_dense_reference(field, data):
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    a, b = data.draw(square(n)), data.draw(square(n))
+    ref = DenseRef(field)
+    got = mat_mul(Matrix.from_rows(a, field), Matrix.from_rows(b, field))
+    assert ref.rows(got.rows) == ref.mat_mul(ref.rows(a), ref.rows(b))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@given(data=st.data())
+def test_rref_and_span_match_dense_reference(field, data):
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    rows = data.draw(vectors(n * n))
+    ref = DenseRef(field)
+    expected = ref.rref(ref.rows(rows), n * n)
+    sub = rref(rows, field, n=n)
+    assert _basis(ref, sub) == expected
+    assert list(sub.pivots) == [next(c for c, v in enumerate(r) if v) for r in expected]
+    mats = [unvectorize(row, n, field) for row in rows]
+    assert span_of(mats, n=n, field=field) == sub
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@given(data=st.data())
+def test_kernel_matches_dense_reference(field, data):
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    constraints = data.draw(vectors(n * n, max_count=8))
+    ref = DenseRef(field)
+    ker = kernel(constraints, n, field)
+    assert _basis(ref, ker) == ref.kernel(ref.rows(constraints), n * n)
+    sparse_rows = [
+        {c: field.coerce(v) for c, v in enumerate(row) if field.coerce(v)}
+        for row in constraints
+    ]
+    assert kernel(sparse_rows, n, field) == ker
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@given(data=st.data())
+def test_centralizer_matches_dense_reference(field, data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    mats = data.draw(st.lists(square(n), min_size=1, max_size=3))
+    ref = DenseRef(field)
+    cent = centralizer([Matrix.from_rows(m, field) for m in mats])
+    assert _basis(ref, cent) == ref.centralizer([ref.rows(m) for m in mats], n)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@given(data=st.data())
+def test_equal_spans_compare_and_hash_equal(field, data):
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    rows = data.draw(vectors(n * n))
+    base = rref(rows, field, n=n)
+    mixed = [list(row) for row in rows]
+    for i in range(1, len(mixed)):
+        mixed[i] = [a + 3 * b for a, b in zip(mixed[i], mixed[0])]
+    order = data.draw(st.permutations(range(len(mixed))))
+    other = rref([mixed[i] for i in order] + [[0] * (n * n)], field, n=n)
+    assert other == base
+    assert hash(other) == hash(base)
+    assert len({base, other}) == 1
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@given(data=st.data())
+def test_dense_views_round_trip(field, data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    m = Matrix.from_rows(data.draw(square(n)), field)
+    assert Matrix.from_rows(m.rows, field) == m
+    assert unvectorize(vectorize(m), n, field) == m
+    sub = span_of([m, mat_mul(m, m), Matrix.identity(n, field)])
+    assert rref(sub.basis, field, n=n) == sub
+    one = field.one()
+    for row, p in zip(sub.basis, sub.pivots):
+        assert len(row) == n * n
+        assert row[p] == one and not any(row[:p])
