@@ -12,7 +12,6 @@ from subalg import (
     algebra_closure,
     bound_check,
     build_bkm,
-    length_of_system,
     radical_power_dims,
     radical_span,
     sample_generating_systems,
@@ -32,7 +31,8 @@ report = bound_check(witness_system_bkm(params, QQ))
 print(f"\nwitness system: length {report.length}, bound holds: {report.bound_holds}")
 
 print("\ntwenty sampled generating systems of the same algebra:")
-systems = sample_generating_systems(closure, 20, seed=42)
-lengths = [length_of_system(s, closure) for s in systems]
+# Each sample comes with the report of the span chain that accepted it.
+samples = sample_generating_systems(closure, 20, seed=42)
+lengths = [report.length for _, report in samples]
 print(f"  lengths: {sorted(lengths)}")
 print(f"  all within the bound: {all(v <= len(radical) - 1 for v in lengths)}")

@@ -77,5 +77,6 @@ from .radical import (
     radical_power_dims,
     radical_span,
 )
+from .verify import VerificationReport, verify_system
 
 __version__ = "0.1.0"

@@ -16,8 +16,9 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, astuple
 
-from .commute import centralizer, is_commutative
+from .commute import centralizer
 from .constructions import (
     BkmParams,
     ConstructionParams,
@@ -28,18 +29,11 @@ from .constructions import (
     witness_system,
     witness_system_bkm,
 )
-from .errors import InvalidParams, NotLocalForm, SubalgError
+from .errors import InvalidParams, SubalgError
 from .exact_linalg import field_from_name, span_of
 from .jsonio import dumps, load_system, matrix_entries, system_to_dict
-from .lengths import (
-    algebra_closure,
-    enumerate_words,
-    length_of_system,
-    li_chain,
-    li_chain_spans,
-    sample_generating_systems,
-)
-from .radical import radical_power_dims, radical_span
+from .lengths import _chain, enumerate_words
+from .verify import verify_system
 
 
 def _field_arg(s: str):
@@ -49,14 +43,21 @@ def _field_arg(s: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(s: str) -> int:
-    try:
-        v = int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {s!r}") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {s}")
-    return v
+def _int_at_least(lo: int):
+    def parse(s: str) -> int:
+        try:
+            v = int(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {s!r}") from None
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}: {s}")
+        return v
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_count = _int_at_least(0)
 
 
 def _range_arg(s: str) -> tuple:
@@ -90,10 +91,7 @@ def _fail2(message: str) -> int:
     return 2
 
 
-def _params_dict(params) -> dict:
-    if isinstance(params, ConstructionParams):
-        return {"n": params.n, "m": params.m, "l": params.l, "k": params.k}
-    return {"n": params.n, "m": params.m, "k": params.k}
+_PARAMS = {"bkml": ConstructionParams, "bkm": BkmParams}
 
 
 def _build_family(family: str, params, field):
@@ -102,15 +100,30 @@ def _build_family(family: str, params, field):
     return build_bkm(params, field), witness_system_bkm(params, field)
 
 
-def _samples_block(closure, samples: int, seed: int, nilpotency: int) -> dict:
-    """Lengths of seeded random generating systems of the closure."""
-    systems = sample_generating_systems(closure, samples, seed)
-    lengths = [length_of_system(s, closure) for s in systems]
+def _report_doc(rep, family, params, field_name, seed, t0) -> dict:
+    """The JSON view of a VerificationReport that verify and sweep print."""
+    lengths = rep.sample_lengths
     return {
-        "count": samples,
-        "seed": seed,
-        "lengths": lengths,
-        "all_within_bound": all(v <= nilpotency - 1 for v in lengths),
+        "family": family,
+        "params": params,
+        "field": field_name,
+        "algebra_dimension": rep.closure.dim,
+        "commutative": rep.maximality.is_commutative,
+        "maximal": rep.maximality.is_maximal,
+        "centralizer_dimension": rep.maximality.centralizer_dim,
+        "length_certified": rep.certified,
+        "witness_length": rep.measured.length,
+        "witness_chain_dims": list(rep.measured.dims),
+        "radical_nilpotency": None if rep.radical is None else rep.radical.nilpotency,
+        "bound_holds": rep.bound_holds,
+        "samples": None if lengths is None else {
+            "count": len(lengths),
+            "seed": seed,
+            "lengths": list(lengths),
+            "all_within_bound": rep.samples_within_bound,
+        },
+        "pass": rep.passed,
+        "elapsed_ms": int((time.perf_counter() - t0) * 1000),
     }
 
 
@@ -119,95 +132,21 @@ def _family_report(
 ) -> dict:
     """Full verification report for one construction; pure and picklable."""
     field = field_from_name(field_name)
-    params = (
-        ConstructionParams(**params_dict)
-        if family == "bkml"
-        else BkmParams(**params_dict)
-    )
+    params = _PARAMS[family](**params_dict)
     t0 = time.perf_counter()
     gens, witness = _build_family(family, params, field)
-    closure = algebra_closure(gens)
-    commutes, _ = is_commutative(gens.matrices)
-    cent = centralizer(gens.matrices)
-    maximal = commutes and cent == closure
-    witness_report = li_chain(witness, target=closure)
-    certified = params.k + 1
-    radical = radical_span(closure)
-    power_dims = radical_power_dims(radical)
-    nilpotency = len(power_dims)
-    bound_holds = (
-        witness_report.length is not None
-        and witness_report.length <= nilpotency - 1
+    rep = verify_system(
+        gens, witness=witness, certified=params.k + 1, samples=samples, seed=seed
     )
-    report = {
-        "family": family,
-        "params": dict(params_dict),
-        "field": field_name,
-        "algebra_dimension": closure.dim,
-        "commutative": commutes,
-        "maximal": maximal,
-        "centralizer_dimension": cent.dim,
-        "length_certified": certified,
-        "witness_length": witness_report.length,
-        "witness_chain_dims": list(witness_report.dims),
-        "radical_nilpotency": nilpotency,
-        "bound_holds": bound_holds,
-        "samples": None,
-    }
-    if samples > 0:
-        report["samples"] = _samples_block(closure, samples, seed, nilpotency)
-    samples_ok = report["samples"] is None or report["samples"]["all_within_bound"]
-    report["pass"] = bool(
-        commutes
-        and maximal
-        and witness_report.length == certified
-        and bound_holds
-        and samples_ok
-    )
-    report["elapsed_ms"] = int((time.perf_counter() - t0) * 1000)
-    return report
+    return _report_doc(rep, family, dict(params_dict), field_name, seed, t0)
 
 
 def _file_report(path: str, samples: int, seed: int) -> dict:
     """Verification report for a generator-set file; no certified length."""
     system = load_system(path)
     t0 = time.perf_counter()
-    closure = algebra_closure(system)
-    commutes, _ = is_commutative(system.matrices)
-    cent = centralizer(system.matrices)
-    maximal = commutes and cent == closure
-    own_report = li_chain(system, target=closure)
-    try:
-        radical = radical_span(closure)
-        power_dims = radical_power_dims(radical)
-        nilpotency = len(power_dims)
-        bound_holds = own_report.length <= nilpotency - 1
-    except NotLocalForm:
-        nilpotency = None
-        bound_holds = None
-    report = {
-        "family": None,
-        "params": None,
-        "field": system.field.name,
-        "algebra_dimension": closure.dim,
-        "commutative": commutes,
-        "maximal": maximal,
-        "centralizer_dimension": cent.dim,
-        "length_certified": None,
-        "witness_length": own_report.length,
-        "witness_chain_dims": list(own_report.dims),
-        "radical_nilpotency": nilpotency,
-        "bound_holds": bound_holds,
-        "samples": None,
-    }
-    if samples > 0 and maximal and nilpotency is not None:
-        report["samples"] = _samples_block(closure, samples, seed, nilpotency)
-    samples_ok = report["samples"] is None or report["samples"]["all_within_bound"]
-    report["pass"] = bool(
-        commutes and maximal and bound_holds is not False and samples_ok
-    )
-    report["elapsed_ms"] = int((time.perf_counter() - t0) * 1000)
-    return report
+    rep = verify_system(system, samples=samples, seed=seed)
+    return _report_doc(rep, None, None, system.field.name, seed, t0)
 
 
 def _require_family_args(args) -> object:
@@ -238,7 +177,7 @@ def cmd_verify(args) -> int:
         params = _require_family_args(args)
         report = _family_report(
             args.family,
-            _params_dict(params),
+            asdict(params),
             args.field.name,
             args.samples,
             args.seed,
@@ -249,7 +188,7 @@ def cmd_verify(args) -> int:
 
 def cmd_length(args) -> int:
     system = load_system(args.infile)
-    report = li_chain(system)
+    report, spans = _chain(system)
     doc = {
         "labels": list(system.labels),
         "admit_empty_word": system.admit_empty_word,
@@ -261,7 +200,6 @@ def cmd_length(args) -> int:
         "target_dimension": report.target_dim,
     }
     if args.check_words:
-        spans = li_chain_spans(system)
         for i, span in enumerate(spans):
             words = enumerate_words(system, i, budget=args.word_budget)
             oracle = span_of(words, n=system.n, field=system.field)
@@ -316,7 +254,7 @@ def _sweep_task(task) -> dict:
 
 def cmd_sweep(args) -> int:
     bkml = args.family == "bkml"
-    cls = ConstructionParams if bkml else BkmParams
+    cls = _PARAMS[args.family]
     names = ("n", "m", "l", "k") if bkml else ("n", "m", "k")
     ranges = (args.m, args.l, args.k) if bkml else (args.m, args.k)
     explicit_all = all(r is not None for r in ranges)
@@ -341,9 +279,9 @@ def cmd_sweep(args) -> int:
                 selected.append(params)
     if not selected:
         return _fail2("sweep selected no valid parameter tuples")
-    selected.sort(key=lambda p: tuple(_params_dict(p).values()))
+    selected.sort(key=astuple)
     tasks = [
-        (args.family, _params_dict(p), args.field.name, args.samples, args.seed)
+        (args.family, asdict(p), args.field.name, args.samples, args.seed)
         for p in selected
     ]
     jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
@@ -402,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="full verdict for a family or a file")
     p.add_argument("--in", dest="infile", help="generator-set file")
     _add_family_args(p)
-    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--samples", type=_count, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
@@ -433,9 +371,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--field", type=_field_arg, default=field_from_name("rational")
     )
-    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--samples", type=_count, default=25)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
@@ -450,8 +388,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        return _fail2(f"cannot read {exc.filename}")
+    except OSError as exc:
+        return _fail2(f"cannot read or write {exc.filename}: {exc.strerror}")
     except SubalgError as exc:
         return _fail2(str(exc))
 

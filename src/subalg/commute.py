@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import GeneratingSystem
-from .errors import DimensionMismatch, FieldMismatch
-from .exact_linalg import Subspace, kernel, mat_mul
+from .errors import DimensionMismatch
+from .exact_linalg import Subspace, _check_compatible, kernel, mat_mul
 from .lengths import algebra_closure
 
 
@@ -38,10 +38,7 @@ def centralizer(mats) -> Subspace:
     first = mats[0]
     n, f = first.n, first.field
     for m in mats[1:]:
-        if m.n != n:
-            raise DimensionMismatch(f"matrix sizes differ: {m.n} vs {n}")
-        if m.field != f:
-            raise FieldMismatch(f"fields differ: {m.field.name} vs {f.name}")
+        _check_compatible(first, m)
     minus_one = f.neg(f.one())
     rows = []
     for g in mats:
@@ -80,9 +77,13 @@ def is_maximal_commutative(system: GeneratingSystem) -> MaximalityVerdict:
     fails, otherwise the first centralizer basis element (in RREF order)
     that falls outside the generated algebra.
     """
-    closure = algebra_closure(system)
-    commutes, pair = is_commutative(system.matrices)
-    cent = centralizer(system.matrices)
+    return _maximality(system.matrices, algebra_closure(system))
+
+
+def _maximality(mats, closure: Subspace) -> MaximalityVerdict:
+    """The maximality step: the generators ``mats`` against their closure."""
+    commutes, pair = is_commutative(mats)
+    cent = centralizer(mats)
     if not commutes:
         return MaximalityVerdict(closure.dim, cent.dim, False, False, pair)
     if cent == closure:

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 from .errors import (
     DimensionMismatch,
     EmptySystem,
-    FieldMismatch,
     IndexOutOfRange,
     InvalidParams,
     UnknownCoefficientKey,
 )
-from .exact_linalg import QQ, Field, Matrix, matrix_unit
+from .exact_linalg import QQ, Field, Matrix, _check_compatible, matrix_unit
 
 
 @dataclass(frozen=True)
@@ -117,14 +116,7 @@ class GeneratingSystem:
         if self.members:
             first = self.members[0][1]
             for _, m in self.members[1:]:
-                if m.n != first.n:
-                    raise DimensionMismatch(
-                        f"member sizes differ: {m.n} vs {first.n}"
-                    )
-                if m.field != first.field:
-                    raise FieldMismatch(
-                        f"member fields differ: {m.field.name} vs {first.field.name}"
-                    )
+                _check_compatible(first, m)
             if self.explicit_n is not None and self.explicit_n != first.n:
                 raise DimensionMismatch(
                     f"explicit n={self.explicit_n} vs member size {first.n}"

@@ -230,8 +230,9 @@ def field_from_name(name: str) -> Field:
 
 
 def _check_compatible(a, b):
+    """Matrices, subspaces and systems combine only at one size and field."""
     if a.n != b.n:
-        raise DimensionMismatch(f"matrix sizes differ: {a.n} vs {b.n}")
+        raise DimensionMismatch(f"sizes differ: {a.n} vs {b.n}")
     if a.field != b.field:
         raise FieldMismatch(f"fields differ: {a.field.name} vs {b.field.name}")
 
@@ -452,10 +453,7 @@ class Subspace:
         return not _reduce(vec, self.pivot_rows, self.field)
 
     def contains_matrix(self, m: Matrix) -> bool:
-        if m.n != self.n:
-            raise DimensionMismatch(f"matrix size {m.n} vs subspace size {self.n}")
-        if m.field != self.field:
-            raise FieldMismatch(f"fields differ: {m.field.name} vs {self.field.name}")
+        _check_compatible(m, self)
         return not _reduce(vectorize(m), self.pivot_rows, self.field)
 
     def basis_matrices(self) -> list:
@@ -514,19 +512,13 @@ def span_of(mats, n: int | None = None, field: Field | None = None) -> Subspace:
 def subspace_contains(space: Subspace, item) -> bool:
     """Membership of a matrix, or inclusion when item is itself a subspace."""
     if isinstance(item, Subspace):
-        if item.n != space.n:
-            raise DimensionMismatch(f"subspace sizes differ: {item.n} vs {space.n}")
-        if item.field != space.field:
-            raise FieldMismatch(f"fields differ: {item.field.name} vs {space.field.name}")
+        _check_compatible(item, space)
         return all(space.contains_vector(row) for row in item.pivot_rows.values())
     return space.contains_matrix(item)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.n != b.n:
-        raise DimensionMismatch(f"subspace sizes differ: {a.n} vs {b.n}")
-    if a.field != b.field:
-        raise FieldMismatch(f"fields differ: {a.field.name} vs {b.field.name}")
+    _check_compatible(a, b)
     ech = _Echelon(a.field, a.pivot_rows)
     for row in b.pivot_rows.values():
         ech.insert(dict(row))

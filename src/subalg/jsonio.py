@@ -140,4 +140,6 @@ def load_system(path) -> GeneratingSystem:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidGeneratorFile(f"{path}: not valid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise InvalidGeneratorFile(f"{path}: not UTF-8 ({exc.reason})") from None
     return system_from_dict(doc)

@@ -12,19 +12,24 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .constructions import GeneratingSystem
 from .errors import (
     BudgetExceeded,
-    DimensionMismatch,
     EmptySystem,
-    FieldMismatch,
     NotASubalgebra,
     NotGenerating,
     SamplingExhausted,
 )
-from .exact_linalg import Matrix, Subspace, _Echelon, mat_mul, unvectorize, vectorize
+from .exact_linalg import (
+    Matrix,
+    Subspace,
+    _check_compatible,
+    _Echelon,
+    mat_mul,
+    unvectorize,
+    vectorize,
+)
 
 
 @dataclass(frozen=True)
@@ -42,23 +47,12 @@ class LengthReport:
     target_dim: int
 
 
-def _check_target(system: GeneratingSystem, target: Subspace) -> None:
-    if target.n != system.n:
-        raise DimensionMismatch(
-            f"target size {target.n} vs system size {system.n}"
-        )
-    if target.field != system.field:
-        raise FieldMismatch(
-            f"target field {target.field.name} vs system field {system.field.name}"
-        )
-
-
 def _chain(system: GeneratingSystem, target: Subspace | None = None):
     """Run the span chain to stabilization; returns (report, per-step spans)."""
     if not system.members and not system.admit_empty_word:
         raise EmptySystem("no members and the empty word is not admitted")
     if target is not None:
-        _check_target(system, target)
+        _check_compatible(system, target)
     n, f = system.n, system.field
     ech = _Echelon(f)
     if system.admit_empty_word:
@@ -119,24 +113,16 @@ def algebra_closure(system: GeneratingSystem) -> Subspace:
     return spans[-1]
 
 
-@lru_cache(maxsize=4096)
-def _is_mult_closed(space: Subspace) -> bool:
+def _require_mult_closed(space: Subspace, what: str = "target") -> None:
     mats = space.basis_matrices()
-    return all(
-        space.contains_matrix(mat_mul(x, y)) for x in mats for y in mats
-    )
-
-
-def _require_mult_closed(space: Subspace) -> None:
-    if not _is_mult_closed(space):
+    if not all(space.contains_matrix(mat_mul(x, y)) for x in mats for y in mats):
         raise NotASubalgebra(
-            "target is not multiplicatively closed: some basis product leaves it"
+            f"{what} is not multiplicatively closed: some basis product leaves it"
         )
 
 
 def length_of_system(system: GeneratingSystem, target: Subspace) -> int:
     """Smallest i with L_i equal to the target; the target must be an algebra."""
-    _check_target(system, target)
     _require_mult_closed(target)
     report, _ = _chain(system, target)
     if report.length is None:
@@ -219,7 +205,9 @@ def sample_generating_systems(
 
     Each sample takes a random subset of a randomly recombined basis of the
     target and keeps it only if its chain closes back to the target;
-    failures count as rejections, capped per sample.
+    failures count as rejections, capped per sample.  Returns
+    (system, LengthReport) pairs: the report of the chain that accepted the
+    system, whose length is the system's length against the target.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -242,8 +230,9 @@ def sample_generating_systems(
                 tuple((f"g{pos + 1}", gens[idx]) for pos, idx in enumerate(chosen)),
                 admit_empty_word=True,
             )
-            if algebra_closure(system) == target:
-                out.append(system)
+            report, spans = _chain(system)
+            if spans[-1] == target:
+                out.append((system, report))
                 break
             rejections += 1
             if rejections >= max_rejections:

@@ -12,15 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import GeneratingSystem
-from .errors import NotASubalgebra, NotLocalForm, NotNilpotent
+from .errors import NotLocalForm, NotNilpotent
 from .exact_linalg import Matrix, Subspace, mat_mul, span_of, vectorize
-from .lengths import _chain, _is_mult_closed
+from .lengths import _chain, _require_mult_closed
 
 
 def radical_span(algebra: Subspace) -> Subspace:
     """Complement of the identity line inside A, verified nilpotent."""
-    if not _is_mult_closed(algebra):
-        raise NotASubalgebra("input span is not multiplicatively closed")
+    _require_mult_closed(algebra, "input span")
     n, f = algebra.n, algebra.field
     ident = Matrix.identity(n, f)
     if not algebra.contains_matrix(ident):
@@ -51,13 +50,8 @@ def radical_power_dims(radical: Subspace) -> tuple:
     the basis of J itself.  Raises NotNilpotent when the dimensions stop
     strictly decreasing before reaching zero.
     """
+    _require_mult_closed(radical, "radical candidate")
     j_mats = radical.basis_matrices()
-    for x in j_mats:
-        for y in j_mats:
-            if not radical.contains_matrix(mat_mul(x, y)):
-                raise NotASubalgebra(
-                    "radical candidate is not closed under multiplication"
-                )
     dims = [radical.dim]
     if radical.dim == 0:
         return (0,)
@@ -90,22 +84,25 @@ class RadicalReport:
     nilpotency: int
     power_dims: tuple
     bound_holds: bool
-    length: int
+    length: int | None
 
 
 def bound_check(system: GeneratingSystem) -> RadicalReport:
     """Check length(S) <= N - 1 where N is the radical's nilpotency index."""
     report, spans = _chain(system)
-    closure = spans[-1]
-    radical = radical_span(closure)
+    return _bound(spans[-1], report.length)
+
+
+def _bound(algebra: Subspace, length: int | None) -> RadicalReport:
+    """The bound step: a length (None if never reached) against N - 1."""
+    radical = radical_span(algebra)
     power_dims = radical_power_dims(radical)
     nilpotency = len(power_dims)
-    length = report.length
     return RadicalReport(
         radical_dim=radical.dim,
         nilpotency=nilpotency,
         power_dims=power_dims,
-        bound_holds=length <= nilpotency - 1,
+        bound_holds=length is not None and length <= nilpotency - 1,
         length=length,
     )
 

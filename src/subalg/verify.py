@@ -1,0 +1,84 @@
+"""The verification pipeline: closure, commutativity, centralizer, length,
+radical bound and sampled lengths of one generating system, each step once."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .commute import MaximalityVerdict, _maximality
+from .constructions import GeneratingSystem
+from .errors import NotLocalForm
+from .exact_linalg import Subspace
+from .lengths import LengthReport, _chain, li_chain, sample_generating_systems
+from .radical import RadicalReport, _bound
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """The verdicts of ``verify_system``.
+
+    ``own`` is the system's chain report; ``measured`` is the chain whose
+    length is certified and bounded: the witness's, else ``own``.
+    ``radical`` is None when the closure is not visibly scalars plus
+    nilpotents; the bound is then unchecked, and an unchecked bound fails.
+    ``sample_lengths`` is None unless samples were drawn.
+    """
+
+    closure: Subspace
+    own: LengthReport
+    maximality: MaximalityVerdict
+    measured: LengthReport
+    certified: int | None
+    radical: RadicalReport | None
+    sample_lengths: tuple | None
+
+    @property
+    def bound_holds(self) -> bool | None:
+        return None if self.radical is None else self.radical.bound_holds
+
+    @property
+    def samples_within_bound(self) -> bool:
+        return self.sample_lengths is None or all(
+            v <= self.radical.nilpotency - 1 for v in self.sample_lengths
+        )
+
+    @property
+    def passed(self) -> bool:
+        return bool(
+            self.maximality.is_maximal
+            and self.certified in (None, self.measured.length)
+            and self.bound_holds is True
+            and self.samples_within_bound
+        )
+
+
+def verify_system(
+    system: GeneratingSystem,
+    *,
+    witness: GeneratingSystem | None = None,
+    certified: int | None = None,
+    samples: int = 0,
+    seed: int = 0,
+) -> VerificationReport:
+    """Every verdict on S and the algebra it generates.
+
+    The witness (S itself when None) must reach exactly ``certified`` steps
+    when that is given, and stay within the radical bound.  ``samples``
+    seeded random generating systems of the closure are drawn when the
+    algebra is maximal and its bound checked, and must stay within it too.
+    """
+    own, spans = _chain(system)
+    closure = spans[-1]
+    maximality = _maximality(system.matrices, closure)
+    measured = own if witness is None else li_chain(witness, target=closure)
+    try:
+        radical = _bound(closure, measured.length)
+    except NotLocalForm:
+        radical = None
+    sample_lengths = None
+    if samples > 0 and maximality.is_maximal and radical is not None:
+        pairs = sample_generating_systems(closure, samples, seed)
+        sample_lengths = tuple(report.length for _, report in pairs)
+    return VerificationReport(
+        closure, own, maximality, measured, certified, radical, sample_lengths
+    )

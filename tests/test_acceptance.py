@@ -23,7 +23,6 @@ from subalg import (
     dimension_formula_bkm,
     enumerate_words,
     is_commutative,
-    length_of_system,
     li_chain_spans,
     matrix_unit,
     radical_power_dims,
@@ -177,8 +176,8 @@ def sampled_bound_ok(family: str, params, field) -> bool:
         return _SAMPLED[key]
     summary = summarize(family, params, field)
     closure = summary["closure"]
-    systems = sample_generating_systems(closure, SAMPLE_COUNT, SAMPLE_SEED)
-    lengths = [length_of_system(s, closure) for s in systems]
+    pairs = sample_generating_systems(closure, SAMPLE_COUNT, SAMPLE_SEED)
+    lengths = [report.length for _, report in pairs]
     ok = all(v <= summary["nilpotency"] - 1 for v in lengths)
     _SAMPLED[key] = ok
     return ok
@@ -338,7 +337,7 @@ def _word_oracle_corpus():
         corpus.append((f"bkm-witness-{p.n}-{p.m}-{p.k}", witness_system_bkm(p, QQ)))
     corpus.append(("gf7-one-chain", build_bkm(BkmParams(6, 1, 1), GF7)))
     target = algebra_closure(build_bkml(ConstructionParams(8, 1, 5, 2), QQ))
-    for idx, system in enumerate(sample_generating_systems(target, 3, seed=3)):
+    for idx, (system, _) in enumerate(sample_generating_systems(target, 3, seed=3)):
         corpus.append((f"sampled-{idx}", system))
     return corpus
 

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 import subalg.cli as cli
-from subalg import QQ, GeneratingSystem, NotLocalForm, matrix_unit
+import subalg.lengths as lengths
+from subalg import QQ, GeneratingSystem, Matrix, NotLocalForm, matrix_unit
 from subalg.cli import main
 from subalg.jsonio import dumps, system_to_dict
 
@@ -326,3 +327,82 @@ def test_sweep_caps_jobs_at_tasks_and_cpus(capsys, monkeypatch, serial_pool):
         rc, _, _ = run_cli(capsys, *argv)
         assert rc == 0
         assert serial_pool.workers == want, (cpus, argv)
+
+
+def test_verify_file_with_unchecked_bound_fails(capsys, tmp_path, witness_8152):
+    """The witness conjugated by P = I + E(2,1): its closure is maximal but not
+    visibly scalars plus nilpotents, so the bound goes unchecked and fails."""
+    p = Matrix.identity(8, QQ) + matrix_unit(8, 2, 1, QQ)
+    p_inv = Matrix.identity(8, QQ) - matrix_unit(8, 2, 1, QQ)
+    conjugated = GeneratingSystem(
+        tuple((label, p * m * p_inv) for label, m in witness_8152.members)
+    )
+    path = tmp_path / "conjugated.json"
+    path.write_text(dumps(system_to_dict(conjugated)), encoding="utf-8")
+    rc, out, _ = run_cli(capsys, "verify", "--in", str(path), "--samples", "3")
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["maximal"] is True
+    assert doc["radical_nilpotency"] is None
+    assert doc["bound_holds"] is None
+    assert doc["samples"] is None
+    assert doc["pass"] is False
+
+
+def test_verify_unreadable_input_is_usage_error(capsys, tmp_path):
+    rc, out, err = run_cli(capsys, "verify", "--in", str(tmp_path))
+    assert (rc, out) == (2, "")
+    assert "cannot read" in err
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"field": "rational", "n": 2, "admit_empty_word": true, '
+                       '"generators": [{"label": "\xe9", "entries": []}]}'.encode("latin-1"))
+    rc, out, err = run_cli(capsys, "verify", "--in", str(latin1))
+    assert (rc, out) == (2, "")
+    assert "not UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--family", "bkm", "--n", "8", "--m", "1", "--k", "2", "--samples", "-3"),
+        ("sweep", "--family", "bkm", "--n", "4", "--samples", "-3"),
+        ("sweep", "--family", "bkm", "--n", "4", "--samples", "0", "--jobs", "-4"),
+        ("sweep", "--family", "bkm", "--n", "4", "--samples", "0", "--jobs", "0"),
+    ],
+)
+def test_negative_counts_are_usage_errors(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert "must be >=" in err
+
+
+@pytest.fixture
+def chain_runs(monkeypatch):
+    """Counts span-chain runs, wherever in the package they are started."""
+    real = lengths._chain
+    runs = []
+
+    def counting(*args, **kwargs):
+        runs.append(args[0])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "subalg" or name.startswith("subalg."):
+            if getattr(module, "_chain", None) is real:
+                monkeypatch.setattr(module, "_chain", counting)
+    return runs
+
+
+def test_verify_runs_each_chain_once(capsys, tmp_path, full_8152, chain_runs):
+    path = tmp_path / "full.json"
+    path.write_text(dumps(system_to_dict(full_8152)), encoding="utf-8")
+    rc, _, _ = run_cli(capsys, "verify", "--in", str(path), "--samples", "0")
+    assert rc == 0
+    assert len(chain_runs) == 1
+    chain_runs.clear()
+    rc, _, _ = run_cli(
+        capsys, "verify", "--family", "bkml",
+        "--n", "8", "--m", "1", "--l", "5", "--k", "2", "--samples", "0",
+    )
+    assert rc == 0
+    assert [s.labels[:2] for s in chain_runs] == [("I", "B1"), ("B1", "B2")]

@@ -2,7 +2,9 @@ import pytest
 
 from subalg import (
     QQ,
+    BkmParams,
     BudgetExceeded,
+    ConstructionParams,
     EmptySystem,
     GeneratingSystem,
     Matrix,
@@ -10,6 +12,8 @@ from subalg import (
     NotGenerating,
     SamplingExhausted,
     algebra_closure,
+    build_bkm,
+    build_bkml,
     enumerate_words,
     length_of_system,
     li_chain,
@@ -133,14 +137,14 @@ def test_sampling_is_deterministic(full_8152):
     target = algebra_closure(full_8152)
     first = sample_generating_systems(target, 3, seed=7)
     second = sample_generating_systems(target, 3, seed=7)
-    assert [s.members for s in first] == [t.members for t in second]
+    assert [s.members for s, _ in first] == [t.members for t, _ in second]
     other = sample_generating_systems(target, 3, seed=8)
-    assert [s.members for s in first] != [t.members for t in other]
+    assert [s.members for s, _ in first] != [t.members for t, _ in other]
 
 
 def test_samples_generate_the_target(full_8152):
     target = algebra_closure(full_8152)
-    for sys in sample_generating_systems(target, 5, seed=0):
+    for sys, _ in sample_generating_systems(target, 5, seed=0):
         assert algebra_closure(sys) == target
         assert len(sys.members) >= (target.dim + 1) // 2
         assert sys.labels == tuple(f"g{i + 1}" for i in range(len(sys.members)))
@@ -160,3 +164,16 @@ def test_sampling_requires_unital_subalgebra():
     not_closed = span_of([matrix_unit(3, 1, 2, QQ), matrix_unit(3, 2, 3, QQ)])
     with pytest.raises(NotASubalgebra):
         sample_generating_systems(not_closed, 1, seed=0)
+
+
+@pytest.mark.parametrize("family", ["bkml", "bkm"])
+def test_sampled_reports_equal_targeted_chains(family, fields):
+    """The report of the chain that accepted a sample is its length report."""
+    for field in fields:
+        if family == "bkml":
+            full = build_bkml(ConstructionParams(8, 1, 5, 2), field)
+        else:
+            full = build_bkm(BkmParams(8, 1, 2), field)
+        target = algebra_closure(full)
+        for system, report in sample_generating_systems(target, 4, seed=5):
+            assert report == li_chain(system, target)

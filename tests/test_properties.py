@@ -164,5 +164,5 @@ def test_closure_is_multiplicatively_closed(mats):
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_sampled_systems_always_generate(seed):
     target = algebra_closure(build_bkm(BkmParams(5, 1, 1), QQ))
-    for system in sample_generating_systems(target, 2, seed):
+    for system, _ in sample_generating_systems(target, 2, seed):
         assert algebra_closure(system) == target
