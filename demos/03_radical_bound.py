@@ -1,7 +1,7 @@
 """Radical powers and the nilpotency bound on lengths.
 
-For these algebras every element is a scalar plus a nilpotent part, so
-the radical is the span of the non-scalar basis vectors.  If N is the
+For these algebras every element is a scalar plus a nilpotent part: the
+radical J, the set of nilpotent elements, has codimension 1.  If N is the
 first vanishing radical power, no generating system can have length
 beyond N - 1.  The witness systems reach exactly that bound.
 """

@@ -531,7 +531,11 @@ def kernel(rows, n: int, field: Field) -> Subspace:
     Each input row is one linear constraint, a sparse map or a dense
     sequence of length n*n.  The result is a canonical RREF subspace.
     """
-    ncoords = n * n
+    return _nullspace(rows, n * n, field).to_subspace(n)
+
+
+def _nullspace(rows, ncoords: int, field: Field) -> _Echelon:
+    """RREF nullspace of constraint rows over coordinates 0..ncoords-1."""
     ech = _Echelon(field)
     for row in rows:
         ech.insert(_as_sparse(row, ncoords, field))
@@ -548,4 +552,4 @@ def kernel(rows, n: int, field: Field) -> Subspace:
     for c in range(ncoords):
         if c not in ech.rows:
             out.insert(free_vecs.get(c) or {c: one})
-    return out.to_subspace(n)
+    return out

@@ -6,6 +6,15 @@ L_0 <= L_1 <= ... stabilizes; the smallest i with L_i equal to the target
 is the length of S.  Each step only multiplies members against the basis
 vectors that are new since the previous step: products against older basis
 vectors were already absorbed one step earlier, so nothing is lost.
+
+Chains of systems known to lie inside an algebra A of dimension d run in
+A's own coordinates (``_Coords``).  A vector of A is fixed by its entries
+at the d pivots of A's RREF basis, so those d entries are its coordinates,
+and the d*d structure constants (the coordinates of each product of two
+basis rows) turn every product inside A into a bilinear form on
+coordinates.  Chain dimensions do not depend on the coordinates, so a
+chain run there reports what the n*n-coordinate chain would, without
+forming a matrix.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from .exact_linalg import (
     Subspace,
     _check_compatible,
     _Echelon,
+    _reduce,
     mat_mul,
     unvectorize,
     vectorize,
@@ -47,6 +57,25 @@ class LengthReport:
     target_dim: int
 
 
+def _steps(ech: _Echelon, members: list, products, full: int | None = None):
+    """Run the chain's steps on ech, yielding after each one.
+
+    Step 1 inserts the members, which are consumed.  Each later step
+    inserts products(x), the members times x, for every basis vector x new
+    at the previous step.  A step ends early once the span reaches
+    dimension ``full``.
+    """
+    vecs = iter(members)
+    while True:
+        before = set(ech.rows)
+        for vec in vecs:
+            if ech.insert(vec) and ech.dim == full:
+                break
+        yield
+        frontier = [row for p, row in ech.rows.items() if p not in before]
+        vecs = (prod for row in frontier for prod in products(row))
+
+
 def _chain(system: GeneratingSystem, target: Subspace | None = None):
     """Run the span chain to stabilization; returns (report, per-step spans)."""
     if not system.members and not system.admit_empty_word:
@@ -58,41 +87,24 @@ def _chain(system: GeneratingSystem, target: Subspace | None = None):
     if system.admit_empty_word:
         ech.insert(vectorize(system.identity()))
     spans = [ech.to_subspace(n)]
-    dims = [ech.dim]
     length = 0 if target is not None and spans[0] == target else None
-    prev_rows = spans[0].pivot_rows
     mats = system.matrices
-    frontier: list = []
-    step = 0
-    while True:
-        step += 1
-        if step == 1:
-            for m in mats:
-                ech.insert(vectorize(m))
-        else:
-            for fmat in frontier:
-                for g in mats:
-                    ech.insert(vectorize(mat_mul(g, fmat)))
-        cur = ech.to_subspace(n)
-        spans.append(cur)
-        dims.append(cur.dim)
-        if target is not None and length is None and cur == target:
-            length = step
-        if dims[-1] == dims[-2]:
-            stabilization = step
+
+    def products(row):
+        x = unvectorize(row, n, f)
+        return (vectorize(mat_mul(g, x)) for g in mats)
+
+    for _ in _steps(ech, [vectorize(m) for m in mats], products):
+        spans.append(ech.to_subspace(n))
+        if target is not None and length is None and spans[-1] == target:
+            length = len(spans) - 1
+        if spans[-1].dim == spans[-2].dim:
             break
-        frontier = [
-            unvectorize(row, n, f)
-            for p, row in cur.pivot_rows.items()
-            if p not in prev_rows
-        ]
-        prev_rows = cur.pivot_rows
+    dims = tuple(s.dim for s in spans)
+    stabilization = len(spans) - 1
     if target is None:
-        length = stabilization - 1
-        target_dim = dims[-1]
-    else:
-        target_dim = target.dim
-    return LengthReport(tuple(dims), stabilization, length, target_dim), spans
+        return LengthReport(dims, stabilization, stabilization - 1, dims[-1]), spans
+    return LengthReport(dims, stabilization, length, target.dim), spans
 
 
 def li_chain(system: GeneratingSystem, target: Subspace | None = None) -> LengthReport:
@@ -113,17 +125,107 @@ def algebra_closure(system: GeneratingSystem) -> Subspace:
     return spans[-1]
 
 
-def _require_mult_closed(space: Subspace, what: str = "target") -> None:
-    mats = space.basis_matrices()
-    if not all(space.contains_matrix(mat_mul(x, y)) for x in mats for y in mats):
-        raise NotASubalgebra(
-            f"{what} is not multiplicatively closed: some basis product leaves it"
+class _Coords:
+    """An algebra A in its own RREF coordinates, with its structure constants.
+
+    The coordinates of a vector of A are its entries at A's pivots, in
+    ascending pivot order: each RREF row is 1 at its own pivot and 0 at the
+    others.  ``table[(p, q)]`` holds the coordinates of row_p * row_q, and
+    ``identity`` those of the identity matrix (None when A lacks it).
+    Building the table is the check that A is multiplicatively closed.
+    """
+
+    def __init__(self, space: Subspace, what: str = "target"):
+        self.space = space
+        self.field = space.field
+        self.d = space.dim
+        self.index = {p: i for i, p in enumerate(space.pivot_rows)}
+        mats = space.basis_matrices()
+        self.table = {}
+        for p, x in enumerate(mats):
+            for q, y in enumerate(mats):
+                prod = self.coordinates(vectorize(mat_mul(x, y)))
+                if prod is None:
+                    raise NotASubalgebra(
+                        f"{what} is not multiplicatively closed: "
+                        "some basis product leaves it"
+                    )
+                self.table[p, q] = prod
+        self.identity = self.coordinates(
+            vectorize(Matrix.identity(space.n, self.field))
         )
+
+    def coordinates(self, vec: dict) -> dict | None:
+        """Coordinates of a vectorized matrix, which is consumed; None when
+        it lies outside A."""
+        index = self.index
+        coords = {index[c]: v for c, v in vec.items() if c in index}
+        if _reduce(vec, self.space.pivot_rows, self.field):
+            return None
+        return coords
+
+    def mul(self, x: dict, y: dict, cache: dict | None = None) -> dict:
+        """Coordinates of x * y.  ``cache`` keeps x times each basis row,
+        for a caller that multiplies x by many vectors."""
+        f, table = self.field, self.table
+        cache = {} if cache is None else cache
+        out: dict = {}
+        for q, yv in y.items():
+            col = cache.get(q)
+            if col is None:
+                col = {}
+                for p, xv in x.items():
+                    f.axpy(col, xv, table[p, q])
+                cache[q] = col
+            f.axpy(out, yv, col)
+        return out
+
+    def vector(self, x: dict) -> dict:
+        """The vectorized matrix with coordinates x."""
+        f = self.field
+        rows = list(self.space.pivot_rows.values())
+        vec: dict = {}
+        for p, v in x.items():
+            f.axpy(vec, v, rows[p])
+        return vec
+
+    def matrix(self, x: dict) -> Matrix:
+        """The matrix with coordinates x."""
+        return unvectorize(self.vector(x), self.space.n, self.field)
+
+
+def _coord_chain(
+    coords: _Coords, members: list, admit_empty_word: bool
+) -> LengthReport:
+    """The span chain of members of A, given by coordinates, against A.
+
+    A step stops as soon as the span fills A; the step after it, which can
+    only repeat A, is recorded without being run.
+    """
+    d = coords.d
+    ech = _Echelon(coords.field)
+    if admit_empty_word:
+        ech.insert(dict(coords.identity))
+    dims = [ech.dim]
+    caches = [{} for _ in members]
+
+    def products(x):
+        return (coords.mul(g, x, c) for g, c in zip(members, caches))
+
+    for _ in _steps(ech, [dict(g) for g in members], products, full=d):
+        dims.append(ech.dim)
+        if dims[-1] == dims[-2]:
+            break
+        if dims[-1] == d:
+            dims.append(d)
+            break
+    length = dims.index(d) if d in dims else None
+    return LengthReport(tuple(dims), len(dims) - 1, length, d)
 
 
 def length_of_system(system: GeneratingSystem, target: Subspace) -> int:
     """Smallest i with L_i equal to the target; the target must be an algebra."""
-    _require_mult_closed(target)
+    _Coords(target)  # the closure check: raises NotASubalgebra
     report, _ = _chain(system, target)
     if report.length is None:
         raise NotGenerating(
@@ -171,17 +273,15 @@ def _random_unit(rng: random.Random, field):
     return field.parse(rng.choice(("1", "-1", "2", "-2", "1/2")))
 
 
-def _recombined_basis(rng: random.Random, target: Subspace) -> list:
-    """Random invertible mix of the target basis.
+def _recombined_basis(rng: random.Random, f, d: int) -> list:
+    """Random invertible mix of the d unit coordinate vectors.
 
     Built as sparse unit-triangular passes, a row scaling by units, and a
     shuffle, so the mix is invertible over every field by construction.
     """
-    f = target.field
-    rows = [dict(r) for r in target.pivot_rows.values()]
-    d = len(rows)
-    density = min(1.0, 3.0 / max(d - 1, 1))
     one = f.one()
+    rows = [{i: one} for i in range(d)]
+    density = min(1.0, 3.0 / max(d - 1, 1))
     for i in range(d):
         for j in range(i + 1, d):
             if rng.random() < density:
@@ -192,7 +292,7 @@ def _recombined_basis(rng: random.Random, target: Subspace) -> list:
                 f.axpy(rows[i], one, rows[j])
     rows = [f.scale(row, _random_unit(rng, f)) for row in rows]
     rng.shuffle(rows)
-    return [unvectorize(row, target.n, f) for row in rows]
+    return rows
 
 
 def sample_generating_systems(
@@ -200,20 +300,24 @@ def sample_generating_systems(
     count: int,
     seed: int,
     max_rejections: int = 1000,
+    coords: _Coords | None = None,
 ) -> list:
     """Deterministic random generating systems of the target algebra.
 
     Each sample takes a random subset of a randomly recombined basis of the
     target and keeps it only if its chain closes back to the target;
-    failures count as rejections, capped per sample.  Returns
-    (system, LengthReport) pairs: the report of the chain that accepted the
-    system, whose length is the system's length against the target.
+    failures count as rejections, capped per sample.  Candidates and their
+    chains live in the target's coordinates (``coords``, built here unless
+    the caller has the target's table); only accepted samples become
+    matrices.  Returns (system, LengthReport) pairs: the report of the
+    chain that accepted the system, whose length is the system's length
+    against the target.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    _require_mult_closed(target)
-    ident = Matrix.identity(target.n, target.field)
-    if not target.contains_matrix(ident):
+    if coords is None:
+        coords = _Coords(target)
+    if coords.identity is None:
         raise NotASubalgebra("target must contain the identity")
     rng = random.Random(seed)
     d = target.dim
@@ -221,17 +325,20 @@ def sample_generating_systems(
     for _ in range(count):
         rejections = 0
         while True:
-            gens = _recombined_basis(rng, target)
+            gens = _recombined_basis(rng, target.field, d)
             order = list(range(d))
             rng.shuffle(order)
             size = rng.randint((d + 1) // 2, d)
             chosen = sorted(order[:size])
-            system = GeneratingSystem(
-                tuple((f"g{pos + 1}", gens[idx]) for pos, idx in enumerate(chosen)),
-                admit_empty_word=True,
-            )
-            report, spans = _chain(system)
-            if spans[-1] == target:
+            report = _coord_chain(coords, [gens[idx] for idx in chosen], True)
+            if report.length is not None:
+                system = GeneratingSystem(
+                    tuple(
+                        (f"g{pos + 1}", coords.matrix(gens[idx]))
+                        for pos, idx in enumerate(chosen)
+                    ),
+                    admit_empty_word=True,
+                )
                 out.append((system, report))
                 break
             rejections += 1

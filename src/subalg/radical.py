@@ -1,10 +1,18 @@
-"""Radical extraction for algebras of the form scalars plus nilpotents.
+"""The radical of a local algebra, its powers, and the length bound.
 
-For an algebra A containing the identity, the candidate radical is the
-span of the RREF basis rows other than the one carrying the identity's
-leading coordinate.  Every candidate basis element is then verified
-nilpotent; if one is not, A is not (visibly) of the expected local form
-and the nilpotency-based length bound must not be trusted.
+The radical J of an algebra A of matrices is found as the kernel of one
+linear map on A, written in A's own coordinates (``lengths._Coords``), so
+it does not depend on the basis A is given in:
+
+- over Q, J = {x : tr(xy) = 0 for all y in A} (Dickson's trace-form
+  criterion);
+- over GF(p), for commutative A, J is the kernel of x -> x^(p^e) with
+  p^e >= n, which is GF(p)-linear there, and whose kernel is the set of
+  nilpotent elements.
+
+Non-commutative algebras over GF(p) are not supported.  A is local, of
+the form scalars plus J, when it holds the identity and dim A - dim J = 1;
+only then does the nilpotency index N of J bound lengths by N - 1.
 """
 
 from __future__ import annotations
@@ -12,63 +20,117 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import GeneratingSystem
-from .errors import NotLocalForm, NotNilpotent
-from .exact_linalg import Matrix, Subspace, mat_mul, span_of, vectorize
-from .lengths import _chain, _require_mult_closed
+from .errors import NotASubalgebra, NotLocalForm, NotNilpotent
+from .exact_linalg import PrimeField, Subspace, _Echelon, _nullspace, _reduce
+from .lengths import _chain, _Coords
 
 
-def radical_span(algebra: Subspace) -> Subspace:
-    """Complement of the identity line inside A, verified nilpotent."""
-    _require_mult_closed(algebra, "input span")
-    n, f = algebra.n, algebra.field
-    ident = Matrix.identity(n, f)
-    if not algebra.contains_matrix(ident):
+def _trace_form(coords: _Coords) -> list:
+    """Rows of the Gram matrix tr(row_p * row_q) on A, over Q; it is
+    symmetric, so its rows are the constraints of its kernel."""
+    n, zero = coords.space.n, coords.field.zero()
+    traces = [
+        sum((row.get(i * (n + 1), zero) for i in range(n)), zero)
+        for row in coords.space.pivot_rows.values()
+    ]
+    gram = []
+    for p in range(coords.d):
+        entries = (
+            (q, sum((v * traces[r] for r, v in coords.table[p, q].items()), zero))
+            for q in range(coords.d)
+        )
+        gram.append({q: t for q, t in entries if t})
+    return gram
+
+
+def _frobenius(coords: _Coords) -> list:
+    """Constraint rows of ker(x -> x^(p^e)), p^e >= n, on commutative A."""
+    f, d, table = coords.field, coords.d, coords.table
+    if any(table[p, q] != table[q, p] for p in range(d) for q in range(p)):
+        raise NotLocalForm(
+            f"the radical over {f.name} is found only for commutative algebras"
+        )
+    exponent = f.p
+    while exponent < coords.space.n:
+        exponent *= f.p
+    rows: list = [{} for _ in range(d)]
+    for p in range(d):
+        power, base, e = coords.identity, {p: f.one()}, exponent
+        while e:
+            if e & 1:
+                power = coords.mul(power, base)
+            e >>= 1
+            if e:
+                base = coords.mul(base, base)
+        for r, v in power.items():
+            rows[r][p] = v
+    return rows
+
+
+def radical_span(algebra: Subspace, coords: _Coords | None = None) -> Subspace:
+    """The radical J of A, which must be scalars plus J.
+
+    ``coords`` is A's table when the caller has built it.  Raises
+    NotLocalForm when A lacks the identity, when dim A - dim J is not 1, or
+    over GF(p) when A is not commutative.
+    """
+    if coords is None:
+        coords = _Coords(algebra, "input span")
+    if coords.identity is None:
         raise NotLocalForm("the identity is not in the algebra")
-    ivec = vectorize(ident)
-    # Representation of the identity in the RREF basis reads off pivots.
-    anchor = next(p for p in algebra.pivot_rows if p in ivec)
-    candidate = Subspace(
-        n, f, {p: r for p, r in algebra.pivot_rows.items() if p != anchor}
+    f = coords.field
+    constraints = (
+        _frobenius(coords) if isinstance(f, PrimeField) else _trace_form(coords)
     )
-    for pos, mat in enumerate(candidate.basis_matrices()):
-        power = mat
-        for _ in range(n - 1):
-            if power.is_zero():
-                break
-            power = mat_mul(power, mat)
-        if not power.is_zero():
-            raise NotLocalForm(
-                f"complement basis element {pos} is not nilpotent"
-            )
-    return candidate
+    j_coords = _nullspace(constraints, coords.d, f)
+    if coords.d - j_coords.dim != 1:
+        raise NotLocalForm(
+            f"the algebra modulo its radical has dimension "
+            f"{coords.d - j_coords.dim}, not 1"
+        )
+    ech = _Echelon(f)
+    for x in j_coords.rows.values():
+        ech.insert(coords.vector(x))
+    return ech.to_subspace(algebra.n)
 
 
-def radical_power_dims(radical: Subspace) -> tuple:
+def radical_power_dims(radical: Subspace, coords: _Coords | None = None) -> tuple:
     """Dimensions of J, J^2, ... down to the first zero power.
 
-    Each next power spans the products of the current power's basis with
-    the basis of J itself.  Raises NotNilpotent when the dimensions stop
-    strictly decreasing before reaching zero.
+    ``coords`` is the table of an algebra that contains J, when the caller
+    has built it; otherwise J's own.  Each next power spans the products of
+    the current power's basis with the basis of J itself.  Raises
+    NotASubalgebra when J is not closed under products, and NotNilpotent
+    when the dimensions stop strictly decreasing before reaching zero.
     """
-    _require_mult_closed(radical, "radical candidate")
-    j_mats = radical.basis_matrices()
-    dims = [radical.dim]
-    if radical.dim == 0:
-        return (0,)
-    current = radical
-    while True:
-        products = [
-            mat_mul(x, y) for x in current.basis_matrices() for y in j_mats
-        ]
-        nxt = span_of(products, n=radical.n, field=radical.field)
+    if coords is None:
+        coords = _Coords(radical, "radical candidate")
+    f = coords.field
+    j_ech = _Echelon(f)
+    for row in radical.pivot_rows.values():
+        x = coords.coordinates(dict(row))
+        if x is None:
+            raise NotASubalgebra("the radical candidate lies outside the algebra")
+        j_ech.insert(x)
+    j_basis = list(j_ech.rows.values())
+    dims = [len(j_basis)]
+    current = j_basis
+    while dims[-1]:
+        nxt = _Echelon(f)
+        for x in current:
+            for y in j_basis:
+                prod = coords.mul(x, y)
+                if current is j_basis and _reduce(dict(prod), j_ech.rows, f):
+                    raise NotASubalgebra(
+                        "radical candidate is not multiplicatively closed: "
+                        "some basis product leaves it"
+                    )
+                nxt.insert(prod)
         dims.append(nxt.dim)
-        if nxt.dim == 0:
-            return tuple(dims)
-        if nxt.dim >= current.dim:
-            raise NotNilpotent(
-                f"power dimensions stalled at {nxt.dim} after {dims}"
-            )
-        current = nxt
+        if nxt.dim and nxt.dim >= len(current):
+            raise NotNilpotent(f"power dimensions stalled at {nxt.dim} after {dims}")
+        current = list(nxt.rows.values())
+    return tuple(dims)
 
 
 def nilpotency_index(radical: Subspace) -> int:
@@ -93,10 +155,14 @@ def bound_check(system: GeneratingSystem) -> RadicalReport:
     return _bound(spans[-1], report.length)
 
 
-def _bound(algebra: Subspace, length: int | None) -> RadicalReport:
+def _bound(
+    algebra: Subspace, length: int | None, coords: _Coords | None = None
+) -> RadicalReport:
     """The bound step: a length (None if never reached) against N - 1."""
-    radical = radical_span(algebra)
-    power_dims = radical_power_dims(radical)
+    if coords is None:
+        coords = _Coords(algebra, "input span")
+    radical = radical_span(algebra, coords)
+    power_dims = radical_power_dims(radical, coords)
     nilpotency = len(power_dims)
     return RadicalReport(
         radical_dim=radical.dim,

@@ -9,7 +9,13 @@ from .commute import MaximalityVerdict, _maximality
 from .constructions import GeneratingSystem
 from .errors import NotLocalForm
 from .exact_linalg import Subspace
-from .lengths import LengthReport, _chain, li_chain, sample_generating_systems
+from .lengths import (
+    LengthReport,
+    _chain,
+    _Coords,
+    li_chain,
+    sample_generating_systems,
+)
 from .radical import RadicalReport, _bound
 
 
@@ -19,8 +25,9 @@ class VerificationReport:
 
     ``own`` is the system's chain report; ``measured`` is the chain whose
     length is certified and bounded: the witness's, else ``own``.
-    ``radical`` is None when the closure is not visibly scalars plus
-    nilpotents; the bound is then unchecked, and an unchecked bound fails.
+    ``radical`` is None when the closure is not scalars plus its radical,
+    or its radical cannot be found (a non-commutative algebra over GF(p));
+    the bound is then unchecked, and an unchecked bound fails.
     ``sample_lengths`` is None unless samples were drawn.
     """
 
@@ -69,15 +76,16 @@ def verify_system(
     """
     own, spans = _chain(system)
     closure = spans[-1]
+    coords = _Coords(closure)
     maximality = _maximality(system.matrices, closure)
     measured = own if witness is None else li_chain(witness, target=closure)
     try:
-        radical = _bound(closure, measured.length)
+        radical = _bound(closure, measured.length, coords)
     except NotLocalForm:
         radical = None
     sample_lengths = None
     if samples > 0 and maximality.is_maximal and radical is not None:
-        pairs = sample_generating_systems(closure, samples, seed)
+        pairs = sample_generating_systems(closure, samples, seed, coords=coords)
         sample_lengths = tuple(report.length for _, report in pairs)
     return VerificationReport(
         closure, own, maximality, measured, certified, radical, sample_lengths

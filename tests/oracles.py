@@ -10,7 +10,16 @@ from fractions import Fraction
 
 import sympy
 
-from subalg import QQ, Field, Matrix, RationalField, mat_mul, matrix_unit
+from subalg import (
+    QQ,
+    Field,
+    Matrix,
+    NotNilpotent,
+    RationalField,
+    mat_mul,
+    matrix_unit,
+    span_of,
+)
 
 
 def to_sympy(m: Matrix) -> sympy.Matrix:
@@ -110,6 +119,30 @@ def mat_power_of_chain(p_n: int, start: int, k: int, s: int, field: Field = QQ) 
     for i, j in shift_power_support(start, k, s):
         result = result + matrix_unit(p_n, i, j, field)
     return result
+
+
+def matrix_power_dims(radical) -> tuple:
+    """Dimensions of J, J^2, ... down to the first zero power, formed from
+    matrix products in the n*n coordinates: the reference for the
+    structure-constant power chain.  The input must be closed."""
+    j_mats = radical.basis_matrices()
+    dims = [radical.dim]
+    if radical.dim == 0:
+        return (0,)
+    current = radical
+    while True:
+        products = [
+            mat_mul(x, y) for x in current.basis_matrices() for y in j_mats
+        ]
+        nxt = span_of(products, n=radical.n, field=radical.field)
+        dims.append(nxt.dim)
+        if nxt.dim == 0:
+            return tuple(dims)
+        if nxt.dim >= current.dim:
+            raise NotNilpotent(
+                f"power dimensions stalled at {nxt.dim} after {dims}"
+            )
+        current = nxt
 
 
 # -- naive dense reference ----------------------------------------------------

@@ -329,16 +329,14 @@ def test_sweep_caps_jobs_at_tasks_and_cpus(capsys, monkeypatch, serial_pool):
         assert serial_pool.workers == want, (cpus, argv)
 
 
-def test_verify_file_with_unchecked_bound_fails(capsys, tmp_path, witness_8152):
-    """The witness conjugated by P = I + E(2,1): its closure is maximal but not
-    visibly scalars plus nilpotents, so the bound goes unchecked and fails."""
-    p = Matrix.identity(8, QQ) + matrix_unit(8, 2, 1, QQ)
-    p_inv = Matrix.identity(8, QQ) - matrix_unit(8, 2, 1, QQ)
-    conjugated = GeneratingSystem(
-        tuple((label, p * m * p_inv) for label, m in witness_8152.members)
+def test_verify_file_with_unchecked_bound_fails(capsys, tmp_path):
+    """span{I, E11} in M_2 is maximal but not local (its radical is 0), so
+    the bound goes unchecked and fails."""
+    diagonal = GeneratingSystem(
+        (("I", Matrix.identity(2, QQ)), ("E11", matrix_unit(2, 1, 1, QQ)))
     )
-    path = tmp_path / "conjugated.json"
-    path.write_text(dumps(system_to_dict(conjugated)), encoding="utf-8")
+    path = tmp_path / "diagonal.json"
+    path.write_text(dumps(system_to_dict(diagonal)), encoding="utf-8")
     rc, out, _ = run_cli(capsys, "verify", "--in", str(path), "--samples", "3")
     assert rc == 1
     doc = json.loads(out)
@@ -347,6 +345,28 @@ def test_verify_file_with_unchecked_bound_fails(capsys, tmp_path, witness_8152):
     assert doc["bound_holds"] is None
     assert doc["samples"] is None
     assert doc["pass"] is False
+
+
+def test_verify_file_of_conjugated_witness_passes(capsys, tmp_path, witness_8152):
+    """The witness conjugated by P = I + E(2,1): its RREF basis no longer
+    shows the identity line apart from the radical, yet the radical is
+    found and the bound checked."""
+    p = Matrix.identity(8, QQ) + matrix_unit(8, 2, 1, QQ)
+    p_inv = Matrix.identity(8, QQ) - matrix_unit(8, 2, 1, QQ)
+    conjugated = GeneratingSystem(
+        tuple((label, p * m * p_inv) for label, m in witness_8152.members)
+    )
+    path = tmp_path / "conjugated.json"
+    path.write_text(dumps(system_to_dict(conjugated)), encoding="utf-8")
+    rc, out, _ = run_cli(capsys, "verify", "--in", str(path), "--samples", "3")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["maximal"] is True
+    assert doc["radical_nilpotency"] == 4
+    assert doc["bound_holds"] is True
+    assert doc["samples"]["count"] == 3
+    assert doc["samples"]["all_within_bound"] is True
+    assert doc["pass"] is True
 
 
 def test_verify_unreadable_input_is_usage_error(capsys, tmp_path):
@@ -376,21 +396,26 @@ def test_negative_counts_are_usage_errors(capsys, argv):
     assert "must be >=" in err
 
 
-@pytest.fixture
-def chain_runs(monkeypatch):
-    """Counts span-chain runs, wherever in the package they are started."""
-    real = lengths._chain
-    runs = []
+def _count_calls(monkeypatch, real):
+    """Records the first argument of each call of a package function, at
+    every module binding of it."""
+    calls = []
 
     def counting(*args, **kwargs):
-        runs.append(args[0])
+        calls.append(args[0])
         return real(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name == "subalg" or name.startswith("subalg."):
-            if getattr(module, "_chain", None) is real:
-                monkeypatch.setattr(module, "_chain", counting)
-    return runs
+            if getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, counting)
+    return calls
+
+
+@pytest.fixture
+def chain_runs(monkeypatch):
+    """Counts span-chain runs, wherever in the package they are started."""
+    return _count_calls(monkeypatch, lengths._chain)
 
 
 def test_verify_runs_each_chain_once(capsys, tmp_path, full_8152, chain_runs):
@@ -406,3 +431,33 @@ def test_verify_runs_each_chain_once(capsys, tmp_path, full_8152, chain_runs):
     )
     assert rc == 0
     assert [s.labels[:2] for s in chain_runs] == [("I", "B1"), ("B1", "B2")]
+
+
+def test_verify_builds_one_table_and_samples_without_matrices(
+    capsys, monkeypatch, full_8152
+):
+    tables = []
+    real_init = lengths._Coords.__init__
+    monkeypatch.setattr(
+        lengths._Coords,
+        "__init__",
+        lambda self, *a, **k: tables.append(a[0]) or real_init(self, *a, **k),
+    )
+    rc, _, _ = run_cli(
+        capsys, "verify", "--family", "bkml",
+        "--n", "8", "--m", "1", "--l", "5", "--k", "2", "--samples", "5",
+    )
+    assert rc == 0
+    assert len(tables) == 1
+
+    closure = lengths.algebra_closure(full_8152)
+    coords = lengths._Coords(closure)
+    products = _count_calls(monkeypatch, lengths.mat_mul)
+    chains = _count_calls(monkeypatch, lengths._chain)
+    candidates = _count_calls(monkeypatch, lengths._coord_chain)
+    pairs = lengths.sample_generating_systems(closure, 5, seed=8, coords=coords)
+    assert len(pairs) == 5
+    assert len(candidates) > 5
+    assert (len(products), len(chains)) == (0, 0)
+    lengths.sample_generating_systems(closure, 5, seed=8)
+    assert len(products) == closure.dim**2

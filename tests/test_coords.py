@@ -1,0 +1,107 @@
+"""The structure-constant table of an algebra against matrix-space oracles.
+
+Chains, radical powers and the closure check run in an algebra's own
+coordinates; each is compared here with the same computation on matrices,
+over every test field.
+"""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from subalg import (
+    QQ,
+    GeneratingSystem,
+    Matrix,
+    NotASubalgebra,
+    NotLocalForm,
+    PrimeField,
+    algebra_closure,
+    radical_power_dims,
+    radical_span,
+    span_of,
+)
+from subalg.lengths import _chain, _coord_chain, _Coords
+
+from oracles import matrix_power_dims
+
+FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
+
+small_int = st.integers(min_value=-2, max_value=2)
+
+
+def matrices(n, count):
+    """Up to count n-by-n matrices, each as its n*n row-major entries."""
+    entries = st.lists(small_int, min_size=n * n, max_size=n * n)
+    return st.lists(entries, min_size=1, max_size=count)
+
+
+def _system(field, n, drawn, admit=True, strict_upper=False):
+    mats = []
+    for entries in drawn:
+        rows = [[0] * n for _ in range(n)]
+        for c, v in enumerate(entries):
+            i, j = divmod(c, n)
+            if j > i or not strict_upper:
+                rows[i][j] = field.from_int(v)
+        mats.append(Matrix.from_rows(rows, field))
+    return GeneratingSystem(
+        tuple((f"g{i + 1}", m) for i, m in enumerate(mats)), admit_empty_word=admit
+    )
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@given(
+    gens=matrices(3, 2),
+    members=matrices(3, 3),
+    admit=st.booleans(),
+)
+def test_coordinate_chain_equals_matrix_chain(field, gens, members, admit):
+    algebra = algebra_closure(_system(field, 3, gens))
+    coords = _Coords(algebra)
+    xs = [
+        {p: c for p, v in enumerate(m[: coords.d]) if (c := field.from_int(v))}
+        for m in members
+    ]
+    system = GeneratingSystem(
+        tuple((f"x{i + 1}", coords.matrix(x)) for i, x in enumerate(xs)),
+        admit_empty_word=admit,
+    )
+    want, _ = _chain(system, algebra)
+    assert _coord_chain(coords, xs, admit) == want
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@given(gens=matrices(4, 2))
+def test_table_power_dims_equal_matrix_power_dims(field, gens):
+    """N, generated without the identity by strictly upper triangular
+    matrices, is nilpotent; A = scalars + N is local with radical N."""
+    nil = algebra_closure(_system(field, 4, gens, admit=False, strict_upper=True))
+    algebra = algebra_closure(_system(field, 4, gens, strict_upper=True))
+    want = matrix_power_dims(nil)
+    assert radical_power_dims(nil) == want
+    coords = _Coords(algebra)
+    assert radical_power_dims(nil, coords) == want
+    commutative = all(
+        coords.table[p, q] == coords.table[q, p]
+        for p in range(coords.d)
+        for q in range(coords.d)
+    )
+    if field == QQ or commutative:
+        assert radical_span(algebra) == nil
+    else:
+        with pytest.raises(NotLocalForm):
+            radical_span(algebra)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@given(gens=matrices(3, 2))
+def test_table_build_checks_closure(field, gens):
+    mats = _system(field, 3, gens, admit=False).matrices
+    space = span_of(mats)
+    closed = algebra_closure(_system(field, 3, gens, admit=False)) == space
+    if closed:
+        assert _Coords(space).d == space.dim
+    else:
+        with pytest.raises(NotASubalgebra):
+            _Coords(space)

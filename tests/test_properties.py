@@ -27,6 +27,9 @@ from subalg import (
     rref,
     sample_generating_systems,
     span_of,
+    valid_bkm_params,
+    valid_bkml_params,
+    verify_system,
 )
 
 from oracles import sympy_word_span_dims
@@ -166,3 +169,58 @@ def test_sampled_systems_always_generate(seed):
     target = algebra_closure(build_bkm(BkmParams(5, 1, 1), QQ))
     for system, _ in sample_generating_systems(target, 2, seed):
         assert algebra_closure(system) == target
+
+
+def _conjugator(field, n, data):
+    """A random unipotent or monomial P, with its inverse."""
+    ident = Matrix.identity(n, field)
+    if data.draw(st.booleans()):
+        # P = I + N, N strictly lower triangular: P^-1 = sum of (-N)^k.
+        entries = data.draw(st.lists(small_int, min_size=n * n, max_size=n * n))
+        rows = [
+            [entries[i * n + j] if j < i else int(i == j) for j in range(n)]
+            for i in range(n)
+        ]
+        p = Matrix.from_rows(_to_field_rows(rows, field), field)
+        minus_n = ident - p
+        p_inv, term = ident, ident
+        for _ in range(n - 1):
+            term = term * minus_n
+            p_inv = p_inv + term
+        return p, p_inv
+    perm = data.draw(st.permutations(range(n)))
+    drawn = data.draw(st.lists(st.sampled_from([1, -1, 2, 3]), min_size=n, max_size=n))
+    units = [field.from_int(u) or field.one() for u in drawn]
+    p_rows = [[field.zero()] * n for _ in range(n)]
+    inv_rows = [[field.zero()] * n for _ in range(n)]
+    for j, (i, u) in enumerate(zip(perm, units)):
+        p_rows[i][j] = u
+        inv_rows[j][i] = field.inv(u)
+    return Matrix.from_rows(p_rows, field), Matrix.from_rows(inv_rows, field)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_verdicts_are_invariant_under_similarity(field, data):
+    """P S P^-1 generates a similar algebra: the same closure dimension,
+    maximality, length and radical nilpotency, in other coordinates."""
+    if data.draw(st.booleans()):
+        full = build_bkml(data.draw(st.sampled_from(valid_bkml_params(7))), field)
+    else:
+        full = build_bkm(data.draw(st.sampled_from(valid_bkm_params(6))), field)
+    picks = data.draw(
+        st.lists(st.sampled_from(range(len(full.members))), min_size=1, unique=True)
+    )
+    system = GeneratingSystem(tuple(full.members[i] for i in sorted(picks)))
+    p, p_inv = _conjugator(field, system.n, data)
+    assert p * p_inv == Matrix.identity(system.n, field)
+    similar = GeneratingSystem(
+        tuple((label, p * m * p_inv) for label, m in system.members)
+    )
+    want, got = verify_system(system), verify_system(similar)
+    assert want.radical is not None
+    assert got.closure.dim == want.closure.dim
+    assert got.maximality.is_maximal == want.maximality.is_maximal
+    assert got.own.length == want.own.length
+    assert got.radical.nilpotency == want.radical.nilpotency

@@ -17,6 +17,8 @@ from subalg import (
     span_of,
 )
 
+from subalg.lengths import _Coords
+
 from oracles import to_sympy
 
 
@@ -37,6 +39,16 @@ def test_power_dims_match_product_rank_oracle(full_8152):
     assert j2_dim == 4
     assert radical_power_dims(rad) == (8, 4, 2, 0)
     assert nilpotency_index(rad) == 4
+
+
+def test_radical_does_not_depend_on_the_basis():
+    """j = [[1, 1], [-1, -1]] squares to 0, so span{I, j} is local with
+    radical span{j}, though its RREF rows are I and E12 - E21 - 2 E22, and
+    the second is not nilpotent."""
+    j = Matrix.from_rows([[1, 1], [-1, -1]], QQ)
+    algebra = span_of([Matrix.identity(2, QQ), j])
+    assert radical_span(algebra) == span_of([j])
+    assert radical_power_dims(radical_span(algebra)) == (1, 0)
 
 
 def test_radical_rejects_full_matrix_algebra():
@@ -76,6 +88,11 @@ def test_power_dims_reject_non_closed_candidate():
     not_closed = span_of([matrix_unit(3, 1, 2, QQ), matrix_unit(3, 2, 3, QQ)])
     with pytest.raises(NotASubalgebra):
         radical_power_dims(not_closed)
+    # inside the upper triangular algebra, whose table is given
+    units = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i <= j]
+    upper = span_of([matrix_unit(3, i, j, QQ) for i, j in units])
+    with pytest.raises(NotASubalgebra):
+        radical_power_dims(not_closed, _Coords(upper))
 
 
 def test_bound_check_on_reference_systems(full_8152, witness_8152):
