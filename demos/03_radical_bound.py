@@ -31,7 +31,7 @@ report = bound_check(witness_system_bkm(params, QQ))
 print(f"\nwitness system: length {report.length}, bound holds: {report.bound_holds}")
 
 print("\ntwenty sampled generating systems of the same algebra:")
-# Each sample comes with the report of the span chain that accepted it.
+# Each sample comes with the report of its span chain.
 samples = sample_generating_systems(closure, 20, seed=42)
 lengths = [report.length for _, report in samples]
 print(f"  lengths: {sorted(lengths)}")

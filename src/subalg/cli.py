@@ -31,7 +31,7 @@ from .constructions import (
 )
 from .errors import InvalidParams, SubalgError
 from .exact_linalg import field_from_name, span_of
-from .jsonio import dumps, load_system, matrix_entries, system_to_dict
+from .jsonio import MAX_N, dumps, load_system, matrix_entries, system_to_dict
 from .lengths import _chain, enumerate_words
 from .verify import verify_system
 
@@ -60,22 +60,40 @@ _positive_int = _int_at_least(1)
 _count = _int_at_least(0)
 
 
-def _range_arg(s: str) -> tuple:
-    """Accepts "8", "6..10", or "1,3,5"; returns a sorted tuple of ints."""
+def _family_n(s: str) -> int:
+    """A matrix size, bounded like the n of a generator-set file."""
+    n = _positive_int(s)
+    if n > MAX_N:
+        raise argparse.ArgumentTypeError(f"exceeds the supported maximum {MAX_N}: {s}")
+    return n
+
+
+def _range_arg(s: str, top: int | None = None) -> tuple:
+    """Accepts "8", "6..10", or "1,3,5"; returns a sorted tuple of ints.
+    A range reaching above ``top`` is refused before it is built."""
     try:
         if ".." in s:
             lo, hi = s.split("..", 1)
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValueError
-            return tuple(range(lo, hi + 1))
-        if "," in s:
-            return tuple(sorted({int(part) for part in s.split(",")}))
-        return (int(s),)
+            values = range(lo, hi + 1)
+        elif "," in s:
+            values = sorted({int(part) for part in s.split(",")})
+        else:
+            values = [int(s)]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad range {s!r}: use N, LO..HI, or A,B,C"
         ) from None
+    if top is not None and values[-1] > top:
+        raise argparse.ArgumentTypeError(f"exceeds the supported maximum {top}: {s}")
+    return tuple(values)
+
+
+def _n_range(s: str) -> tuple:
+    """A range of matrix sizes, bounded like ``_family_n``."""
+    return _range_arg(s, MAX_N)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -309,7 +327,7 @@ def cmd_sweep(args) -> int:
 
 def _add_family_args(parser, include_field=True) -> None:
     parser.add_argument("--family", choices=("bkml", "bkm"), default="bkml")
-    parser.add_argument("--n", type=_positive_int)
+    parser.add_argument("--n", type=_family_n)
     parser.add_argument("--m", type=_positive_int)
     parser.add_argument("--l", type=_positive_int)
     parser.add_argument("--k", type=_positive_int)
@@ -363,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_centralizer)
 
     p = sub.add_parser("sweep", help="verify whole parameter grids")
-    p.add_argument("--n", type=_range_arg, required=True)
+    p.add_argument("--n", type=_n_range, required=True)
     p.add_argument("--m", type=_range_arg)
     p.add_argument("--l", type=_range_arg)
     p.add_argument("--k", type=_range_arg)

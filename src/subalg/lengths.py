@@ -295,23 +295,44 @@ def _recombined_basis(rng: random.Random, f, d: int) -> list:
     return rows
 
 
+def _spans_modulo(modulus: dict, members: list, field, d: int) -> bool:
+    """True when the members, given by coordinates, span A together with
+    the subspace M whose RREF rows are ``modulus``: their remainders
+    modulo M must have rank d - dim M."""
+    rank = d - len(modulus)
+    if len(members) < rank:
+        return False
+    ech = _Echelon(field)
+    for x in members:
+        if ech.dim == rank:
+            break
+        ech.insert(_reduce(dict(x), modulus, field))
+    return ech.dim == rank
+
+
 def sample_generating_systems(
     target: Subspace,
     count: int,
     seed: int,
     max_rejections: int = 1000,
     coords: _Coords | None = None,
+    modulus: dict | None = None,
 ) -> list:
-    """Deterministic random generating systems of the target algebra.
+    """Deterministic random generating systems of the local target algebra.
 
     Each sample takes a random subset of a randomly recombined basis of the
-    target and keeps it only if its chain closes back to the target;
-    failures count as rejections, capped per sample.  Candidates and their
-    chains live in the target's coordinates (``coords``, built here unless
-    the caller has the target's table); only accepted samples become
-    matrices.  Returns (system, LengthReport) pairs: the report of the
-    chain that accepted the system, whose length is the system's length
-    against the target.
+    target and keeps it only if it generates the target; failures count
+    as rejections, capped per sample.  For the local target A = F*I + J
+    that is one rank test (Nakayama's lemma): the candidate must span A
+    modulo F*I + J^2, whose RREF rows in A's coordinates are ``modulus``.
+    Only accepted candidates run their span chain.  Candidates and chains
+    live in A's coordinates (``coords``); ``coords`` and ``modulus`` are
+    built here unless the caller has them, and only accepted samples
+    become matrices.  Returns (system, LengthReport) pairs, the report
+    giving the system's length against the target.
+
+    Raises NotASubalgebra when the target is not closed or lacks the
+    identity, and then NotLocalForm when it is not local.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -319,19 +340,30 @@ def sample_generating_systems(
         coords = _Coords(target)
     if coords.identity is None:
         raise NotASubalgebra("target must contain the identity")
+    if modulus is None:
+        # radical imports this module, so it is imported here, when needed
+        from .radical import _local_powers, _unit_plus_square
+
+        modulus = _unit_plus_square(coords, _local_powers(coords))
     rng = random.Random(seed)
-    d = target.dim
+    f, d = target.field, target.dim
     out = []
     for _ in range(count):
         rejections = 0
         while True:
-            gens = _recombined_basis(rng, target.field, d)
+            gens = _recombined_basis(rng, f, d)
             order = list(range(d))
             rng.shuffle(order)
             size = rng.randint((d + 1) // 2, d)
             chosen = sorted(order[:size])
-            report = _coord_chain(coords, [gens[idx] for idx in chosen], True)
-            if report.length is not None:
+            members = [gens[idx] for idx in chosen]
+            if _spans_modulo(modulus, members, f, d):
+                report = _coord_chain(coords, members, True)
+                if report.length is None:
+                    raise NotGenerating(
+                        f"a candidate spanning the target modulo F*I + J^2 "
+                        f"generates only dimension {report.dims[-1]} of {d}"
+                    )
                 system = GeneratingSystem(
                     tuple(
                         (f"g{pos + 1}", coords.matrix(gens[idx]))

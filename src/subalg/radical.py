@@ -67,15 +67,12 @@ def _frobenius(coords: _Coords) -> list:
     return rows
 
 
-def radical_span(algebra: Subspace, coords: _Coords | None = None) -> Subspace:
-    """The radical J of A, which must be scalars plus J.
+def _radical_rows(coords: _Coords) -> dict:
+    """RREF rows of the radical J of A, in A's coordinates.
 
-    ``coords`` is A's table when the caller has built it.  Raises
-    NotLocalForm when A lacks the identity, when dim A - dim J is not 1, or
-    over GF(p) when A is not commutative.
+    Raises NotLocalForm when A lacks the identity, when dim A - dim J is
+    not 1, or over GF(p) when A is not commutative.
     """
-    if coords is None:
-        coords = _Coords(algebra, "input span")
     if coords.identity is None:
         raise NotLocalForm("the identity is not in the algebra")
     f = coords.field
@@ -88,49 +85,90 @@ def radical_span(algebra: Subspace, coords: _Coords | None = None) -> Subspace:
             f"the algebra modulo its radical has dimension "
             f"{coords.d - j_coords.dim}, not 1"
         )
-    ech = _Echelon(f)
-    for x in j_coords.rows.values():
+    return j_coords.rows
+
+
+def radical_span(algebra: Subspace, coords: _Coords | None = None) -> Subspace:
+    """The radical J of A, which must be scalars plus J.
+
+    ``coords`` is A's table when the caller has built it.  Raises
+    NotLocalForm when A lacks the identity, when dim A - dim J is not 1, or
+    over GF(p) when A is not commutative.
+    """
+    if coords is None:
+        coords = _Coords(algebra, "input span")
+    ech = _Echelon(coords.field)
+    for x in _radical_rows(coords).values():
         ech.insert(coords.vector(x))
     return ech.to_subspace(algebra.n)
+
+
+def _power_rows(j_rows: dict, coords: _Coords) -> list:
+    """RREF rows of J, J^2, ... down to the first zero power, in coordinates.
+
+    J is given by its RREF rows in the coordinates of an algebra that
+    contains it.  Each next power spans the products of the current
+    power's basis with the basis of J itself.  Raises NotASubalgebra when
+    J is not closed under products, and NotNilpotent when the dimensions
+    stop strictly decreasing before reaching zero.
+    """
+    f = coords.field
+    j_basis = list(j_rows.values())
+    powers = [j_rows]
+    current = j_basis
+    while powers[-1]:
+        nxt = _Echelon(f)
+        for x in current:
+            for y in j_basis:
+                prod = coords.mul(x, y)
+                if current is j_basis and _reduce(dict(prod), j_rows, f):
+                    raise NotASubalgebra(
+                        "radical candidate is not multiplicatively closed: "
+                        "some basis product leaves it"
+                    )
+                nxt.insert(prod)
+        powers.append(nxt.rows)
+        if nxt.dim and nxt.dim >= len(current):
+            dims = [len(rows) for rows in powers]
+            raise NotNilpotent(f"power dimensions stalled at {nxt.dim} after {dims}")
+        current = list(nxt.rows.values())
+    return powers
 
 
 def radical_power_dims(radical: Subspace, coords: _Coords | None = None) -> tuple:
     """Dimensions of J, J^2, ... down to the first zero power.
 
     ``coords`` is the table of an algebra that contains J, when the caller
-    has built it; otherwise J's own.  Each next power spans the products of
-    the current power's basis with the basis of J itself.  Raises
-    NotASubalgebra when J is not closed under products, and NotNilpotent
+    has built it; otherwise J's own.  Raises NotASubalgebra when J lies
+    outside that algebra or is not closed under products, and NotNilpotent
     when the dimensions stop strictly decreasing before reaching zero.
     """
     if coords is None:
         coords = _Coords(radical, "radical candidate")
-    f = coords.field
-    j_ech = _Echelon(f)
+    j_ech = _Echelon(coords.field)
     for row in radical.pivot_rows.values():
         x = coords.coordinates(dict(row))
         if x is None:
             raise NotASubalgebra("the radical candidate lies outside the algebra")
         j_ech.insert(x)
-    j_basis = list(j_ech.rows.values())
-    dims = [len(j_basis)]
-    current = j_basis
-    while dims[-1]:
-        nxt = _Echelon(f)
-        for x in current:
-            for y in j_basis:
-                prod = coords.mul(x, y)
-                if current is j_basis and _reduce(dict(prod), j_ech.rows, f):
-                    raise NotASubalgebra(
-                        "radical candidate is not multiplicatively closed: "
-                        "some basis product leaves it"
-                    )
-                nxt.insert(prod)
-        dims.append(nxt.dim)
-        if nxt.dim and nxt.dim >= len(current):
-            raise NotNilpotent(f"power dimensions stalled at {nxt.dim} after {dims}")
-        current = list(nxt.rows.values())
-    return tuple(dims)
+    return tuple(len(rows) for rows in _power_rows(j_ech.rows, coords))
+
+
+def _local_powers(coords: _Coords) -> list:
+    """RREF rows of J, J^2, ..., 0 for the local algebra A, in A's
+    coordinates; raises NotLocalForm when A is not scalars plus J."""
+    return _power_rows(_radical_rows(coords), coords)
+
+
+def _unit_plus_square(coords: _Coords, powers: list) -> dict:
+    """RREF rows of F*I + J^2 in A's coordinates, from A's ``powers``.
+
+    By Nakayama's lemma a system S, with the identity admitted, generates
+    the local algebra A = F*I + J exactly when span(S) + F*I + J^2 = A.
+    """
+    ech = _Echelon(coords.field, powers[1] if len(powers) > 1 else None)
+    ech.insert(dict(coords.identity))
+    return ech.rows
 
 
 def nilpotency_index(radical: Subspace) -> int:
@@ -152,22 +190,18 @@ class RadicalReport:
 def bound_check(system: GeneratingSystem) -> RadicalReport:
     """Check length(S) <= N - 1 where N is the radical's nilpotency index."""
     report, spans = _chain(system)
-    return _bound(spans[-1], report.length)
+    coords = _Coords(spans[-1], "input span")
+    return _bound(_local_powers(coords), report.length)
 
 
-def _bound(
-    algebra: Subspace, length: int | None, coords: _Coords | None = None
-) -> RadicalReport:
-    """The bound step: a length (None if never reached) against N - 1."""
-    if coords is None:
-        coords = _Coords(algebra, "input span")
-    radical = radical_span(algebra, coords)
-    power_dims = radical_power_dims(radical, coords)
-    nilpotency = len(power_dims)
+def _bound(powers: list, length: int | None) -> RadicalReport:
+    """The bound step: a length (None if never reached) against N - 1,
+    where N is the number of ``powers`` J, J^2, ..., 0."""
+    nilpotency = len(powers)
     return RadicalReport(
-        radical_dim=radical.dim,
+        radical_dim=len(powers[0]),
         nilpotency=nilpotency,
-        power_dims=power_dims,
+        power_dims=tuple(len(rows) for rows in powers),
         bound_holds=length is not None and length <= nilpotency - 1,
         length=length,
     )

@@ -16,7 +16,7 @@ from .lengths import (
     li_chain,
     sample_generating_systems,
 )
-from .radical import RadicalReport, _bound
+from .radical import RadicalReport, _bound, _local_powers, _unit_plus_square
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,19 @@ def verify_system(
     maximality = _maximality(system.matrices, closure)
     measured = own if witness is None else li_chain(witness, target=closure)
     try:
-        radical = _bound(closure, measured.length, coords)
+        powers = _local_powers(coords)
     except NotLocalForm:
-        radical = None
+        powers = None
+    radical = None if powers is None else _bound(powers, measured.length)
     sample_lengths = None
-    if samples > 0 and maximality.is_maximal and radical is not None:
-        pairs = sample_generating_systems(closure, samples, seed, coords=coords)
+    if samples > 0 and maximality.is_maximal and powers is not None:
+        pairs = sample_generating_systems(
+            closure,
+            samples,
+            seed,
+            coords=coords,
+            modulus=_unit_plus_square(coords, powers),
+        )
         sample_lengths = tuple(report.length for _, report in pairs)
     return VerificationReport(
         closure, own, maximality, measured, certified, radical, sample_lengths

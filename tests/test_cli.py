@@ -1,7 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -244,10 +246,16 @@ def test_console_script_entry_point(tmp_path):
         cmd = [exe]
     else:
         cmd = [sys.executable, "-m", "subalg.cli"]
+    # the package under test, also when pytest alone put src/ on its path
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         cmd + ["construct", "--family", "bkm", "--n", "4", "--m", "1", "--k", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
@@ -396,6 +404,36 @@ def test_negative_counts_are_usage_errors(capsys, argv):
     assert "must be >=" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--family", "bkm", "--n", "100000", "--m", "1", "--k", "1"),
+        ("verify", "--family", "bkm", "--n", "257", "--m", "1", "--k", "1"),
+        ("centralizer", "--family", "bkm", "--n", "257", "--m", "1", "--k", "1"),
+        ("sweep", "--family", "bkm", "--n", "5000", "--samples", "0"),
+        ("sweep", "--family", "bkm", "--n", "6..10000000000000", "--samples", "0"),
+        ("sweep", "--family", "bkm", "--n", "6,257", "--samples", "0"),
+    ],
+)
+def test_family_n_above_max_n_is_refused_before_building(capsys, monkeypatch, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a refused n reached the construction")
+
+    monkeypatch.setattr(cli, "_build_family", unreachable)
+    monkeypatch.setattr(cli, "valid_bkm_params", unreachable)
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert "exceeds the supported maximum 256" in err
+
+
+def test_family_n_at_max_n_is_accepted():
+    parser = cli._build_parser()
+    args = parser.parse_args(["construct", "--n", "256", "--m", "1", "--k", "1"])
+    assert args.n == cli.MAX_N == 256
+    args = parser.parse_args(["sweep", "--n", "250..256"])
+    assert args.n == tuple(range(250, 257))
+
+
 def _count_calls(monkeypatch, real):
     """Records the first argument of each call of a package function, at
     every module binding of it."""
@@ -454,10 +492,26 @@ def test_verify_builds_one_table_and_samples_without_matrices(
     coords = lengths._Coords(closure)
     products = _count_calls(monkeypatch, lengths.mat_mul)
     chains = _count_calls(monkeypatch, lengths._chain)
-    candidates = _count_calls(monkeypatch, lengths._coord_chain)
+    candidates = _count_calls(monkeypatch, lengths._recombined_basis)
+    coord_chains = _count_calls(monkeypatch, lengths._coord_chain)
     pairs = lengths.sample_generating_systems(closure, 5, seed=8, coords=coords)
     assert len(pairs) == 5
     assert len(candidates) > 5
+    assert len(coord_chains) == 5
     assert (len(products), len(chains)) == (0, 0)
     lengths.sample_generating_systems(closure, 5, seed=8)
     assert len(products) == closure.dim**2
+
+
+def test_verify_runs_one_coordinate_chain_per_sample(capsys, monkeypatch):
+    """Rejected candidates are screened by a rank test and run no chain."""
+    candidates = _count_calls(monkeypatch, lengths._recombined_basis)
+    coord_chains = _count_calls(monkeypatch, lengths._coord_chain)
+    rc, out, _ = run_cli(
+        capsys, "verify", "--family", "bkml", "--n", "8", "--m", "1", "--l", "5",
+        "--k", "2", "--field", "gf:7", "--samples", "25",
+    )
+    assert rc == 0
+    assert json.loads(out)["samples"]["count"] == 25
+    assert len(coord_chains) == 25
+    assert len(candidates) > 25

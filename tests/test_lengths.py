@@ -1,4 +1,9 @@
+import functools
+import random
+
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
 from subalg import (
     QQ,
@@ -10,6 +15,8 @@ from subalg import (
     Matrix,
     NotASubalgebra,
     NotGenerating,
+    NotLocalForm,
+    PrimeField,
     SamplingExhausted,
     algebra_closure,
     build_bkm,
@@ -22,6 +29,8 @@ from subalg import (
     sample_generating_systems,
     span_of,
 )
+from subalg.lengths import _coord_chain, _Coords, _recombined_basis, _spans_modulo
+from subalg.radical import _local_powers, _unit_plus_square
 
 from oracles import sympy_word_span_dims
 
@@ -168,7 +177,7 @@ def test_sampling_requires_unital_subalgebra():
 
 @pytest.mark.parametrize("family", ["bkml", "bkm"])
 def test_sampled_reports_equal_targeted_chains(family, fields):
-    """The report of the chain that accepted a sample is its length report."""
+    """The report returned with each sample is its length report."""
     for field in fields:
         if family == "bkml":
             full = build_bkml(ConstructionParams(8, 1, 5, 2), field)
@@ -177,3 +186,66 @@ def test_sampled_reports_equal_targeted_chains(family, fields):
         target = algebra_closure(full)
         for system, report in sample_generating_systems(target, 4, seed=5):
             assert report == li_chain(system, target)
+
+
+CRITERION_FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
+CRITERION_TUPLES = [
+    ConstructionParams(6, 1, 4, 1),
+    ConstructionParams(8, 1, 5, 2),
+    BkmParams(6, 1, 3),
+    BkmParams(6, 2, 2),
+    BkmParams(8, 1, 2),
+]
+
+
+@functools.cache
+def _local_target(params, field):
+    """The closure of a family tuple, its table, and F*I + J^2 on it."""
+    build = build_bkml if isinstance(params, ConstructionParams) else build_bkm
+    target = algebra_closure(build(params, field))
+    coords = _Coords(target)
+    return target, coords, _unit_plus_square(coords, _local_powers(coords))
+
+
+@pytest.mark.parametrize("field", CRITERION_FIELDS, ids=lambda f: f.name)
+@given(
+    params=st.sampled_from(CRITERION_TUPLES),
+    seed=st.integers(min_value=0, max_value=2**32),
+    data=st.data(),
+)
+def test_rank_test_modulo_unit_plus_square_decides_generation(
+    field, params, seed, data
+):
+    """Nakayama's lemma: a subset of a recombined basis generates the local
+    target exactly when it spans the target modulo F*I + J^2."""
+    target, coords, modulus = _local_target(params, field)
+    d = coords.d
+    gens = _recombined_basis(random.Random(seed), field, d)
+    rank = d - len(modulus)
+    size = data.draw(st.integers(min_value=max(rank - 1, 1), max_value=d))
+    chosen = sorted(data.draw(st.permutations(range(d)))[:size])
+    members = [gens[idx] for idx in chosen]
+    verdict = _spans_modulo(modulus, members, field, d)
+    event(f"generates: {verdict}")
+    assert verdict == (_coord_chain(coords, members, True).length is not None)
+    system = GeneratingSystem(
+        tuple((f"g{i + 1}", coords.matrix(x)) for i, x in enumerate(members))
+    )
+    assert verdict == (algebra_closure(system) == target)
+
+
+def test_sampler_checks_each_accepted_chain(full_8152):
+    # with all of A as the modulus every candidate passes the rank test;
+    # seed 8 draws a non-generating one first, and its chain must say so
+    target = algebra_closure(full_8152)
+    coords = _Coords(target)
+    whole = {i: {i: QQ.one()} for i in range(coords.d)}
+    with pytest.raises(NotGenerating):
+        sample_generating_systems(target, 1, seed=8, coords=coords, modulus=whole)
+
+
+def test_sampling_requires_local_target():
+    # span{I, E11} is a unital subalgebra of M_2 whose radical is zero
+    split = span_of([Matrix.identity(2, QQ), matrix_unit(2, 1, 1, QQ)])
+    with pytest.raises(NotLocalForm):
+        sample_generating_systems(split, 1, seed=0)
