@@ -68,9 +68,12 @@ def _family_n(s: str) -> int:
     return n
 
 
-def _range_arg(s: str, top: int | None = None) -> tuple:
+def _range_arg(s: str) -> tuple:
     """Accepts "8", "6..10", or "1,3,5"; returns a sorted tuple of ints.
-    A range reaching above ``top`` is refused before it is built."""
+
+    No parameter of a valid tuple exceeds its n, so a range reaching above
+    ``MAX_N`` is refused before it is built.
+    """
     try:
         if ".." in s:
             lo, hi = s.split("..", 1)
@@ -86,14 +89,9 @@ def _range_arg(s: str, top: int | None = None) -> tuple:
         raise argparse.ArgumentTypeError(
             f"bad range {s!r}: use N, LO..HI, or A,B,C"
         ) from None
-    if top is not None and values[-1] > top:
-        raise argparse.ArgumentTypeError(f"exceeds the supported maximum {top}: {s}")
+    if values[-1] > MAX_N:
+        raise argparse.ArgumentTypeError(f"exceeds the supported maximum {MAX_N}: {s}")
     return tuple(values)
-
-
-def _n_range(s: str) -> tuple:
-    """A range of matrix sizes, bounded like ``_family_n``."""
-    return _range_arg(s, MAX_N)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -381,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_centralizer)
 
     p = sub.add_parser("sweep", help="verify whole parameter grids")
-    p.add_argument("--n", type=_n_range, required=True)
+    p.add_argument("--n", type=_range_arg, required=True)
     p.add_argument("--m", type=_range_arg)
     p.add_argument("--l", type=_range_arg)
     p.add_argument("--k", type=_range_arg)

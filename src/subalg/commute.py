@@ -1,8 +1,10 @@
 """Commutativity tests, centralizers, and the maximality verdict.
 
-A subalgebra is maximal commutative exactly when it equals the centralizer
-of its own generators, so the verdict reduces to one kernel computation
-and one subspace comparison.
+A subalgebra A of dimension d is maximal commutative exactly when it is
+commutative and equals the centralizer of its own generators.  Both are
+read off A's structure-constant table and one rank: A is commutative when
+its table is symmetric, and then A lies in the centralizer, so the two are
+equal exactly when the centralizer's constraint rows have rank n*n - d.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from dataclasses import dataclass
 
 from .constructions import GeneratingSystem
 from .errors import DimensionMismatch
-from .exact_linalg import Subspace, _check_compatible, kernel, mat_mul
-from .lengths import algebra_closure
+from .exact_linalg import Subspace, _check_compatible, _Echelon, kernel, mat_mul
+from .lengths import _Coords, algebra_closure
 
 
 def is_commutative(mats) -> tuple:
@@ -25,12 +27,14 @@ def is_commutative(mats) -> tuple:
     return True, None
 
 
-def centralizer(mats) -> Subspace:
-    """All X with X*G = G*X for every given G, as a canonical subspace.
+def _constraint_rows(mats):
+    """The rows of X*G - G*X = 0 for every G in ``mats``: the constraints
+    whose kernel is the centralizer.  The matrices must be at least one, of
+    one size and field.
 
-    One sparse constraint row per generator and output position (i, j) of
-    X*G - G*X: it reads column j of G and row i of G, so positions where
-    both are empty give no row.
+    One sparse row per generator and output position (i, j) of X*G - G*X:
+    it reads column j of G and row i of G, so positions where both are
+    empty give no row.
     """
     mats = list(mats)
     if not mats:
@@ -40,7 +44,6 @@ def centralizer(mats) -> Subspace:
     for m in mats[1:]:
         _check_compatible(first, m)
     minus_one = f.neg(f.one())
-    rows = []
     for g in mats:
         grows = g.sparse_rows
         gcols = [{} for _ in range(n)]
@@ -55,8 +58,14 @@ def centralizer(mats) -> Subspace:
                 row = {i * n + k: v for k, v in gj.items()}
                 f.axpy(row, minus_one, {k * n + j: v for k, v in gi.items()})
                 if row:
-                    rows.append(row)
-    return kernel(rows, n, f)
+                    yield row
+
+
+def centralizer(mats) -> Subspace:
+    """All X with X*G = G*X for every given G, as a canonical subspace."""
+    mats = list(mats)
+    rows = list(_constraint_rows(mats))
+    return kernel(rows, mats[0].n, mats[0].field)
 
 
 @dataclass(frozen=True)
@@ -77,18 +86,35 @@ def is_maximal_commutative(system: GeneratingSystem) -> MaximalityVerdict:
     fails, otherwise the first centralizer basis element (in RREF order)
     that falls outside the generated algebra.
     """
-    return _maximality(system.matrices, algebra_closure(system))
+    return _maximality(system.matrices, _Coords(algebra_closure(system)))
 
 
-def _maximality(mats, closure: Subspace) -> MaximalityVerdict:
-    """The maximality step: the generators ``mats`` against their closure."""
-    commutes, pair = is_commutative(mats)
-    cent = centralizer(mats)
+def _maximality(mats, coords: _Coords) -> MaximalityVerdict:
+    """The maximality step: the generators ``mats`` against the algebra A
+    of dimension d that they generate, given by its table ``coords``.
+
+    A is commutative exactly when its table is symmetric; only when it is
+    not are member pairs multiplied, to name the first pair that does not
+    commute.  A commutative A lies in the centralizer C(S), so C(S) = A
+    once the constraint rows inserted reach rank n*n - d, and the rest are
+    skipped.  Only when the full rank falls short is the kernel basis of
+    the constraints built, for its first element outside A.
+    """
+    closure, d = coords.space, coords.d
+    ncoords = closure.n * closure.n
+    commutes, pair = (True, None) if coords.commutative else is_commutative(mats)
+    ech = _Echelon(closure.field)
+    for row in _constraint_rows(mats):
+        if commutes and ech.dim == ncoords - d:
+            break
+        ech.insert(row)
+    cent_dim = ncoords - ech.dim
     if not commutes:
-        return MaximalityVerdict(closure.dim, cent.dim, False, False, pair)
-    if cent == closure:
-        return MaximalityVerdict(closure.dim, cent.dim, True, True, None)
+        return MaximalityVerdict(d, cent_dim, False, False, pair)
+    if cent_dim == d:
+        return MaximalityVerdict(d, d, True, True, None)
+    cent = ech.nullspace(ncoords).to_subspace(closure.n)
     outside = next(
         m for m in cent.basis_matrices() if not closure.contains_matrix(m)
     )
-    return MaximalityVerdict(closure.dim, cent.dim, True, False, outside)
+    return MaximalityVerdict(d, cent_dim, True, False, outside)

@@ -387,12 +387,18 @@ class _Echelon:
     """Mutable RREF accumulator: sparse rows indexed by their pivots.
 
     A stored row is never changed in place (an update stores a new map), so
-    subspaces taken from the accumulator can share its rows.
+    subspaces taken from the accumulator can share its rows.  ``holders``
+    maps each coordinate to a superset of the pivots whose rows may be
+    nonzero there, so back-elimination visits only those rows.
     """
 
     def __init__(self, field: Field, rows: dict | None = None):
         self.field = field
         self.rows = dict(rows or {})
+        self.holders: dict = {}
+        for p, row in self.rows.items():
+            for c in row:
+                self.holders.setdefault(c, set()).add(p)
 
     @property
     def dim(self) -> int:
@@ -409,17 +415,43 @@ class _Echelon:
         lv = vec[lead]
         if lv != f.one():
             vec = f.scale(vec, f.inv(lv))
-        hits = [(p, c) for p, row in rows.items() if (c := row.get(lead)) is not None]
-        for p, c in hits:
+        holders = self.holders
+        hits = [p for p in holders.pop(lead, ()) if lead in rows[p]]
+        for p in hits:
             row = dict(rows[p])
-            f.axpy(row, f.neg(c), vec)
+            f.axpy(row, f.neg(row[lead]), vec)
             rows[p] = row
+        # Each eliminated row, and vec itself, may now be nonzero wherever
+        # vec is; only vec is nonzero at lead.
+        hits.append(lead)
+        for c in vec:
+            holders.setdefault(c, set()).update(hits)
+        holders[lead] = {lead}
         rows[lead] = vec
         return True
 
     def to_subspace(self, n: int) -> "Subspace":
         rows = self.rows
         return Subspace(n, self.field, {p: rows[p] for p in sorted(rows)})
+
+    def nullspace(self, ncoords: int) -> "_Echelon":
+        """RREF basis of the vectors over coordinates 0..ncoords-1 that
+        every stored row, read as a constraint, sends to zero."""
+        field = self.field
+        # In RREF every off-pivot coordinate of a row is free, and free
+        # coordinate c spans the kernel vector e_c - sum over pivots p of
+        # row_p[c] * e_p.
+        one = field.one()
+        free_vecs: dict = {}
+        for p, row in self.rows.items():
+            for c, v in row.items():
+                if c != p:
+                    free_vecs.setdefault(c, {c: one})[p] = field.neg(v)
+        out = _Echelon(field)
+        for c in range(ncoords):
+            if c not in self.rows:
+                out.insert(free_vecs.get(c) or {c: one})
+        return out
 
 
 @dataclass(frozen=True)
@@ -539,17 +571,4 @@ def _nullspace(rows, ncoords: int, field: Field) -> _Echelon:
     ech = _Echelon(field)
     for row in rows:
         ech.insert(_as_sparse(row, ncoords, field))
-    # In RREF every off-pivot coordinate of a row is free, and free
-    # coordinate c spans the kernel vector e_c - sum over pivots p of
-    # row_p[c] * e_p.
-    one = field.one()
-    free_vecs: dict = {}
-    for p, row in ech.rows.items():
-        for c, v in row.items():
-            if c != p:
-                free_vecs.setdefault(c, {c: one})[p] = field.neg(v)
-    out = _Echelon(field)
-    for c in range(ncoords):
-        if c not in ech.rows:
-            out.insert(free_vecs.get(c) or {c: one})
-    return out
+    return ech.nullspace(ncoords)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .constructions import GeneratingSystem
 from .errors import (
@@ -155,6 +156,14 @@ class _Coords:
             vectorize(Matrix.identity(space.n, self.field))
         )
 
+    @cached_property
+    def commutative(self) -> bool:
+        """True when A is commutative, that is when its table is symmetric."""
+        table = self.table
+        return all(
+            table[p, q] == table[q, p] for p in range(self.d) for q in range(p)
+        )
+
     def coordinates(self, vec: dict) -> dict | None:
         """Coordinates of a vectorized matrix, which is consumed; None when
         it lies outside A."""
@@ -221,6 +230,24 @@ def _coord_chain(
             break
     length = dims.index(d) if d in dims else None
     return LengthReport(tuple(dims), len(dims) - 1, length, d)
+
+
+def _target_chain(system: GeneratingSystem, coords: _Coords) -> LengthReport:
+    """``li_chain(system, target=A)`` for the algebra A of ``coords``.
+
+    It runs on A's table when every member lies in A, and the identity too
+    when the empty word is admitted; otherwise in n*n coordinates.
+    """
+    _check_compatible(system, coords.space)
+    members = [coords.coordinates(vectorize(m)) for m in system.matrices]
+    if system.admit_empty_word:
+        on_table = coords.identity is not None
+    else:
+        # with neither members nor the empty word, li_chain raises EmptySystem
+        on_table = bool(members)
+    if not on_table or None in members:
+        return li_chain(system, target=coords.space)
+    return _coord_chain(coords, members, system.admit_empty_word)
 
 
 def length_of_system(system: GeneratingSystem, target: Subspace) -> int:

@@ -45,8 +45,8 @@ def _trace_form(coords: _Coords) -> list:
 
 def _frobenius(coords: _Coords) -> list:
     """Constraint rows of ker(x -> x^(p^e)), p^e >= n, on commutative A."""
-    f, d, table = coords.field, coords.d, coords.table
-    if any(table[p, q] != table[q, p] for p in range(d) for q in range(p)):
+    f, d = coords.field, coords.d
+    if not coords.commutative:
         raise NotLocalForm(
             f"the radical over {f.name} is found only for commutative algebras"
         )

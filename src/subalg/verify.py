@@ -1,5 +1,12 @@
 """The verification pipeline: closure, commutativity, centralizer, length,
-radical bound and sampled lengths of one generating system, each step once."""
+radical bound and sampled lengths of one generating system, each step once.
+
+Only the closure's span chain runs in the n*n matrix coordinates.  Every
+later step reads the closure's structure-constant table: commutativity is
+its symmetry, maximality one early-exit rank of the centralizer
+constraints, and the radical, the samples and the chain of a witness
+inside the closure run in the closure's own coordinates.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +20,7 @@ from .lengths import (
     LengthReport,
     _chain,
     _Coords,
-    li_chain,
+    _target_chain,
     sample_generating_systems,
 )
 from .radical import RadicalReport, _bound, _local_powers, _unit_plus_square
@@ -77,8 +84,8 @@ def verify_system(
     own, spans = _chain(system)
     closure = spans[-1]
     coords = _Coords(closure)
-    maximality = _maximality(system.matrices, closure)
-    measured = own if witness is None else li_chain(witness, target=closure)
+    maximality = _maximality(system.matrices, coords)
+    measured = own if witness is None else _target_chain(witness, coords)
     try:
         powers = _local_powers(coords)
     except NotLocalForm:

@@ -1,9 +1,11 @@
 """Independent oracles used to pin expected values.
 
-Everything here goes through sympy so that ranks, spans, and word products
-are computed by code with no overlap with the package's own linear
-algebra.  Oracles work over the rationals; field-independence of the
-structures under test is checked separately.
+The sympy oracles compute ranks, spans, and word products with no overlap
+with the package's own linear algebra; they work over the rationals, and
+field-independence of the structures under test is checked separately.
+``reference_maximality`` is the maximality verdict the slow way, from the
+package's whole centralizer, and ``DenseRef`` a textbook dense
+Gauss-Jordan over every test field.
 """
 
 from fractions import Fraction
@@ -13,9 +15,12 @@ import sympy
 from subalg import (
     QQ,
     Field,
+    MaximalityVerdict,
     Matrix,
     NotNilpotent,
     RationalField,
+    centralizer,
+    is_commutative,
     mat_mul,
     matrix_unit,
     span_of,
@@ -143,6 +148,23 @@ def matrix_power_dims(radical) -> tuple:
                 f"power dimensions stalled at {nxt.dim} after {dims}"
             )
         current = nxt
+
+
+def reference_maximality(mats, closure) -> MaximalityVerdict:
+    """The maximality verdict from the whole centralizer: pairwise
+    commutativity of the generators, the centralizer's full kernel basis,
+    and a subspace comparison with the generated algebra ``closure``.  The
+    reference for the table's symmetry and the early-exit constraint rank."""
+    commutes, pair = is_commutative(mats)
+    cent = centralizer(mats)
+    if not commutes:
+        return MaximalityVerdict(closure.dim, cent.dim, False, False, pair)
+    if cent == closure:
+        return MaximalityVerdict(closure.dim, cent.dim, True, True, None)
+    outside = next(
+        m for m in cent.basis_matrices() if not closure.contains_matrix(m)
+    )
+    return MaximalityVerdict(closure.dim, cent.dim, True, False, outside)
 
 
 # -- naive dense reference ----------------------------------------------------

@@ -1,0 +1,148 @@
+"""Table-first certification against the whole-centralizer reference.
+
+The maximality verdict read off the closure's table (its symmetry, then
+the rank of the centralizer constraints with an early exit) must equal
+``oracles.reference_maximality`` (pairwise products and the full
+centralizer kernel), counterexample included.  A witness's chain run on
+the closure's table must report what ``li_chain(..., target=closure)``
+reports in the n*n matrix coordinates.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import subalg.lengths as lengths
+from subalg import (
+    QQ,
+    ConstructionParams,
+    GeneratingSystem,
+    PrimeField,
+    algebra_closure,
+    build_bkm,
+    build_bkml,
+    li_chain,
+    matrix_unit,
+    valid_bkm_params,
+    valid_bkml_params,
+    verify_system,
+    witness_system,
+)
+from subalg.commute import _maximality
+from subalg.lengths import _Coords, _target_chain
+
+from oracles import reference_maximality
+
+FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
+PARAMS_8152 = ConstructionParams(n=8, m=1, l=5, k=2)
+
+
+def _verdicts(system):
+    """(table-first verdict, reference verdict, verify_system's verdict)."""
+    closure = algebra_closure(system)
+    got = _maximality(system.matrices, _Coords(closure))
+    want = reference_maximality(system.matrices, closure)
+    return got, want, verify_system(system).maximality
+
+
+def _draw_family(field, data):
+    if data.draw(st.booleans()):
+        return build_bkml(data.draw(st.sampled_from(valid_bkml_params(7))), field)
+    return build_bkm(data.draw(st.sampled_from(valid_bkm_params(6))), field)
+
+
+def _draw_members(full, data, field):
+    """Some members of a family system, and maybe a matrix unit, which may
+    lie outside its algebra or not commute with it."""
+    picks = data.draw(
+        st.lists(st.sampled_from(range(len(full.members))), min_size=1, unique=True)
+    )
+    members = [full.members[i] for i in sorted(picks)]
+    if data.draw(st.booleans()):
+        n = full.n
+        i, j = data.draw(st.tuples(st.integers(1, n), st.integers(1, n)))
+        members.append(("X", matrix_unit(n, i, j, field)))
+    return tuple(members)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_full_family_systems_are_maximal(field):
+    systems = [build_bkml(p, field) for p in valid_bkml_params(7)]
+    systems += [build_bkm(p, field) for p in valid_bkm_params(6)]
+    for system in systems:
+        got, want, piped = _verdicts(system)
+        assert got == want == piped
+        assert got.is_maximal and got.centralizer_dim == got.algebra_dim
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_each_failing_verdict_matches_the_reference(field):
+    full = build_bkml(PARAMS_8152, field)
+    n = full.n
+    subset = GeneratingSystem(full.members[:2])
+    noncommuting = GeneratingSystem(
+        full.members[1:3] + (("X", matrix_unit(n, n, 1, field)),)
+    )
+    no_identity = GeneratingSystem(full.members[1:], admit_empty_word=False)
+    for system, commutes in [(subset, True), (noncommuting, False), (no_identity, True)]:
+        got, want, piped = _verdicts(system)
+        assert got == want == piped
+        assert (got.is_commutative, got.is_maximal) == (commutes, False)
+        assert got.counterexample is not None
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_verdict_matches_the_whole_centralizer(field, data):
+    full = _draw_family(field, data)
+    system = GeneratingSystem(
+        _draw_members(full, data, field), admit_empty_word=data.draw(st.booleans())
+    )
+    got, want, piped = _verdicts(system)
+    assert got == want == piped
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_family_witness_runs_on_the_table(field, monkeypatch):
+    full = build_bkml(PARAMS_8152, field)
+    witness = witness_system(PARAMS_8152, field)
+    closure = algebra_closure(full)
+    want = li_chain(witness, target=closure)
+    monkeypatch.setattr(lengths, "li_chain", lambda *a, **k: pytest.fail("n*n chain"))
+    got = _target_chain(witness, _Coords(closure))
+    assert got == want
+    assert got.length == PARAMS_8152.k + 1
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_witnesses_outside_the_table_fall_back(field):
+    """A member outside A, or the empty word on an A without the identity,
+    sends the chain to the n*n coordinates."""
+    full = build_bkml(PARAMS_8152, field)
+    n = full.n
+    closure = algebra_closure(full)
+    outside = GeneratingSystem(full.members[1:3] + (("X", matrix_unit(n, n, 1, field)),))
+    bare = algebra_closure(GeneratingSystem(full.members[1:], admit_empty_word=False))
+    assert _Coords(bare).identity is None
+    for witness, target in [(outside, closure), (GeneratingSystem(full.members[1:3]), bare)]:
+        assert _target_chain(witness, _Coords(target)) == li_chain(
+            witness, target=target
+        )
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_table_chain_matches_the_matrix_chain(field, data):
+    full = _draw_family(field, data)
+    if data.draw(st.booleans()):
+        target = algebra_closure(full)
+    else:
+        target = algebra_closure(
+            GeneratingSystem(full.members[1:], admit_empty_word=False)
+        )
+    witness = GeneratingSystem(
+        _draw_members(full, data, field), admit_empty_word=data.draw(st.booleans())
+    )
+    assert _target_chain(witness, _Coords(target)) == li_chain(witness, target=target)

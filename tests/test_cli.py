@@ -426,6 +426,21 @@ def test_family_n_above_max_n_is_refused_before_building(capsys, monkeypatch, ar
     assert "exceeds the supported maximum 256" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "bkm", "--n", "6", "--m", "1", "--k", "1..100000000000"),
+        ("--family", "bkm", "--n", "6", "--m", "1,257", "--k", "1"),
+        ("--family", "bkml", "--n", "8", "--m", "1", "--l", "257", "--k", "2"),
+    ],
+)
+def test_sweep_parameter_ranges_above_max_n_are_refused(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "_sweep_task", lambda task: pytest.fail("swept"))
+    rc, out, err = run_cli(capsys, "sweep", *argv, "--samples", "0")
+    assert (rc, out) == (2, "")
+    assert "exceeds the supported maximum 256" in err
+
+
 def test_family_n_at_max_n_is_accepted():
     parser = cli._build_parser()
     args = parser.parse_args(["construct", "--n", "256", "--m", "1", "--k", "1"])
@@ -456,19 +471,25 @@ def chain_runs(monkeypatch):
     return _count_calls(monkeypatch, lengths._chain)
 
 
-def test_verify_runs_each_chain_once(capsys, tmp_path, full_8152, chain_runs):
+def test_verify_runs_each_chain_once(
+    capsys, monkeypatch, tmp_path, full_8152, chain_runs
+):
+    """The system's closure chain runs in n*n coordinates, the witness's on
+    the closure's table, each once."""
+    coord_chains = _count_calls(monkeypatch, lengths._coord_chain)
     path = tmp_path / "full.json"
     path.write_text(dumps(system_to_dict(full_8152)), encoding="utf-8")
     rc, _, _ = run_cli(capsys, "verify", "--in", str(path), "--samples", "0")
     assert rc == 0
-    assert len(chain_runs) == 1
+    assert (len(chain_runs), len(coord_chains)) == (1, 0)
     chain_runs.clear()
     rc, _, _ = run_cli(
         capsys, "verify", "--family", "bkml",
         "--n", "8", "--m", "1", "--l", "5", "--k", "2", "--samples", "0",
     )
     assert rc == 0
-    assert [s.labels[:2] for s in chain_runs] == [("I", "B1"), ("B1", "B2")]
+    assert [s.labels[:2] for s in chain_runs] == [("I", "B1")]
+    assert len(coord_chains) == 1
 
 
 def test_verify_builds_one_table_and_samples_without_matrices(
@@ -504,7 +525,8 @@ def test_verify_builds_one_table_and_samples_without_matrices(
 
 
 def test_verify_runs_one_coordinate_chain_per_sample(capsys, monkeypatch):
-    """Rejected candidates are screened by a rank test and run no chain."""
+    """Rejected candidates are screened by a rank test and run no chain;
+    the one further coordinate chain is the witness's."""
     candidates = _count_calls(monkeypatch, lengths._recombined_basis)
     coord_chains = _count_calls(monkeypatch, lengths._coord_chain)
     rc, out, _ = run_cli(
@@ -513,5 +535,5 @@ def test_verify_runs_one_coordinate_chain_per_sample(capsys, monkeypatch):
     )
     assert rc == 0
     assert json.loads(out)["samples"]["count"] == 25
-    assert len(coord_chains) == 25
+    assert len(coord_chains) == 25 + 1
     assert len(candidates) > 25

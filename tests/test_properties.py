@@ -204,7 +204,9 @@ def _conjugator(field, n, data):
 @given(data=st.data())
 def test_verdicts_are_invariant_under_similarity(field, data):
     """P S P^-1 generates a similar algebra: the same closure dimension,
-    maximality, length and radical nilpotency, in other coordinates."""
+    commutativity, centralizer dimension, maximality, lengths and radical
+    nilpotency, in other coordinates.  S is its own witness, so its chain
+    also runs on the closure's table."""
     if data.draw(st.booleans()):
         full = build_bkml(data.draw(st.sampled_from(valid_bkml_params(7))), field)
     else:
@@ -218,9 +220,13 @@ def test_verdicts_are_invariant_under_similarity(field, data):
     similar = GeneratingSystem(
         tuple((label, p * m * p_inv) for label, m in system.members)
     )
-    want, got = verify_system(system), verify_system(similar)
+    want = verify_system(system, witness=system)
+    got = verify_system(similar, witness=similar)
     assert want.radical is not None
     assert got.closure.dim == want.closure.dim
+    assert got.maximality.is_commutative == want.maximality.is_commutative
+    assert got.maximality.centralizer_dim == want.maximality.centralizer_dim
     assert got.maximality.is_maximal == want.maximality.is_maximal
     assert got.own.length == want.own.length
+    assert got.measured.dims == want.measured.dims == want.own.dims
     assert got.radical.nilpotency == want.radical.nilpotency

@@ -22,6 +22,7 @@ from subalg import (
     unvectorize,
     vectorize,
 )
+from subalg.exact_linalg import _as_sparse, _Echelon
 
 from oracles import DenseRef
 
@@ -75,6 +76,32 @@ def test_rref_and_span_match_dense_reference(field, data):
     assert list(sub.pivots) == [next(c for c, v in enumerate(r) if v) for r in expected]
     mats = [unvectorize(row, n, field) for row in rows]
     assert span_of(mats, n=n, field=field) == sub
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@given(data=st.data())
+def test_indexed_echelon_matches_dense_reference(field, data):
+    """Inserts into an accumulator, seeded with the RREF rows of a prefix
+    or empty, keep the rows of the dense RREF of everything inserted, and
+    never change the seed's rows in place."""
+    ncoords = data.draw(st.integers(min_value=1, max_value=9))
+    rows = data.draw(vectors(ncoords, max_count=10))
+    split = data.draw(st.integers(min_value=0, max_value=len(rows)))
+    ref = DenseRef(field)
+    seeded = _Echelon(field)
+    for row in rows[:split]:
+        seeded.insert(_as_sparse(row, ncoords, field))
+    seed = {p: dict(row) for p, row in seeded.rows.items()}
+    ech = _Echelon(field, seeded.rows)
+    for i in range(split, len(rows) + 1):
+        if i > split:
+            ech.insert(_as_sparse(rows[i - 1], ncoords, field))
+        dense = [
+            [ech.rows[p].get(c, field.zero()) for c in range(ncoords)]
+            for p in sorted(ech.rows)
+        ]
+        assert ref.rows(dense) == ref.rref(ref.rows(rows[:i]), ncoords)
+    assert seeded.rows == seed
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
