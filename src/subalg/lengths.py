@@ -251,9 +251,9 @@ def _target_chain(system: GeneratingSystem, coords: _Coords) -> LengthReport:
 
 
 def length_of_system(system: GeneratingSystem, target: Subspace) -> int:
-    """Smallest i with L_i equal to the target; the target must be an algebra."""
-    _Coords(target)  # the closure check: raises NotASubalgebra
-    report, _ = _chain(system, target)
+    """Smallest i with L_i equal to the target; the target must be an
+    algebra (building its table raises NotASubalgebra otherwise)."""
+    report = _target_chain(system, _Coords(target))
     if report.length is None:
         raise NotGenerating(
             f"chain stabilized at dimension {report.dims[-1]} without reaching "
