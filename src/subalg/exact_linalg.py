@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over the rationals and over prime fields.
 
-Scalars are plain Python values: ``gmpy2.mpq`` (``fractions.Fraction`` when
-gmpy2 is unavailable) for rational work, canonical residues in ``range(p)``
-for GF(p).  A ``Field`` object owns the arithmetic, so matrices and
-subspaces never branch on the scalar kind themselves.
+Scalars are plain Python values.  A rational is an ``int`` when it is
+integral and a ``gmpy2.mpq`` (``fractions.Fraction`` when gmpy2 is
+unavailable) only when it is not, so the 0/1 entries the families are built
+from never pay for rational arithmetic.  GF(p) scalars are canonical
+residues in ``range(p)``.  A ``Field`` object owns the arithmetic, so
+matrices and subspaces never branch on the scalar kind themselves.
 
 Storage is sparse.  A matrix holds one ``{col: value}`` map per row and a
 vector is a ``{coord: value}`` map.  No map ever stores a zero, so equal
@@ -28,6 +30,7 @@ The package itself never reads the dense views.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import isqrt
 
@@ -79,45 +82,72 @@ class Field:
     # The remaining methods are supplied by the concrete subclasses.
 
 
+# A rational literal: a decimal integer or num/den, in ASCII digits.
+_RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _int_if_integral(x):
+    """x as an int when it is an integral rational, else x itself."""
+    if type(x) is not int and x.denominator == 1:
+        return int(x)
+    return x
+
+
 @dataclass(frozen=True)
 class RationalField(Field):
-    """Arbitrary-precision rationals, always reduced, denominator positive."""
+    """Arbitrary-precision rationals.
+
+    An integral value is always a plain ``int``; only a non-integral one is
+    a ``_RAT``, reduced with a positive denominator.  The two compare and
+    hash alike, and ``str`` prints them alike.
+    """
 
     @property
     def name(self) -> str:
         return "rational"
 
     def zero(self):
-        return _RAT(0)
+        return 0
 
     def one(self):
-        return _RAT(1)
+        return 1
 
     def from_int(self, i: int):
-        return _RAT(i)
+        return int(i)
 
     def parse(self, s: str):
-        try:
-            return _RAT(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidParams(f"bad rational literal {s!r}") from exc
+        """A decimal integer or a num/den fraction, and nothing else."""
+        m = _RATIONAL_LITERAL.fullmatch(s)
+        if m is not None:
+            num, den = m.groups()
+            try:
+                if den is None:
+                    return int(num)
+                if int(den):
+                    return _int_if_integral(_RAT(int(num), int(den)))
+            except ValueError:  # more digits than int() converts
+                pass
+        raise InvalidParams(
+            f"bad rational literal {s!r}: expected an integer or num/den "
+            "with a nonzero den"
+        )
 
     def fmt(self, x) -> str:
         return str(x)
 
     def _passthrough(self, value):
         if isinstance(value, type(_RAT(0))):
-            return value
+            return _int_if_integral(value)
         raise InvalidParams(f"not a rational scalar: {value!r}")
 
     def add(self, a, b):
-        return a + b
+        return _int_if_integral(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _int_if_integral(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _int_if_integral(a * b)
 
     def neg(self, a):
         return -a
@@ -125,7 +155,17 @@ class RationalField(Field):
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _int_if_integral(_RAT(1) / a)
+
+    def scale(self, x: dict, c) -> dict:
+        """c * x for a sparse map x."""
+        if not c:
+            return {}
+        out = {k: c * v for k, v in x.items()}
+        for k, v in out.items():
+            if type(v) is not int and v.denominator == 1:
+                out[k] = int(v)
+        return out
 
     def axpy(self, y: dict, c, x: dict) -> None:
         """y += c * x in place on sparse maps; cancelled entries are dropped."""
@@ -134,13 +174,15 @@ class RationalField(Field):
         for k, xv in x.items():
             v = y.get(k)
             if v is None:
-                y[k] = c * xv
+                v = c * xv
             else:
                 v = v + c * xv
-                if v:
-                    y[k] = v
-                else:
+                if not v:
                     del y[k]
+                    continue
+            if type(v) is not int and v.denominator == 1:
+                v = int(v)
+            y[k] = v
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ only then does the nilpotency index N of J bound lengths by N - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .constructions import GeneratingSystem
 from .errors import NotASubalgebra, NotLocalForm, NotNilpotent
@@ -28,17 +29,20 @@ from .lengths import _chain, _Coords
 def _trace_form(coords: _Coords) -> list:
     """Rows of the Gram matrix tr(row_p * row_q) on A, over Q; it is
     symmetric, so its rows are the constraints of its kernel."""
-    n, zero = coords.space.n, coords.field.zero()
+    f, n = coords.field, coords.space.n
+    zero = f.zero()
     traces = [
-        sum((row.get(i * (n + 1), zero) for i in range(n)), zero)
+        reduce(f.add, (row.get(i * (n + 1), zero) for i in range(n)), zero)
         for row in coords.space.pivot_rows.values()
     ]
+
+    def trace(x: dict):
+        """The trace of the element of A with coordinates x."""
+        return reduce(f.add, (f.mul(v, traces[r]) for r, v in x.items()), zero)
+
     gram = []
     for p in range(coords.d):
-        entries = (
-            (q, sum((v * traces[r] for r, v in coords.table[p, q].items()), zero))
-            for q in range(coords.d)
-        )
+        entries = ((q, trace(coords.table[p, q])) for q in range(coords.d))
         gram.append({q: t for q, t in entries if t})
     return gram
 

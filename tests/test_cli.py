@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -387,6 +388,22 @@ def test_verify_unreadable_input_is_usage_error(capsys, tmp_path):
     rc, out, err = run_cli(capsys, "verify", "--in", str(latin1))
     assert (rc, out) == (2, "")
     assert "not UTF-8" in err
+
+
+def test_verify_refuses_rational_literal_with_exponent_quickly(capsys, tmp_path):
+    # Eighteen bytes that an exponent-reading parser turns into a
+    # ten-million-digit integer.
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps({
+        "n": 2, "field": "rational", "admit_empty_word": True,
+        "generators": [{"label": "a", "entries": [[1, 2, "1e10000000"]]}],
+    }))
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert (rc, out) == (2, "")
+    assert "bad value '1e10000000'" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,20 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import subalg.exact_linalg as exact_linalg
+import subalg.verify as verify
 from subalg import (
     QQ,
+    ConstructionParams,
     FieldMismatch,
     IndexOutOfRange,
     InvalidParams,
     Matrix,
     PrimeField,
+    build_bkml,
     commutator,
     field_from_name,
     kernel,
@@ -18,7 +26,11 @@ from subalg import (
     subspace_sum,
     unvectorize,
     vectorize,
+    verify_system,
 )
+
+from subalg.lengths import _Coords
+from subalg.radical import _trace_form
 
 from oracles import (
     as_fraction_rows,
@@ -36,6 +48,116 @@ def test_rational_field_parse_and_fmt():
     assert QQ.name == "rational"
     with pytest.raises(InvalidParams):
         QQ.parse("x")
+
+
+# Rational scalars as QQ holds them: integral values as ints, others as
+# reduced rationals.  Small denominators make integral results common.
+rationals = st.one_of(
+    st.integers(-(10**20), 10**20), st.fractions(max_denominator=12)
+).map(QQ.coerce)
+sparse_maps = st.dictionaries(st.integers(0, 6), rationals.filter(bool), max_size=6)
+
+
+def assert_canonical(value):
+    """Integral values are ints; nothing is ever a float."""
+    assert not isinstance(value, float)
+    if value.denominator == 1:
+        assert type(value) is int, repr(value)
+
+
+def fraction_map(x: dict) -> dict:
+    return {k: Fraction(v) for k, v in x.items()}
+
+
+def test_rational_scalar_examples():
+    assert type(QQ.zero()) is type(QQ.one()) is type(QQ.from_int(5)) is int
+    assert type(QQ.parse("-4/2")) is int and QQ.parse("-4/2") == -2
+    assert QQ.inv(QQ.from_int(-1)) == -1 and type(QQ.inv(QQ.from_int(-1))) is int
+    assert QQ.inv(QQ.from_int(3)) == Fraction(1, 3)
+    assert QQ.mul(QQ.parse("2/3"), QQ.parse("3/2")) == 1
+    assert type(QQ.mul(QQ.parse("2/3"), QQ.parse("3/2"))) is int
+    assert type(QQ.coerce(Fraction(6, 3))) is int
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["1e10000000", "1.5", "0x10", "1_000", " 3", "3 ", "3\n", "+-3", "3/-4",
+     "1/0", "\u0663", "", "/2", "1/", pytest.param("1" * 4301, id="4301-digits")],
+)
+def test_rational_literals_outside_the_grammar_are_refused(literal):
+    with pytest.raises(InvalidParams):
+        QQ.parse(literal)
+
+
+@given(rationals, rationals)
+def test_rational_scalars_match_fraction_arithmetic(a, b):
+    assert_canonical(a)
+    fa, fb = Fraction(a), Fraction(b)
+    results = [
+        (QQ.add(a, b), fa + fb),
+        (QQ.sub(a, b), fa - fb),
+        (QQ.mul(a, b), fa * fb),
+        (QQ.neg(a), -fa),
+    ]
+    if b:
+        results.append((QQ.inv(b), 1 / fb))
+    for got, want in results:
+        assert got == want
+        assert_canonical(got)
+
+
+@given(sparse_maps, rationals, sparse_maps)
+def test_rational_scale_and_axpy_match_fraction_arithmetic(y, c, x):
+    fy, fc, fx = fraction_map(y), Fraction(c), fraction_map(x)
+    scaled = QQ.scale(x, c)
+    assert scaled == {k: fc * v for k, v in fx.items() if fc * v}
+    want = dict(fy)
+    for k, v in fx.items():
+        want[k] = want.get(k, 0) + fc * v
+    want = {k: v for k, v in want.items() if v}
+    QQ.axpy(y, c, x)
+    assert y == want
+    for value in [*scaled.values(), *y.values()]:
+        assert value
+        assert_canonical(value)
+
+
+def test_pipeline_keeps_integral_rationals_as_ints(monkeypatch):
+    seen = []
+
+    def spy(coords):
+        powers = real(coords)
+        seen.append((coords, powers))
+        return powers
+
+    real = verify._local_powers
+    monkeypatch.setattr(verify, "_local_powers", spy)
+    system = build_bkml(ConstructionParams(n=8, k=2, m=1, l=5), QQ)
+    report = verify_system(system)
+    assert report.passed
+    [(coords, powers)] = seen
+    values = [v for row in report.closure.pivot_rows.values() for v in row.values()]
+    values += [v for x in coords.table.values() for v in x.values()]
+    values += [v for rows in powers for row in rows.values() for v in row.values()]
+    assert values
+    for value in values:
+        assert_canonical(value)
+
+
+def test_trace_form_keeps_integral_rationals_as_ints():
+    # tr(x) = 1/2 + 1/2 is integral although neither of its terms is.
+    half = QQ.parse("1/2")
+    x = Matrix.from_rows([[0, 1, 0], [0, half, 0], [0, 0, half]])
+    gram = _trace_form(_Coords(span_of([Matrix.identity(3), x])))
+    assert gram == [{0: 3, 1: 1}, {0: 1, 1: half}]
+    for row in gram:
+        for value in row.values():
+            assert_canonical(value)
+
+
+def test_rational_backend_is_recorded_by_module():
+    # The benchmark names the active backend after the module of _RAT.
+    assert exact_linalg._RAT.__module__.split(".")[0] in {"fractions", "gmpy2"}
 
 
 def test_prime_field_arithmetic():
