@@ -9,7 +9,10 @@ matrices and subspaces never branch on the scalar kind themselves.
 
 Storage is sparse.  A matrix holds one ``{col: value}`` map per row and a
 vector is a ``{coord: value}`` map.  No map ever stores a zero, so equal
-objects hold equal maps and every loop visits only the nonzero entries.
+objects hold equal maps.  Every product is formed by one kernel,
+``_vec_mul``, on its factors' nonempty rows ``{i: {j: value}}``: it costs
+one axpy per nonzero a_ik whose row k of B is nonempty and writes A B
+straight into vectorized coordinates (``mat_mul`` wraps it for matrices).
 Matrices are immutable and 1-indexed at the API surface.  A matrix is
 vectorized row-major: entry (i, j) lands at coordinate (i-1)*n + (j-1) of
 the n*n coordinate space.
@@ -55,6 +58,10 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# A rational literal: a decimal integer or num/den, in ASCII digits.
+_RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 class Field:
     """Scalar arithmetic for one field; instances are small value objects."""
 
@@ -73,6 +80,25 @@ class Field:
     def _passthrough(self, value):
         raise InvalidParams(f"not a scalar for {self.name}: {value!r}")
 
+    def parse(self, s: str):
+        """A decimal integer or num/den in ASCII digits, with den nonzero in
+        the field, taken into the field; anything else is refused."""
+        m = _RATIONAL_LITERAL.fullmatch(s)
+        if m is not None:
+            num, den = m.groups()
+            try:
+                if den is None:
+                    return self.from_int(int(num))
+                den = self.from_int(int(den))
+                if den:
+                    return self.mul(self.from_int(int(num)), self.inv(den))
+            except ValueError:  # more digits than int() converts
+                pass
+        raise InvalidParams(
+            f"bad {self.name} literal {s!r}: expected an integer or num/den "
+            "with den nonzero in the field"
+        )
+
     def scale(self, x: dict, c) -> dict:
         """c * x for a sparse map x."""
         if not c:
@@ -80,10 +106,6 @@ class Field:
         return {k: self.mul(c, v) for k, v in x.items()}
 
     # The remaining methods are supplied by the concrete subclasses.
-
-
-# A rational literal: a decimal integer or num/den, in ASCII digits.
-_RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _int_if_integral(x):
@@ -114,23 +136,6 @@ class RationalField(Field):
 
     def from_int(self, i: int):
         return int(i)
-
-    def parse(self, s: str):
-        """A decimal integer or a num/den fraction, and nothing else."""
-        m = _RATIONAL_LITERAL.fullmatch(s)
-        if m is not None:
-            num, den = m.groups()
-            try:
-                if den is None:
-                    return int(num)
-                if int(den):
-                    return _int_if_integral(_RAT(int(num), int(den)))
-            except ValueError:  # more digits than int() converts
-                pass
-        raise InvalidParams(
-            f"bad rational literal {s!r}: expected an integer or num/den "
-            "with a nonzero den"
-        )
 
     def fmt(self, x) -> str:
         return str(x)
@@ -207,15 +212,6 @@ class PrimeField(Field):
 
     def from_int(self, i: int):
         return i % self.p
-
-    def parse(self, s: str):
-        try:
-            if "/" in s:
-                num, den = s.split("/", 1)
-                return self.mul(int(num) % self.p, self.inv(int(den) % self.p))
-            return int(s) % self.p
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidParams(f"bad scalar literal {s!r} for {self.name}") from exc
 
     def fmt(self, x) -> str:
         return str(x)
@@ -378,19 +374,39 @@ def matrix_unit(n: int, i: int, j: int, field: Field = QQ) -> Matrix:
     return Matrix(n, field, rows)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """A B: each row of A combines the rows of B at its nonzero columns."""
-    _check_compatible(a, b)
-    f = a.field
-    axpy = f.axpy
-    brows = b.sparse_rows
-    out = []
-    for arow in a.sparse_rows:
+def _by_row(vec: dict, n: int) -> dict:
+    """The nonempty rows ``{i: {j: value}}`` of a vectorized n-by-n matrix."""
+    rows: dict = {}
+    for c, v in vec.items():
+        i, j = divmod(c, n)
+        rows.setdefault(i, {})[j] = v
+    return rows
+
+
+def _vec_mul(a: dict, b: dict, n: int, field: Field) -> dict:
+    """Vectorized A B for A and B given by their nonempty rows (``_by_row``):
+    row i of A B combines the rows k of B at the nonzero a_ik, one axpy for
+    each a_ik whose row k of B is nonempty."""
+    axpy = field.axpy
+    out: dict = {}
+    for i, arow in a.items():
         acc: dict = {}
         for k, aik in arow.items():
-            axpy(acc, aik, brows[k])
-        out.append(acc)
-    return Matrix(a.n, f, tuple(out))
+            brow = b.get(k)
+            if brow is not None:
+                axpy(acc, aik, brow)
+        base = i * n
+        for j, v in acc.items():
+            out[base + j] = v
+    return out
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """A B, formed by ``_vec_mul``."""
+    _check_compatible(a, b)
+    n, f = a.n, a.field
+    ab = _vec_mul(_by_row(vectorize(a), n), _by_row(vectorize(b), n), n, f)
+    return unvectorize(ab, n, f)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:

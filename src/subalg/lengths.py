@@ -15,6 +15,11 @@ basis rows) turn every product inside A into a bilinear form on
 coordinates.  Chain dimensions do not depend on the coordinates, so a
 chain run there reports what the n*n-coordinate chain would, without
 forming a matrix.
+
+The table's products, and those of a chain in n*n coordinates, go through
+the row-sparse kernel ``exact_linalg._vec_mul``: the basis rows, or the
+members and each frontier row, are grouped by matrix row once, and no
+product builds a ``Matrix``.  Each table product is reduced against A.
 """
 
 from __future__ import annotations
@@ -35,8 +40,10 @@ from .exact_linalg import (
     Matrix,
     Subspace,
     _check_compatible,
+    _by_row,
     _Echelon,
     _reduce,
+    _vec_mul,
     mat_mul,
     unvectorize,
     vectorize,
@@ -89,13 +96,14 @@ def _chain(system: GeneratingSystem, target: Subspace | None = None):
         ech.insert(vectorize(system.identity()))
     spans = [ech.to_subspace(n)]
     length = 0 if target is not None and spans[0] == target else None
-    mats = system.matrices
+    vecs = [vectorize(m) for m in system.matrices]
+    members = [_by_row(vec, n) for vec in vecs]
 
     def products(row):
-        x = unvectorize(row, n, f)
-        return (vectorize(mat_mul(g, x)) for g in mats)
+        x = _by_row(row, n)
+        return (_vec_mul(g, x, n, f) for g in members)
 
-    for _ in _steps(ech, [vectorize(m) for m in mats], products):
+    for _ in _steps(ech, vecs, products):
         spans.append(ech.to_subspace(n))
         if target is not None and length is None and spans[-1] == target:
             length = len(spans) - 1
@@ -141,11 +149,12 @@ class _Coords:
         self.field = space.field
         self.d = space.dim
         self.index = {p: i for i, p in enumerate(space.pivot_rows)}
-        mats = space.basis_matrices()
+        n = space.n
+        rows = [_by_row(row, n) for row in space.pivot_rows.values()]
         self.table = {}
-        for p, x in enumerate(mats):
-            for q, y in enumerate(mats):
-                prod = self.coordinates(vectorize(mat_mul(x, y)))
+        for p, x in enumerate(rows):
+            for q, y in enumerate(rows):
+                prod = self.coordinates(_vec_mul(x, y, n, self.field))
                 if prod is None:
                     raise NotASubalgebra(
                         f"{what} is not multiplicatively closed: "

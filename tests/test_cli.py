@@ -406,6 +406,19 @@ def test_verify_refuses_rational_literal_with_exponent_quickly(capsys, tmp_path)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["1_000", " 3 ", "\u0663", "+5/ 2", "1/7"])
+def test_verify_refuses_prime_field_literal_outside_the_grammar(capsys, tmp_path, value):
+    path = tmp_path / "gf7.json"
+    path.write_text(json.dumps({
+        "n": 2, "field": "gf:7", "admit_empty_word": True,
+        "generators": [{"label": "a", "entries": [[1, 2, value]]}],
+    }))
+    rc, out, err = run_cli(capsys, "verify", "--in", str(path))
+    assert (rc, out) == (2, "")
+    assert f"bad value {value!r}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -528,7 +541,7 @@ def test_verify_builds_one_table_and_samples_without_matrices(
 
     closure = lengths.algebra_closure(full_8152)
     coords = lengths._Coords(closure)
-    products = _count_calls(monkeypatch, lengths.mat_mul)
+    products = _count_calls(monkeypatch, lengths._vec_mul)
     chains = _count_calls(monkeypatch, lengths._chain)
     candidates = _count_calls(monkeypatch, lengths._recombined_basis)
     coord_chains = _count_calls(monkeypatch, lengths._coord_chain)

@@ -89,6 +89,23 @@ def test_rational_literals_outside_the_grammar_are_refused(literal):
         QQ.parse(literal)
 
 
+@pytest.mark.parametrize(
+    "literal",
+    ["1_000", " 3 ", "\u0663", "+5/ 2", "1/0", "3/7", "1e3", "0x10", "", "/2",
+     pytest.param("1" * 4301, id="4301-digits")],
+)
+def test_prime_field_literals_outside_the_grammar_are_refused(literal):
+    with pytest.raises(InvalidParams):
+        PrimeField(7).parse(literal)
+
+
+def test_prime_field_literals_reduce_mod_p():
+    f = PrimeField(7)
+    assert [f.parse(s) for s in ("1000", "+5", "-1", "1/2", "-3/4", "14/3")] == [
+        6, 5, 6, 4, 1, 0,
+    ]
+
+
 @given(rationals, rationals)
 def test_rational_scalars_match_fraction_arithmetic(a, b):
     assert_canonical(a)

@@ -1,5 +1,6 @@
 import functools
 import random
+import sys
 
 import pytest
 from hypothesis import event, given
@@ -17,6 +18,7 @@ from subalg import (
     NotGenerating,
     NotLocalForm,
     PrimeField,
+    RationalField,
     SamplingExhausted,
     algebra_closure,
     build_bkm,
@@ -29,6 +31,7 @@ from subalg import (
     sample_generating_systems,
     span_of,
 )
+from subalg import exact_linalg
 from subalg.lengths import _coord_chain, _Coords, _recombined_basis, _spans_modulo
 from subalg.radical import _local_powers, _unit_plus_square
 
@@ -249,3 +252,35 @@ def test_sampling_requires_local_target():
     split = span_of([Matrix.identity(2, QQ), matrix_unit(2, 1, 1, QQ)])
     with pytest.raises(NotLocalForm):
         sample_generating_systems(split, 1, seed=0)
+
+
+def test_table_build_work_is_counted_by_nonzeros(monkeypatch):
+    """A deterministic work count in place of a wall-clock gate.  Building
+    the table of the closure of bkm (24,1,8) over Q forms no Matrix product.
+    Its products cost one axpy per (p, q, i, k) where basis row p is
+    nonzero at (i, k) and row k of basis matrix q is nonempty; reducing
+    each product, and the identity, against A costs one axpy per pivot
+    coordinate it holds, that is one per entry of its coordinates."""
+    closure = algebra_closure(build_bkm(BkmParams(24, 1, 8), QQ))
+    n, basis = closure.n, list(closure.pivot_rows.values())
+    nonempty = [{c // n for c in row} for row in basis]
+    products = sum(1 for row in basis for c in row for q in nonempty if c % n in q)
+
+    axpys = []
+    real_axpy = RationalField.axpy
+    monkeypatch.setattr(
+        RationalField, "axpy",
+        lambda self, y, c, x: axpys.append(c) or real_axpy(self, y, c, x),
+    )
+    mat_muls = []
+    real_mat_mul = exact_linalg.mat_mul
+    for name, module in list(sys.modules.items()):
+        if name.startswith("subalg") and getattr(module, "mat_mul", None) is real_mat_mul:
+            monkeypatch.setattr(
+                module, "mat_mul",
+                lambda *a: mat_muls.append(a) or real_mat_mul(*a),
+            )
+    coords = _Coords(closure)
+    reductions = sum(map(len, coords.table.values())) + len(coords.identity)
+    assert mat_muls == []
+    assert len(axpys) == products + reductions

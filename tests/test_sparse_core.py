@@ -22,7 +22,7 @@ from subalg import (
     unvectorize,
     vectorize,
 )
-from subalg.exact_linalg import _as_sparse, _Echelon
+from subalg.exact_linalg import _as_sparse, _by_row, _Echelon, _vec_mul
 
 from oracles import DenseRef
 
@@ -50,6 +50,30 @@ def vectors(draw, ncoords, max_count=6):
     )
 
 
+@st.composite
+def factor_pair(draw, n):
+    """Two square factors, drawn as they are, with some rows emptied, with
+    every row of one emptied, or made to cancel: column n-1-k of A equals
+    column k and row n-1-k of B is minus row k, so A B = 0."""
+    a, b = draw(square(n)), draw(square(n))
+    kind = draw(st.sampled_from(["plain", "empty rows", "all rows empty", "cancelling"]))
+    if kind == "empty rows":
+        for m in (a, b):
+            for i in draw(st.sets(st.integers(0, n - 1))):
+                m[i] = [0] * n
+    elif kind == "all rows empty":
+        empty = [[0] * n for _ in range(n)]
+        a, b = draw(st.sampled_from([(empty, b), (a, empty)]))
+    elif kind == "cancelling":
+        for k in range(n // 2):
+            for row in a:
+                row[n - 1 - k] = row[k]
+            b[n - 1 - k] = [-v for v in b[k]]
+        if n % 2:
+            b[n // 2] = [0] * n
+    return a, b
+
+
 def _basis(ref, subspace):
     return ref.rows(subspace.basis)
 
@@ -62,6 +86,21 @@ def test_mat_mul_matches_dense_reference(field, data):
     ref = DenseRef(field)
     got = mat_mul(Matrix.from_rows(a, field), Matrix.from_rows(b, field))
     assert ref.rows(got.rows) == ref.mat_mul(ref.rows(a), ref.rows(b))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@given(data=st.data())
+def test_row_sparse_product_matches_dense_reference(field, data):
+    """The product kernel, on nonempty rows, writes the vectorized product
+    and stores no zero."""
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    a, b = data.draw(factor_pair(n))
+    ref = DenseRef(field)
+    rows = [_by_row(vectorize(Matrix.from_rows(m, field)), n) for m in (a, b)]
+    got = _vec_mul(*rows, n, field)
+    dense = ref.mat_mul(ref.rows(a), ref.rows(b))
+    assert got == vectorize(Matrix.from_rows(dense, field))
+    assert all(got.values())
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
