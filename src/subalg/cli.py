@@ -43,7 +43,7 @@ def _field_arg(s: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _int_at_least(lo: int):
+def _int_in(lo: int, hi: int | None = None):
     def parse(s: str) -> int:
         try:
             v = int(s)
@@ -51,21 +51,21 @@ def _int_at_least(lo: int):
             raise argparse.ArgumentTypeError(f"not an integer: {s!r}") from None
         if v < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}: {s}")
+        if hi is not None and v > hi:
+            raise argparse.ArgumentTypeError(f"exceeds the supported maximum {hi}: {s}")
         return v
 
     return parse
 
 
-_positive_int = _int_at_least(1)
-_count = _int_at_least(0)
+# Each sample costs candidates and a span chain, and its length is listed
+# in the document; a larger --samples is refused before anything is drawn.
+MAX_SAMPLES = 10_000
 
-
-def _family_n(s: str) -> int:
-    """A matrix size, bounded like the n of a generator-set file."""
-    n = _positive_int(s)
-    if n > MAX_N:
-        raise argparse.ArgumentTypeError(f"exceeds the supported maximum {MAX_N}: {s}")
-    return n
+_positive_int = _int_in(1)
+_samples = _int_in(0, MAX_SAMPLES)
+# a matrix size, bounded like the n of a generator-set file
+_family_n = _int_in(1, MAX_N)
 
 
 def _range_arg(s: str) -> tuple:
@@ -356,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="full verdict for a family or a file")
     p.add_argument("--in", dest="infile", help="generator-set file")
     _add_family_args(p)
-    p.add_argument("--samples", type=_count, default=25)
+    p.add_argument("--samples", type=_samples, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
@@ -387,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--field", type=_field_arg, default=field_from_name("rational")
     )
-    p.add_argument("--samples", type=_count, default=25)
+    p.add_argument("--samples", type=_samples, default=25)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out")

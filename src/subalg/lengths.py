@@ -20,11 +20,18 @@ The table's products, and those of a chain in n*n coordinates, go through
 the row-sparse kernel ``exact_linalg._vec_mul``: the basis rows, or the
 members and each frontier row, are grouped by matrix row once, and no
 product builds a ``Matrix``.  Each table product is reduced against A.
+
+The sampler plans each candidate's draws before any arithmetic.  It builds
+rows only for a candidate with enough members to generate, and only its
+chosen ones, unscaled: scaling by units changes no span, so the rank test
+and the chain run on them as they are.  Only ``sample_generating_systems``
+applies the units and forms matrices, for accepted samples.
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -302,33 +309,44 @@ def enumerate_words(
     return words
 
 
-def _random_unit(rng: random.Random, field):
+def _unit_draw(rng: random.Random, field):
     # A handful of invertible scalars; over GF(p) any nonzero residue.
-    if hasattr(field, "p"):
-        return field.from_int(rng.randrange(1, field.p))
-    return field.parse(rng.choice(("1", "-1", "2", "-2", "1/2")))
+    units = ("1", "-1", "2", "-2", "1/2")
+    return rng.randrange(1, field.p) if hasattr(field, "p") else rng.choice(units)
 
 
-def _recombined_basis(rng: random.Random, f, d: int) -> list:
-    """Random invertible mix of the d unit coordinate vectors.
+# Every draw of one candidate, a random invertible mix of the d unit
+# coordinate vectors and its members: row i of the mix gains rows first[i]
+# (all above it) in an ascending unit-triangular pass, then rows second[i]
+# (all below it) in a descending one, and is scaled by the unit drawn as
+# units[i].  The mix's k-th row is row perm[k]; chosen lists the members.
+_Plan = namedtuple("_Plan", "first second units perm chosen")
 
-    Built as sparse unit-triangular passes, a row scaling by units, and a
-    shuffle, so the mix is invertible over every field by construction.
-    """
-    one = f.one()
-    rows = [{i: one} for i in range(d)]
+
+def _plan(rng: random.Random, field, d: int) -> _Plan:
+    """Draws one candidate of d coordinates, with no arithmetic."""
+    draw = rng.random
     density = min(1.0, 3.0 / max(d - 1, 1))
-    for i in range(d):
-        for j in range(i + 1, d):
-            if rng.random() < density:
-                f.axpy(rows[i], one, rows[j])
-    for i in range(d - 1, -1, -1):
-        for j in range(i):
-            if rng.random() < density:
-                f.axpy(rows[i], one, rows[j])
-    rows = [f.scale(row, _random_unit(rng, f)) for row in rows]
-    rng.shuffle(rows)
-    return rows
+    first = [[j for j in range(i + 1, d) if draw() < density] for i in range(d)]
+    second = [[j for j in range(i) if draw() < density] for i in range(d - 1, -1, -1)]
+    units = [_unit_draw(rng, field) for _ in range(d)]
+    perm, order = list(range(d)), list(range(d))
+    rng.shuffle(perm)
+    rng.shuffle(order)
+    size = rng.randint((d + 1) // 2, d)
+    return _Plan(first, second[::-1], units, perm, sorted(order[:size]))
+
+
+def _plan_row(plan: _Plan, k: int, f, scaled: bool = False) -> dict:
+    """The k-th row of the plan's mix, unscaled unless ``scaled``.  It is
+    built alone: when the ascending pass reaches row i, the rows above it
+    are still unit vectors, and when the descending pass does, the rows
+    below it hold their ascending sums."""
+    one, first, i = f.one(), plan.first, plan.perm[k]
+    row = dict.fromkeys([i, *first[i]], one)
+    for j in plan.second[i]:
+        f.axpy(row, one, dict.fromkeys([j, *first[j]], one))
+    return f.scale(row, f.parse(str(plan.units[i]))) if scaled else row
 
 
 def _spans_modulo(modulus: dict, members: list, field, d: int) -> bool:
@@ -336,8 +354,6 @@ def _spans_modulo(modulus: dict, members: list, field, d: int) -> bool:
     the subspace M whose RREF rows are ``modulus``: their remainders
     modulo M must have rank d - dim M."""
     rank = d - len(modulus)
-    if len(members) < rank:
-        return False
     ech = _Echelon(field)
     for x in members:
         if ech.dim == rank:
@@ -346,72 +362,69 @@ def _spans_modulo(modulus: dict, members: list, field, d: int) -> bool:
     return ech.dim == rank
 
 
+def _sample_reports(
+    coords: _Coords, modulus: dict, count: int, seed: int, max_rejections: int = 1000
+) -> list:
+    """(plan, LengthReport) of ``count`` seeded random generating systems
+    of the local algebra A of ``coords``, with no matrix formed.
+
+    A candidate generates A exactly when it spans A modulo F*I + J^2, whose
+    RREF rows in A's coordinates are ``modulus`` (Nakayama's lemma).  One
+    with fewer members than that rank is refused before any row is built;
+    otherwise only its chosen rows are built, unscaled, for the rank test
+    and, once accepted, its chain: scaling members by units changes no
+    span.  Refusals are capped at ``max_rejections`` per sample.
+    """
+    rng = random.Random(seed)
+    f, d = coords.field, coords.d
+    rank = d - len(modulus)
+    out = []
+    for _ in range(count):
+        for _ in range(max(max_rejections, 1)):
+            plan = _plan(rng, f, d)
+            if len(plan.chosen) < rank:
+                continue
+            members = [_plan_row(plan, k, f) for k in plan.chosen]
+            if _spans_modulo(modulus, members, f, d):
+                break
+        else:
+            raise SamplingExhausted(
+                f"no generating subset found within {max_rejections} rejections"
+            )
+        report = _coord_chain(coords, members, True)
+        if report.length is None:
+            raise NotGenerating(
+                f"a candidate spanning the target modulo F*I + J^2 "
+                f"generates only dimension {report.dims[-1]} of {d}"
+            )
+        out.append((plan, report))
+    return out
+
+
 def sample_generating_systems(
-    target: Subspace,
-    count: int,
-    seed: int,
-    max_rejections: int = 1000,
-    coords: _Coords | None = None,
-    modulus: dict | None = None,
+    target: Subspace, count: int, seed: int, max_rejections: int = 1000
 ) -> list:
     """Deterministic random generating systems of the local target algebra.
 
-    Each sample takes a random subset of a randomly recombined basis of the
-    target and keeps it only if it generates the target; failures count
-    as rejections, capped per sample.  For the local target A = F*I + J
-    that is one rank test (Nakayama's lemma): the candidate must span A
-    modulo F*I + J^2, whose RREF rows in A's coordinates are ``modulus``.
-    Only accepted candidates run their span chain.  Candidates and chains
-    live in A's coordinates (``coords``); ``coords`` and ``modulus`` are
-    built here unless the caller has them, and only accepted samples
-    become matrices.  Returns (system, LengthReport) pairs, the report
-    giving the system's length against the target.
+    Each sample of ``_sample_reports``, a random subset of a random mix of
+    the target's basis, becomes matrices with its units applied.  Returns
+    (system, LengthReport) pairs, the report giving its length.
 
     Raises NotASubalgebra when the target is not closed or lacks the
     identity, and then NotLocalForm when it is not local.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    if coords is None:
-        coords = _Coords(target)
+    coords = _Coords(target)
     if coords.identity is None:
         raise NotASubalgebra("target must contain the identity")
-    if modulus is None:
-        # radical imports this module, so it is imported here, when needed
-        from .radical import _local_powers, _unit_plus_square
+    # radical imports this module, so it is imported here, when needed
+    from .radical import _local_powers, _unit_plus_square
 
-        modulus = _unit_plus_square(coords, _local_powers(coords))
-    rng = random.Random(seed)
-    f, d = target.field, target.dim
-    out = []
-    for _ in range(count):
-        rejections = 0
-        while True:
-            gens = _recombined_basis(rng, f, d)
-            order = list(range(d))
-            rng.shuffle(order)
-            size = rng.randint((d + 1) // 2, d)
-            chosen = sorted(order[:size])
-            members = [gens[idx] for idx in chosen]
-            if _spans_modulo(modulus, members, f, d):
-                report = _coord_chain(coords, members, True)
-                if report.length is None:
-                    raise NotGenerating(
-                        f"a candidate spanning the target modulo F*I + J^2 "
-                        f"generates only dimension {report.dims[-1]} of {d}"
-                    )
-                system = GeneratingSystem(
-                    tuple(
-                        (f"g{pos + 1}", coords.matrix(gens[idx]))
-                        for pos, idx in enumerate(chosen)
-                    ),
-                    admit_empty_word=True,
-                )
-                out.append((system, report))
-                break
-            rejections += 1
-            if rejections >= max_rejections:
-                raise SamplingExhausted(
-                    f"no generating subset found within {max_rejections} rejections"
-                )
+    modulus = _unit_plus_square(coords, _local_powers(coords))
+    f, out = target.field, []
+    for plan, report in _sample_reports(coords, modulus, count, seed, max_rejections):
+        rows = [_plan_row(plan, k, f, scaled=True) for k in plan.chosen]
+        labelled = tuple((f"g{i + 1}", coords.matrix(x)) for i, x in enumerate(rows))
+        out.append((GeneratingSystem(labelled, admit_empty_word=True), report))
     return out

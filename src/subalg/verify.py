@@ -20,8 +20,8 @@ from .lengths import (
     LengthReport,
     _chain,
     _Coords,
+    _sample_reports,
     _target_chain,
-    sample_generating_systems,
 )
 from .radical import RadicalReport, _bound, _local_powers, _unit_plus_square
 
@@ -93,13 +93,7 @@ def verify_system(
     radical = None if powers is None else _bound(powers, measured.length)
     sample_lengths = None
     if samples > 0 and maximality.is_maximal and powers is not None:
-        pairs = sample_generating_systems(
-            closure,
-            samples,
-            seed,
-            coords=coords,
-            modulus=_unit_plus_square(coords, powers),
-        )
+        pairs = _sample_reports(coords, _unit_plus_square(coords, powers), samples, seed)
         sample_lengths = tuple(report.length for _, report in pairs)
     return VerificationReport(
         closure, own, maximality, measured, certified, radical, sample_lengths

@@ -5,9 +5,12 @@ with the package's own linear algebra; they work over the rationals, and
 field-independence of the structures under test is checked separately.
 ``reference_maximality`` is the maximality verdict the slow way, from the
 package's whole centralizer, and ``DenseRef`` a textbook dense
-Gauss-Jordan over every test field.
+Gauss-Jordan over every test field.  ``reference_samples`` is the
+sampler as it was before it planned its draws: it recombines the whole
+basis of every candidate and turns each sample into matrices.
 """
 
+import random
 from fractions import Fraction
 
 import sympy
@@ -15,6 +18,7 @@ import sympy
 from subalg import (
     QQ,
     Field,
+    GeneratingSystem,
     MaximalityVerdict,
     Matrix,
     NotNilpotent,
@@ -25,6 +29,8 @@ from subalg import (
     matrix_unit,
     span_of,
 )
+from subalg.lengths import _coord_chain, _Coords, _spans_modulo
+from subalg.radical import _local_powers, _unit_plus_square
 
 
 def to_sympy(m: Matrix) -> sympy.Matrix:
@@ -245,3 +251,58 @@ class DenseRef:
                         row[k * n + j] -= g[i][k]
                     constraints.append([self.fix(v) for v in row])
         return self.kernel(constraints, n * n)
+
+
+def _random_unit(rng: random.Random, field):
+    # A handful of invertible scalars; over GF(p) any nonzero residue.
+    if hasattr(field, "p"):
+        return field.from_int(rng.randrange(1, field.p))
+    return field.parse(rng.choice(("1", "-1", "2", "-2", "1/2")))
+
+
+def _recombined_basis(rng: random.Random, f, d: int) -> list:
+    """Random invertible mix of the d unit coordinate vectors.
+
+    Built as sparse unit-triangular passes, a row scaling by units, and a
+    shuffle, so the mix is invertible over every field by construction.
+    """
+    one = f.one()
+    rows = [{i: one} for i in range(d)]
+    density = min(1.0, 3.0 / max(d - 1, 1))
+    for i in range(d):
+        for j in range(i + 1, d):
+            if rng.random() < density:
+                f.axpy(rows[i], one, rows[j])
+    for i in range(d - 1, -1, -1):
+        for j in range(i):
+            if rng.random() < density:
+                f.axpy(rows[i], one, rows[j])
+    rows = [f.scale(row, _random_unit(rng, f)) for row in rows]
+    rng.shuffle(rows)
+    return rows
+
+
+def reference_samples(target, count: int, seed: int) -> list:
+    """(system, LengthReport) pairs drawn from ``_recombined_basis``."""
+    coords = _Coords(target)
+    modulus = _unit_plus_square(coords, _local_powers(coords))
+    rng = random.Random(seed)
+    f, d = target.field, target.dim
+    out = []
+    while len(out) < count:
+        gens = _recombined_basis(rng, f, d)
+        order = list(range(d))
+        rng.shuffle(order)
+        size = rng.randint((d + 1) // 2, d)
+        chosen = sorted(order[:size])
+        members = [gens[idx] for idx in chosen]
+        if len(members) >= d - len(modulus) and _spans_modulo(modulus, members, f, d):
+            system = GeneratingSystem(
+                tuple(
+                    (f"g{pos + 1}", coords.matrix(gens[idx]))
+                    for pos, idx in enumerate(chosen)
+                ),
+                admit_empty_word=True,
+            )
+            out.append((system, _coord_chain(coords, members, True)))
+    return out

@@ -13,6 +13,7 @@ import subalg.lengths as lengths
 from subalg import QQ, GeneratingSystem, Matrix, NotLocalForm, matrix_unit
 from subalg.cli import main
 from subalg.jsonio import dumps, system_to_dict
+from subalg.radical import _local_powers, _unit_plus_square
 
 
 def run_cli(capsys, *argv):
@@ -541,11 +542,12 @@ def test_verify_builds_one_table_and_samples_without_matrices(
 
     closure = lengths.algebra_closure(full_8152)
     coords = lengths._Coords(closure)
+    modulus = _unit_plus_square(coords, _local_powers(coords))
     products = _count_calls(monkeypatch, lengths._vec_mul)
     chains = _count_calls(monkeypatch, lengths._chain)
-    candidates = _count_calls(monkeypatch, lengths._recombined_basis)
+    candidates = _count_calls(monkeypatch, lengths._plan)
     coord_chains = _count_calls(monkeypatch, lengths._coord_chain)
-    pairs = lengths.sample_generating_systems(closure, 5, seed=8, coords=coords)
+    pairs = lengths._sample_reports(coords, modulus, 5, seed=8)
     assert len(pairs) == 5
     assert len(candidates) > 5
     assert len(coord_chains) == 5
@@ -557,7 +559,7 @@ def test_verify_builds_one_table_and_samples_without_matrices(
 def test_verify_runs_one_coordinate_chain_per_sample(capsys, monkeypatch):
     """Rejected candidates are screened by a rank test and run no chain;
     the one further coordinate chain is the witness's."""
-    candidates = _count_calls(monkeypatch, lengths._recombined_basis)
+    candidates = _count_calls(monkeypatch, lengths._plan)
     coord_chains = _count_calls(monkeypatch, lengths._coord_chain)
     rc, out, _ = run_cli(
         capsys, "verify", "--family", "bkml", "--n", "8", "--m", "1", "--l", "5",
@@ -567,3 +569,59 @@ def test_verify_runs_one_coordinate_chain_per_sample(capsys, monkeypatch):
     assert json.loads(out)["samples"]["count"] == 25
     assert len(coord_chains) == 25 + 1
     assert len(candidates) > 25
+
+
+@pytest.mark.parametrize(
+    "family, refusals",
+    [
+        (("bkml", "--n", "8", "--m", "1", "--l", "5", "--k", "2"), False),
+        (("bkm", "--n", "8", "--m", "2", "--k", "2"), True),
+    ],
+)
+def test_verify_samples_build_no_matrix_and_no_row_refused_by_count(
+    capsys, monkeypatch, family, refusals
+):
+    """A deterministic work count in place of a wall-clock gate: verify's
+    samples become no matrix, and a candidate with fewer members than the
+    rank modulo F*I + J^2 gets no row built.  Every candidate of bkml
+    (8,1,5,2) has enough members; some of bkm (8,2,2) have too few."""
+    matrices = []
+    real_matrix = lengths._Coords.matrix
+    monkeypatch.setattr(
+        lengths._Coords,
+        "matrix",
+        lambda self, x: matrices.append(x) or real_matrix(self, x),
+    )
+    plans = []
+    real_plan = lengths._plan
+    monkeypatch.setattr(
+        lengths, "_plan", lambda *a: plans.append(real_plan(*a)) or plans[-1]
+    )
+    rows = _count_calls(monkeypatch, lengths._plan_row)
+    moduli = _count_calls(monkeypatch, lengths._spans_modulo)
+    rc, out, _ = run_cli(
+        capsys, "verify", "--family", *family, "--field", "gf:7", "--samples", "25",
+    )
+    assert rc == 0
+    assert json.loads(out)["samples"]["count"] == 25
+    assert matrices == []
+    rank = len(plans[0].perm) - len(moduli[0])
+    built = [p for p in plans if len(p.chosen) >= rank]
+    assert (len(built) < len(plans)) == refusals
+    assert len(rows) == sum(len(p.chosen) for p in built)
+    assert len(moduli) == len(built)
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_samples_above_max_samples_are_refused(capsys, monkeypatch, command):
+    monkeypatch.setattr(lengths, "_plan", lambda *a: pytest.fail("sampled"))
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(
+        capsys, command, "--family", "bkm", "--n", "8", "--m", "1", "--k", "2",
+        "--samples", "1000000000",
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert (rc, out) == (2, "")
+    assert f"exceeds the supported maximum {cli.MAX_SAMPLES}" in err
+    assert "Traceback" not in err
+    assert cli.MAX_SAMPLES == 10_000

@@ -32,10 +32,17 @@ from subalg import (
     span_of,
 )
 from subalg import exact_linalg
-from subalg.lengths import _coord_chain, _Coords, _recombined_basis, _spans_modulo
+from subalg.lengths import (
+    _coord_chain,
+    _Coords,
+    _plan,
+    _plan_row,
+    _sample_reports,
+    _spans_modulo,
+)
 from subalg.radical import _local_powers, _unit_plus_square
 
-from oracles import sympy_word_span_dims
+from oracles import _recombined_basis, reference_samples, sympy_word_span_dims
 
 
 def test_witness_chain_dims_match_word_oracle(witness_8152):
@@ -244,7 +251,35 @@ def test_sampler_checks_each_accepted_chain(full_8152):
     coords = _Coords(target)
     whole = {i: {i: QQ.one()} for i in range(coords.d)}
     with pytest.raises(NotGenerating):
-        sample_generating_systems(target, 1, seed=8, coords=coords, modulus=whole)
+        _sample_reports(coords, whole, 1, seed=8)
+
+
+@pytest.mark.parametrize("field", CRITERION_FIELDS, ids=lambda f: f.name)
+@given(d=st.integers(min_value=1, max_value=30), seed=st.integers(0, 2**32))
+def test_plan_draws_the_recombined_basis(field, d, seed):
+    """The plan makes every draw of the whole recombination, in order, and
+    its scaled rows are the recombined rows."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    plan = _plan(rng, field, d)
+    rows = _recombined_basis(ref, field, d)
+    order = list(range(d))
+    ref.shuffle(order)
+    size = ref.randint((d + 1) // 2, d)
+    assert [_plan_row(plan, k, field, scaled=True) for k in range(d)] == rows
+    assert plan.chosen == sorted(order[:size])
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("params", CRITERION_TUPLES, ids=str)
+def test_samples_equal_the_reference_sampler(params, fields):
+    for field in fields:
+        target, _, _ = _local_target(params, field)
+        for seed in (0, 8):
+            got = sample_generating_systems(target, 3, seed)
+            want = reference_samples(target, 3, seed)
+            assert [s.labels for s, _ in got] == [s.labels for s, _ in want]
+            assert [s.matrices for s, _ in got] == [s.matrices for s, _ in want]
+            assert [r for _, r in got] == [r for _, r in want]
 
 
 def test_sampling_requires_local_target():
