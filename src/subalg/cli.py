@@ -61,9 +61,13 @@ def _int_in(lo: int, hi: int | None = None):
 # Each sample costs candidates and a span chain, and its length is listed
 # in the document; a larger --samples is refused before anything is drawn.
 MAX_SAMPLES = 10_000
+# The words of one step of `length --check-words` are formed and spanned
+# before they are compared; a larger --word-budget is refused at parsing.
+MAX_WORD_BUDGET = 1_000_000
 
 _positive_int = _int_in(1)
 _samples = _int_in(0, MAX_SAMPLES)
+_word_budget = _int_in(0, MAX_WORD_BUDGET)
 # a matrix size, bounded like the n of a generator-set file
 _family_n = _int_in(1, MAX_N)
 
@@ -368,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check every chain step against brute-force word spans",
     )
-    p.add_argument("--word-budget", type=int, default=1_000_000)
+    p.add_argument("--word-budget", type=_word_budget, default=MAX_WORD_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=cmd_length)
 

@@ -34,7 +34,7 @@ def _constraint_rows(mats):
 
     One sparse row per generator and output position (i, j) of X*G - G*X:
     it reads column j of G and row i of G, so positions where both are
-    empty give no row.
+    empty give no row and are not visited.
     """
     mats = list(mats)
     if not mats:
@@ -50,10 +50,10 @@ def _constraint_rows(mats):
         for k, grow in enumerate(grows):
             for j, v in grow.items():
                 gcols[j][k] = v
+        cols = [j for j in range(n) if gcols[j]]
         for i, gi in enumerate(grows):
-            for j, gj in enumerate(gcols):
-                if not (gi or gj):
-                    continue
+            for j in range(n) if gi else cols:
+                gj = gcols[j]
                 # (X*G)[i, j] = sum_k X[i, k] G[k, j], (G*X)[i, j] = sum_k G[i, k] X[k, j]
                 row = {i * n + k: v for k, v in gj.items()}
                 f.axpy(row, minus_one, {k * n + j: v for k, v in gi.items()})

@@ -3,9 +3,11 @@
 For a system S, L_i is the span of all products of at most i members
 (together with the identity when the empty word is admitted).  The chain
 L_0 <= L_1 <= ... stabilizes; the smallest i with L_i equal to the target
-is the length of S.  Each step only multiplies members against the basis
-vectors that are new since the previous step: products against older basis
-vectors were already absorbed one step earlier, so nothing is lost.
+is the length of S.  Each step only multiplies members against the vectors
+that grew the span at the previous step: products against older vectors
+were already absorbed one step earlier, so nothing is lost.  At step 2
+those vectors are members, and in a commutative algebra g_i * g_j =
+g_j * g_i, so a chain in its coordinates forms each pair once.
 
 Chains of systems known to lie inside an algebra A of dimension d run in
 A's own coordinates (``_Coords``).  A vector of A is fixed by its entries
@@ -23,8 +25,9 @@ product builds a ``Matrix``.  Each table product is reduced against A.
 
 The sampler plans each candidate's draws before any arithmetic.  It builds
 rows only for a candidate with enough members to generate, and only its
-chosen ones, unscaled: scaling by units changes no span, so the rank test
-and the chain run on them as they are.  Only ``sample_generating_systems``
+chosen ones, unscaled: scaling by units changes no span, so the chain runs
+on them as they are.  Step 1 of that chain is the screen, and an accepted
+candidate's chain goes on from it.  Only ``sample_generating_systems``
 applies the units and forms matrices, for accepted samples.
 """
 
@@ -72,23 +75,17 @@ class LengthReport:
     target_dim: int
 
 
-def _steps(ech: _Echelon, members: list, products, full: int | None = None):
-    """Run the chain's steps on ech, yielding after each one.
-
-    Step 1 inserts the members, which are consumed.  Each later step
-    inserts products(x), the members times x, for every basis vector x new
-    at the previous step.  A step ends early once the span reaches
-    dimension ``full``.
-    """
-    vecs = iter(members)
-    while True:
-        before = set(ech.rows)
-        for vec in vecs:
-            if ech.insert(vec) and ech.dim == full:
+def _grow(ech: _Echelon, vecs, full: int | None = None) -> list:
+    """Insert vecs into ech, which consumes them, until it reaches
+    dimension ``full``; returns a copy of each vector that grew the span."""
+    grown = []
+    for vec in vecs:
+        kept = dict(vec)
+        if ech.insert(vec):
+            grown.append(kept)
+            if ech.dim == full:
                 break
-        yield
-        frontier = [row for p, row in ech.rows.items() if p not in before]
-        vecs = (prod for row in frontier for prod in products(row))
+    return grown
 
 
 def _chain(system: GeneratingSystem, target: Subspace | None = None):
@@ -105,17 +102,14 @@ def _chain(system: GeneratingSystem, target: Subspace | None = None):
     length = 0 if target is not None and spans[0] == target else None
     vecs = [vectorize(m) for m in system.matrices]
     members = [_by_row(vec, n) for vec in vecs]
-
-    def products(row):
-        x = _by_row(row, n)
-        return (_vec_mul(g, x, n, f) for g in members)
-
-    for _ in _steps(ech, vecs, products):
+    while True:
+        frontier = [_by_row(x, n) for x in _grow(ech, vecs)]
         spans.append(ech.to_subspace(n))
         if target is not None and length is None and spans[-1] == target:
             length = len(spans) - 1
         if spans[-1].dim == spans[-2].dim:
             break
+        vecs = (_vec_mul(g, x, n, f) for x in frontier for g in members)
     dims = tuple(s.dim for s in spans)
     stabilization = len(spans) - 1
     if target is None:
@@ -219,31 +213,58 @@ class _Coords:
         return unvectorize(self.vector(x), self.space.n, self.field)
 
 
-def _coord_chain(
-    coords: _Coords, members: list, admit_empty_word: bool
-) -> LengthReport:
-    """The span chain of members of A, given by coordinates, against A.
+# Step 1 of a chain in A's coordinates: the echelon of L_1, dim L_0, and
+# the indices of the members that grew the span.
+_FirstStep = namedtuple("_FirstStep", "ech dim0 grown")
 
-    A step stops as soon as the span fills A; the step after it, which can
-    only repeat A, is recorded without being run.
-    """
+
+def _first_step(coords: _Coords, members: list, admit_empty_word: bool) -> _FirstStep:
+    """Step 1 of the chain of members of A, given by coordinates, which are
+    inserted as copies; it stops as soon as the span fills A."""
     d = coords.d
     ech = _Echelon(coords.field)
     if admit_empty_word:
         ech.insert(dict(coords.identity))
-    dims = [ech.dim]
+    dim0 = ech.dim
+    grown = [i for i, g in enumerate(members) if ech.dim < d and ech.insert(dict(g))]
+    return _FirstStep(ech, dim0, grown)
+
+
+def _coord_chain(
+    coords: _Coords,
+    members: list,
+    admit_empty_word: bool,
+    first: _FirstStep | None = None,
+) -> LengthReport:
+    """The span chain of members of A, given by coordinates, against A;
+    ``first`` is its step 1 when that has already run.
+
+    Each later step multiplies the members by the vectors that grew the span
+    at the step before.  At step 2 those are the grown members, so in a
+    commutative A each unordered pair of them is multiplied once.  A step
+    stops as soon as the span fills A; the step after it, which can only
+    repeat A, is recorded without being run.
+    """
+    d = coords.d
+    ech, dim0, grown = first or _first_step(coords, members, admit_empty_word)
+    dims = [dim0, ech.dim]
     caches = [{} for _ in members]
-
-    def products(x):
-        return (coords.mul(g, x, c) for g, c in zip(members, caches))
-
-    for _ in _steps(ech, [dict(g) for g in members], products, full=d):
-        dims.append(ech.dim)
-        if dims[-1] == dims[-2]:
-            break
+    mul = coords.mul
+    if coords.commutative:
+        vecs = (
+            mul(members[i], members[j], caches[i])
+            for k, j in enumerate(grown)
+            for i in grown[: k + 1]
+        )
+    else:
+        vecs = (mul(g, members[j], c) for j in grown for g, c in zip(members, caches))
+    while dims[-1] != dims[-2]:
         if dims[-1] == d:
             dims.append(d)
             break
+        frontier = _grow(ech, vecs, full=d)
+        dims.append(ech.dim)
+        vecs = (mul(g, x, c) for x in frontier for g, c in zip(members, caches))
     length = dims.index(d) if d in dims else None
     return LengthReport(tuple(dims), len(dims) - 1, length, d)
 
@@ -349,17 +370,24 @@ def _plan_row(plan: _Plan, k: int, f, scaled: bool = False) -> dict:
     return f.scale(row, f.parse(str(plan.units[i]))) if scaled else row
 
 
-def _spans_modulo(modulus: dict, members: list, field, d: int) -> bool:
-    """True when the members, given by coordinates, span A together with
-    the subspace M whose RREF rows are ``modulus``: their remainders
-    modulo M must have rank d - dim M."""
-    rank = d - len(modulus)
-    ech = _Echelon(field)
-    for x in members:
-        if ech.dim == rank:
+def _screen(modulus: dict, coords: _Coords, members: list) -> _FirstStep | None:
+    """Step 1 of the chain of members of A with the empty word admitted,
+    when they generate A; None when they do not.
+
+    By Nakayama's lemma they generate the local A exactly when L_1, which
+    holds I, spans A together with F*I + J^2, whose RREF rows in A's
+    coordinates are ``modulus``: the rows' remainders modulo L_1 must have
+    rank d - dim L_1.
+    """
+    first = _first_step(coords, members, True)
+    rows, f = first.ech.rows, coords.field
+    gap = coords.d - len(rows)
+    ech = _Echelon(f)
+    for row in modulus.values():
+        if ech.dim == gap:
             break
-        ech.insert(_reduce(dict(x), modulus, field))
-    return ech.dim == rank
+        ech.insert(_reduce(dict(row), rows, f))
+    return first if ech.dim == gap else None
 
 
 def _sample_reports(
@@ -371,9 +399,11 @@ def _sample_reports(
     A candidate generates A exactly when it spans A modulo F*I + J^2, whose
     RREF rows in A's coordinates are ``modulus`` (Nakayama's lemma).  One
     with fewer members than that rank is refused before any row is built;
-    otherwise only its chosen rows are built, unscaled, for the rank test
-    and, once accepted, its chain: scaling members by units changes no
-    span.  Refusals are capped at ``max_rejections`` per sample.
+    otherwise only its chosen rows are built, unscaled: scaling members by
+    units changes no span.  They run step 1 of their chain, which
+    ``_screen`` tests against the modulus; an accepted candidate continues
+    its chain from there.  Refusals are capped at ``max_rejections`` per
+    sample.
     """
     rng = random.Random(seed)
     f, d = coords.field, coords.d
@@ -385,13 +415,14 @@ def _sample_reports(
             if len(plan.chosen) < rank:
                 continue
             members = [_plan_row(plan, k, f) for k in plan.chosen]
-            if _spans_modulo(modulus, members, f, d):
+            first = _screen(modulus, coords, members)
+            if first is not None:
                 break
         else:
             raise SamplingExhausted(
                 f"no generating subset found within {max_rejections} rejections"
             )
-        report = _coord_chain(coords, members, True)
+        report = _coord_chain(coords, members, True, first)
         if report.length is None:
             raise NotGenerating(
                 f"a candidate spanning the target modulo F*I + J^2 "

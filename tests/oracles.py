@@ -8,6 +8,9 @@ package's whole centralizer, and ``DenseRef`` a textbook dense
 Gauss-Jordan over every test field.  ``reference_samples`` is the
 sampler as it was before it planned its draws: it recombines the whole
 basis of every candidate and turns each sample into matrices.
+``_spans_modulo`` is its rank test modulo F*I + J^2, in an echelon of its
+own, and ``full_walk_constraint_rows`` the centralizer constraints from a
+walk over every output position.
 """
 
 import random
@@ -29,7 +32,8 @@ from subalg import (
     matrix_unit,
     span_of,
 )
-from subalg.lengths import _coord_chain, _Coords, _spans_modulo
+from subalg.exact_linalg import _check_compatible, _Echelon, _reduce
+from subalg.lengths import _coord_chain, _Coords
 from subalg.radical import _local_powers, _unit_plus_square
 
 
@@ -280,6 +284,45 @@ def _recombined_basis(rng: random.Random, f, d: int) -> list:
     rows = [f.scale(row, _random_unit(rng, f)) for row in rows]
     rng.shuffle(rows)
     return rows
+
+
+def full_walk_constraint_rows(mats):
+    """The rows of X*G - G*X = 0 for every G in ``mats``, from a walk over
+    all n*n output positions (i, j) of each generator, skipping those whose
+    row i and column j of G are both empty."""
+    mats = list(mats)
+    first = mats[0]
+    n, f = first.n, first.field
+    for m in mats[1:]:
+        _check_compatible(first, m)
+    minus_one = f.neg(f.one())
+    for g in mats:
+        grows = g.sparse_rows
+        gcols = [{} for _ in range(n)]
+        for k, grow in enumerate(grows):
+            for j, v in grow.items():
+                gcols[j][k] = v
+        for i, gi in enumerate(grows):
+            for j, gj in enumerate(gcols):
+                if not (gi or gj):
+                    continue
+                row = {i * n + k: v for k, v in gj.items()}
+                f.axpy(row, minus_one, {k * n + j: v for k, v in gi.items()})
+                if row:
+                    yield row
+
+
+def _spans_modulo(modulus: dict, members: list, field, d: int) -> bool:
+    """True when the members, given by coordinates, span A together with
+    the subspace M whose RREF rows are ``modulus``: their remainders
+    modulo M must have rank d - dim M."""
+    rank = d - len(modulus)
+    ech = _Echelon(field)
+    for x in members:
+        if ech.dim == rank:
+            break
+        ech.insert(_reduce(dict(x), modulus, field))
+    return ech.dim == rank
 
 
 def reference_samples(target, count: int, seed: int) -> list:

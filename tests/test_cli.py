@@ -172,6 +172,24 @@ def test_length_word_budget_is_enforced(capsys, tmp_path, full_8152):
     assert "budget" in err
 
 
+def test_word_budget_above_max_word_budget_is_refused(
+    capsys, monkeypatch, tmp_path, full_8152
+):
+    monkeypatch.setattr(cli, "enumerate_words", lambda *a, **k: pytest.fail("enumerated"))
+    path = tmp_path / "full.json"
+    path.write_text(dumps(system_to_dict(full_8152)), encoding="utf-8")
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(
+        capsys, "length", "--in", str(path), "--check-words",
+        "--word-budget", "1000000000000",
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert (rc, out) == (2, "")
+    assert f"exceeds the supported maximum {cli.MAX_WORD_BUDGET}" in err
+    assert "Traceback" not in err
+    assert cli.MAX_WORD_BUDGET == 1_000_000
+
+
 def test_centralizer_from_family(capsys):
     rc, out, _ = run_cli(
         capsys, "centralizer", "--family", "bkm", "--n", "6", "--m", "1", "--k", "1"
@@ -583,7 +601,8 @@ def test_verify_samples_build_no_matrix_and_no_row_refused_by_count(
 ):
     """A deterministic work count in place of a wall-clock gate: verify's
     samples become no matrix, and a candidate with fewer members than the
-    rank modulo F*I + J^2 gets no row built.  Every candidate of bkml
+    rank modulo F*I + J^2 gets no row built, and each built candidate is
+    screened once, on step 1 of its chain.  Every candidate of bkml
     (8,1,5,2) has enough members; some of bkm (8,2,2) have too few."""
     matrices = []
     real_matrix = lengths._Coords.matrix
@@ -598,18 +617,18 @@ def test_verify_samples_build_no_matrix_and_no_row_refused_by_count(
         lengths, "_plan", lambda *a: plans.append(real_plan(*a)) or plans[-1]
     )
     rows = _count_calls(monkeypatch, lengths._plan_row)
-    moduli = _count_calls(monkeypatch, lengths._spans_modulo)
+    screens = _count_calls(monkeypatch, lengths._screen)
     rc, out, _ = run_cli(
         capsys, "verify", "--family", *family, "--field", "gf:7", "--samples", "25",
     )
     assert rc == 0
     assert json.loads(out)["samples"]["count"] == 25
     assert matrices == []
-    rank = len(plans[0].perm) - len(moduli[0])
+    rank = len(plans[0].perm) - len(screens[0])
     built = [p for p in plans if len(p.chosen) >= rank]
     assert (len(built) < len(plans)) == refusals
     assert len(rows) == sum(len(p.chosen) for p in built)
-    assert len(moduli) == len(built)
+    assert len(screens) == len(built)
 
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])

@@ -1,16 +1,27 @@
+import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from subalg import (
     QQ,
+    BkmParams,
+    ConstructionParams,
     GeneratingSystem,
     Matrix,
+    PrimeField,
+    build_bkm,
+    build_bkml,
     centralizer,
     is_commutative,
     is_maximal_commutative,
     matrix_unit,
 )
+from subalg.commute import _constraint_rows
 
-from oracles import to_sympy
+from oracles import full_walk_constraint_rows, to_sympy
+
+FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
 
 
 def _centralizer_nullity(mats):
@@ -111,3 +122,36 @@ def test_reference_construction_is_maximal(full_8152):
     v = is_maximal_commutative(full_8152)
     assert v.is_maximal
     assert v.algebra_dim == v.centralizer_dim == 9
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_constraint_rows_equal_the_full_walk_on_family_systems(field):
+    """The walk over nonempty rows and columns yields the full walk's rows,
+    in its order, so the early-exit rank and the counterexample are kept."""
+    for system in (
+        build_bkml(ConstructionParams(8, 1, 5, 2), field),
+        build_bkm(BkmParams(8, 2, 2), field),
+        build_bkm(BkmParams(12, 1, 5), field),
+    ):
+        mats = system.matrices
+        assert list(_constraint_rows(mats)) == list(full_walk_constraint_rows(mats))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    drawn=st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=25, max_size=25),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_constraint_rows_equal_the_full_walk_on_random_matrices(field, n, drawn):
+    mats = [
+        Matrix.from_rows(
+            [[field.from_int(v[i * n + j]) for j in range(n)] for i in range(n)],
+            field,
+        )
+        for v in drawn
+    ]
+    assert list(_constraint_rows(mats)) == list(full_walk_constraint_rows(mats))

@@ -6,7 +6,7 @@ over every test field.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 from subalg import (
@@ -57,6 +57,9 @@ def _system(field, n, drawn, admit=True, strict_upper=False):
     admit=st.booleans(),
 )
 def test_coordinate_chain_equals_matrix_chain(field, gens, members, admit):
+    """Step 2 multiplies the members by the g members that grew the span at
+    step 1: each unordered pair of them once in a commutative algebra, at
+    most s(s+1)/2 products for s members, and all s*g products otherwise."""
     algebra = algebra_closure(_system(field, 3, gens))
     coords = _Coords(algebra)
     xs = [
@@ -68,7 +71,26 @@ def test_coordinate_chain_equals_matrix_chain(field, gens, members, admit):
         admit_empty_word=admit,
     )
     want, _ = _chain(system, algebra)
-    assert _coord_chain(coords, xs, admit) == want
+    right = []
+    coords.mul = lambda x, y, cache=None: right.append(y) or _Coords.mul(
+        coords, x, y, cache
+    )
+    got = _coord_chain(coords, xs, admit)
+    assert got == want
+    # later steps multiply by copies, so a member on the right marks step 2
+    step2 = sum(1 for y in right if any(y is x for x in xs))
+    s, d, dims = len(xs), coords.d, got.dims
+    g = dims[1] - dims[0]
+    every = g * (g + 1) // 2 if coords.commutative else s * g
+    event(f"commutative: {coords.commutative}")
+    if dims[1] in (dims[0], d):
+        assert step2 == 0
+    elif dims[2] < d:
+        assert step2 == every
+    else:
+        assert step2 <= every
+    if coords.commutative:
+        assert step2 <= s * (s + 1) // 2
 
 
 @pytest.mark.parametrize("field", FIELDS)

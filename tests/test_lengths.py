@@ -1,3 +1,4 @@
+import copy
 import functools
 import random
 import sys
@@ -30,6 +31,8 @@ from subalg import (
     matrix_unit,
     sample_generating_systems,
     span_of,
+    vectorize,
+    witness_system,
 )
 from subalg import exact_linalg
 from subalg.lengths import (
@@ -38,11 +41,16 @@ from subalg.lengths import (
     _plan,
     _plan_row,
     _sample_reports,
-    _spans_modulo,
+    _screen,
 )
 from subalg.radical import _local_powers, _unit_plus_square
 
-from oracles import _recombined_basis, reference_samples, sympy_word_span_dims
+from oracles import (
+    _recombined_basis,
+    _spans_modulo,
+    reference_samples,
+    sympy_word_span_dims,
+)
 
 
 def test_witness_chain_dims_match_word_oracle(witness_8152):
@@ -238,6 +246,7 @@ def test_rank_test_modulo_unit_plus_square_decides_generation(
     verdict = _spans_modulo(modulus, members, field, d)
     event(f"generates: {verdict}")
     assert verdict == (_coord_chain(coords, members, True).length is not None)
+    assert verdict == (_screen(modulus, coords, members) is not None)
     system = GeneratingSystem(
         tuple((f"g{i + 1}", coords.matrix(x)) for i, x in enumerate(members))
     )
@@ -252,6 +261,49 @@ def test_sampler_checks_each_accepted_chain(full_8152):
     whole = {i: {i: QQ.one()} for i in range(coords.d)}
     with pytest.raises(NotGenerating):
         _sample_reports(coords, whole, 1, seed=8)
+
+
+def test_accepted_sample_continues_its_screened_chain():
+    """The screen's step 1 is the chain's: an accepted candidate's chain
+    from it equals its chain from scratch, and a refused one's fails.
+    With seed 1, the first 4 rows of the mix are refused, and the first 5
+    and all 9 accepted."""
+    _, coords, modulus = _local_target(ConstructionParams(8, 1, 5, 2), QQ)
+    gens = _recombined_basis(random.Random(1), QQ, coords.d)
+    verdicts = []
+    for members in (gens[:4], gens[:5], gens):
+        first = _screen(modulus, coords, members)
+        report = _coord_chain(coords, members, True)
+        verdicts.append(first is not None)
+        if first is None:
+            assert report.length is None
+        else:
+            assert report.length is not None
+            assert _coord_chain(coords, members, True, first) == report
+    assert verdicts == [False, True, True]
+
+
+def test_witness_chain_forms_each_commuting_pair_once():
+    """A deterministic work count in place of a wall-clock gate.  The
+    witness of bkml (8,1,5,2) over Q has s = 4 members and dims
+    (1, 5, 7, 9, 9) on its commutative closure's table: step 2 multiplies
+    each unordered pair of members once, s(s+1)/2 = 10 products where each
+    ordered pair took 16, and step 3 fills A at its 6th product."""
+    params = ConstructionParams(8, 1, 5, 2)
+    target, coords, _ = _local_target(params, QQ)
+    members = [
+        coords.coordinates(vectorize(m)) for m in witness_system(params, QQ).matrices
+    ]
+    right = []
+    coords = copy.copy(coords)
+    coords.mul = lambda x, y, cache=None: right.append(y) or _Coords.mul(
+        coords, x, y, cache
+    )
+    report = _coord_chain(coords, members, True)
+    assert report.dims == (1, 5, 7, 9, 9)
+    assert coords.commutative
+    assert sum(1 for y in right if any(y is x for x in members)) == 10
+    assert len(right) == 10 + 6
 
 
 @pytest.mark.parametrize("field", CRITERION_FIELDS, ids=lambda f: f.name)
