@@ -263,26 +263,6 @@ def test_sampler_checks_each_accepted_chain(full_8152):
         _sample_reports(coords, whole, 1, seed=8)
 
 
-def test_accepted_sample_continues_its_screened_chain():
-    """The screen's step 1 is the chain's: an accepted candidate's chain
-    from it equals its chain from scratch, and a refused one's fails.
-    With seed 1, the first 4 rows of the mix are refused, and the first 5
-    and all 9 accepted."""
-    _, coords, modulus = _local_target(ConstructionParams(8, 1, 5, 2), QQ)
-    gens = _recombined_basis(random.Random(1), QQ, coords.d)
-    verdicts = []
-    for members in (gens[:4], gens[:5], gens):
-        first = _screen(modulus, coords, members)
-        report = _coord_chain(coords, members, True)
-        verdicts.append(first is not None)
-        if first is None:
-            assert report.length is None
-        else:
-            assert report.length is not None
-            assert _coord_chain(coords, members, True, first) == report
-    assert verdicts == [False, True, True]
-
-
 def test_witness_chain_forms_each_commuting_pair_once():
     """A deterministic work count in place of a wall-clock gate.  The
     witness of bkml (8,1,5,2) over Q has s = 4 members and dims
@@ -290,7 +270,7 @@ def test_witness_chain_forms_each_commuting_pair_once():
     each unordered pair of members once, s(s+1)/2 = 10 products where each
     ordered pair took 16, and step 3 fills A at its 6th product."""
     params = ConstructionParams(8, 1, 5, 2)
-    target, coords, _ = _local_target(params, QQ)
+    _, coords, _ = _local_target(params, QQ)
     members = [
         coords.coordinates(vectorize(m)) for m in witness_system(params, QQ).matrices
     ]
