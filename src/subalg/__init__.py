@@ -72,11 +72,10 @@ from .lengths import (
 )
 from .radical import (
     RadicalReport,
-    bound_check,
     nilpotency_index,
     radical_power_dims,
     radical_span,
 )
-from .verify import VerificationReport, verify_system
+from .verify import VerificationReport, bound_check, verify_system
 
 __version__ = "0.1.0"

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from .constructions import GeneratingSystem
 from .errors import DimensionMismatch
 from .exact_linalg import Subspace, _check_compatible, _Echelon, kernel, mat_mul
-from .lengths import _Coords, algebra_closure
+from .lengths import algebra_closure
+from .radical import Algebra
 
 
 def is_commutative(mats) -> tuple:
@@ -86,12 +87,12 @@ def is_maximal_commutative(system: GeneratingSystem) -> MaximalityVerdict:
     fails, otherwise the first centralizer basis element (in RREF order)
     that falls outside the generated algebra.
     """
-    return _maximality(system.matrices, _Coords(algebra_closure(system)))
+    return _maximality(system.matrices, Algebra(algebra_closure(system)))
 
 
-def _maximality(mats, coords: _Coords) -> MaximalityVerdict:
+def _maximality(mats, alg: Algebra) -> MaximalityVerdict:
     """The maximality step: the generators ``mats`` against the algebra A
-    of dimension d that they generate, given by its table ``coords``.
+    of dimension d that they generate, with its table (``alg``).
 
     A is commutative exactly when its table is symmetric; only when it is
     not are member pairs multiplied, to name the first pair that does not
@@ -100,9 +101,9 @@ def _maximality(mats, coords: _Coords) -> MaximalityVerdict:
     skipped.  Only when the full rank falls short is the kernel basis of
     the constraints built, for its first element outside A.
     """
-    closure, d = coords.space, coords.d
+    closure, d = alg.space, alg.d
     ncoords = closure.n * closure.n
-    commutes, pair = (True, None) if coords.commutative else is_commutative(mats)
+    commutes, pair = (True, None) if alg.commutative else is_commutative(mats)
     ech = _Echelon(closure.field)
     for row in _constraint_rows(mats):
         if commutes and ech.dim == ncoords - d:

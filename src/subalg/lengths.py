@@ -10,11 +10,9 @@ those vectors are members, and in a commutative algebra g_i * g_j =
 g_j * g_i, so a chain in its coordinates forms each pair once.
 
 Chains of systems known to lie inside an algebra A of dimension d run in
-A's own coordinates (``_Coords``).  A vector of A is fixed by its entries
-at the d pivots of A's RREF basis, so those d entries are its coordinates,
-and the d*d structure constants (the coordinates of each product of two
-basis rows) turn every product inside A into a bilinear form on
-coordinates.  Chain dimensions do not depend on the coordinates, so a
+A's own coordinates, on its structure-constant table (``radical.Algebra``),
+which turns every product inside A into a bilinear form on d-vectors.
+Chain dimensions do not depend on the coordinates, so a
 chain run there reports what the n*n-coordinate chain would, without
 forming a matrix.
 
@@ -36,7 +34,6 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 from .constructions import GeneratingSystem
 from .errors import (
@@ -55,9 +52,9 @@ from .exact_linalg import (
     _reduce,
     _vec_mul,
     mat_mul,
-    unvectorize,
     vectorize,
 )
+from .radical import Algebra
 
 
 @dataclass(frozen=True)
@@ -135,103 +132,25 @@ def algebra_closure(system: GeneratingSystem) -> Subspace:
     return spans[-1]
 
 
-class _Coords:
-    """An algebra A in its own RREF coordinates, with its structure constants.
-
-    The coordinates of a vector of A are its entries at A's pivots, in
-    ascending pivot order: each RREF row is 1 at its own pivot and 0 at the
-    others.  ``table[(p, q)]`` holds the coordinates of row_p * row_q, and
-    ``identity`` those of the identity matrix (None when A lacks it).
-    Building the table is the check that A is multiplicatively closed.
-    """
-
-    def __init__(self, space: Subspace, what: str = "target"):
-        self.space = space
-        self.field = space.field
-        self.d = space.dim
-        self.index = {p: i for i, p in enumerate(space.pivot_rows)}
-        n = space.n
-        rows = [_by_row(row, n) for row in space.pivot_rows.values()]
-        self.table = {}
-        for p, x in enumerate(rows):
-            for q, y in enumerate(rows):
-                prod = self.coordinates(_vec_mul(x, y, n, self.field))
-                if prod is None:
-                    raise NotASubalgebra(
-                        f"{what} is not multiplicatively closed: "
-                        "some basis product leaves it"
-                    )
-                self.table[p, q] = prod
-        self.identity = self.coordinates(
-            vectorize(Matrix.identity(space.n, self.field))
-        )
-
-    @cached_property
-    def commutative(self) -> bool:
-        """True when A is commutative, that is when its table is symmetric."""
-        table = self.table
-        return all(
-            table[p, q] == table[q, p] for p in range(self.d) for q in range(p)
-        )
-
-    def coordinates(self, vec: dict) -> dict | None:
-        """Coordinates of a vectorized matrix, which is consumed; None when
-        it lies outside A."""
-        index = self.index
-        coords = {index[c]: v for c, v in vec.items() if c in index}
-        if _reduce(vec, self.space.pivot_rows, self.field):
-            return None
-        return coords
-
-    def mul(self, x: dict, y: dict, cache: dict | None = None) -> dict:
-        """Coordinates of x * y.  ``cache`` keeps x times each basis row,
-        for a caller that multiplies x by many vectors."""
-        f, table = self.field, self.table
-        cache = {} if cache is None else cache
-        out: dict = {}
-        for q, yv in y.items():
-            col = cache.get(q)
-            if col is None:
-                col = {}
-                for p, xv in x.items():
-                    f.axpy(col, xv, table[p, q])
-                cache[q] = col
-            f.axpy(out, yv, col)
-        return out
-
-    def vector(self, x: dict) -> dict:
-        """The vectorized matrix with coordinates x."""
-        f = self.field
-        rows = list(self.space.pivot_rows.values())
-        vec: dict = {}
-        for p, v in x.items():
-            f.axpy(vec, v, rows[p])
-        return vec
-
-    def matrix(self, x: dict) -> Matrix:
-        """The matrix with coordinates x."""
-        return unvectorize(self.vector(x), self.space.n, self.field)
-
-
 # Step 1 of a chain in A's coordinates: the echelon of L_1, dim L_0, and
 # the indices of the members that grew the span.
 _FirstStep = namedtuple("_FirstStep", "ech dim0 grown")
 
 
-def _first_step(coords: _Coords, members: list, admit_empty_word: bool) -> _FirstStep:
+def _first_step(alg: Algebra, members: list, admit_empty_word: bool) -> _FirstStep:
     """Step 1 of the chain of members of A, given by coordinates, which are
     inserted as copies; it stops as soon as the span fills A."""
-    d = coords.d
-    ech = _Echelon(coords.field)
+    d = alg.d
+    ech = _Echelon(alg.field)
     if admit_empty_word:
-        ech.insert(dict(coords.identity))
+        ech.insert(dict(alg.identity))
     dim0 = ech.dim
     grown = [i for i, g in enumerate(members) if ech.dim < d and ech.insert(dict(g))]
     return _FirstStep(ech, dim0, grown)
 
 
 def _coord_chain(
-    coords: _Coords,
+    alg: Algebra,
     members: list,
     admit_empty_word: bool,
     first: _FirstStep | None = None,
@@ -245,12 +164,12 @@ def _coord_chain(
     stops as soon as the span fills A; the step after it, which can only
     repeat A, is recorded without being run.
     """
-    d = coords.d
-    ech, dim0, grown = first or _first_step(coords, members, admit_empty_word)
+    d = alg.d
+    ech, dim0, grown = first or _first_step(alg, members, admit_empty_word)
     dims = [dim0, ech.dim]
     caches = [{} for _ in members]
-    mul = coords.mul
-    if coords.commutative:
+    mul = alg.mul
+    if alg.commutative:
         vecs = (
             mul(members[i], members[j], caches[i])
             for k, j in enumerate(grown)
@@ -269,28 +188,28 @@ def _coord_chain(
     return LengthReport(tuple(dims), len(dims) - 1, length, d)
 
 
-def _target_chain(system: GeneratingSystem, coords: _Coords) -> LengthReport:
-    """``li_chain(system, target=A)`` for the algebra A of ``coords``.
+def _target_chain(system: GeneratingSystem, alg: Algebra) -> LengthReport:
+    """``li_chain(system, target=A)`` for the algebra A of ``alg``.
 
     It runs on A's table when every member lies in A, and the identity too
     when the empty word is admitted; otherwise in n*n coordinates.
     """
-    _check_compatible(system, coords.space)
-    members = [coords.coordinates(vectorize(m)) for m in system.matrices]
+    _check_compatible(system, alg.space)
+    members = [alg.coordinates(vectorize(m)) for m in system.matrices]
     if system.admit_empty_word:
-        on_table = coords.identity is not None
+        on_table = alg.identity is not None
     else:
         # with neither members nor the empty word, li_chain raises EmptySystem
         on_table = bool(members)
     if not on_table or None in members:
-        return li_chain(system, target=coords.space)
-    return _coord_chain(coords, members, system.admit_empty_word)
+        return li_chain(system, target=alg.space)
+    return _coord_chain(alg, members, system.admit_empty_word)
 
 
 def length_of_system(system: GeneratingSystem, target: Subspace) -> int:
     """Smallest i with L_i equal to the target; the target must be an
     algebra (building its table raises NotASubalgebra otherwise)."""
-    report = _target_chain(system, _Coords(target))
+    report = _target_chain(system, Algebra(target))
     if report.length is None:
         raise NotGenerating(
             f"chain stabilized at dimension {report.dims[-1]} without reaching "
@@ -370,20 +289,19 @@ def _plan_row(plan: _Plan, k: int, f, scaled: bool = False) -> dict:
     return f.scale(row, f.parse(str(plan.units[i]))) if scaled else row
 
 
-def _screen(modulus: dict, coords: _Coords, members: list) -> _FirstStep | None:
+def _screen(alg: Algebra, members: list) -> _FirstStep | None:
     """Step 1 of the chain of members of A with the empty word admitted,
     when they generate A; None when they do not.
 
     By Nakayama's lemma they generate the local A exactly when L_1, which
-    holds I, spans A together with F*I + J^2, whose RREF rows in A's
-    coordinates are ``modulus``: the rows' remainders modulo L_1 must have
-    rank d - dim L_1.
+    holds I, spans A together with F*I + J^2 (``alg.modulus``): the rows
+    of F*I + J^2, reduced modulo L_1, must have rank d - dim L_1.
     """
-    first = _first_step(coords, members, True)
-    rows, f = first.ech.rows, coords.field
-    gap = coords.d - len(rows)
+    first = _first_step(alg, members, True)
+    rows, f = first.ech.rows, alg.field
+    gap = alg.d - len(rows)
     ech = _Echelon(f)
-    for row in modulus.values():
+    for row in alg.modulus.values():
         if ech.dim == gap:
             break
         ech.insert(_reduce(dict(row), rows, f))
@@ -391,23 +309,22 @@ def _screen(modulus: dict, coords: _Coords, members: list) -> _FirstStep | None:
 
 
 def _sample_reports(
-    coords: _Coords, modulus: dict, count: int, seed: int, max_rejections: int = 1000
+    alg: Algebra, count: int, seed: int, max_rejections: int = 1000
 ) -> list:
     """(plan, LengthReport) of ``count`` seeded random generating systems
-    of the local algebra A of ``coords``, with no matrix formed.
+    of the local algebra A, with no matrix formed.
 
-    A candidate generates A exactly when it spans A modulo F*I + J^2, whose
-    RREF rows in A's coordinates are ``modulus`` (Nakayama's lemma).  One
-    with fewer members than that rank is refused before any row is built;
-    otherwise only its chosen rows are built, unscaled: scaling members by
-    units changes no span.  They run step 1 of their chain, which
-    ``_screen`` tests against the modulus; an accepted candidate continues
+    A candidate generates A exactly when it spans A modulo F*I + J^2
+    (``alg.modulus``; Nakayama's lemma).  One with fewer members than that
+    rank is refused before any row is built; otherwise only its chosen rows
+    are built, unscaled: scaling members by units changes no span.  They run step 1 of their chain, which
+    ``_screen`` tests against F*I + J^2; an accepted candidate continues
     its chain from there.  Refusals are capped at ``max_rejections`` per
     sample.
     """
     rng = random.Random(seed)
-    f, d = coords.field, coords.d
-    rank = d - len(modulus)
+    f, d = alg.field, alg.d
+    rank = d - len(alg.modulus)
     out = []
     for _ in range(count):
         for _ in range(max(max_rejections, 1)):
@@ -415,14 +332,14 @@ def _sample_reports(
             if len(plan.chosen) < rank:
                 continue
             members = [_plan_row(plan, k, f) for k in plan.chosen]
-            first = _screen(modulus, coords, members)
+            first = _screen(alg, members)
             if first is not None:
                 break
         else:
             raise SamplingExhausted(
                 f"no generating subset found within {max_rejections} rejections"
             )
-        report = _coord_chain(coords, members, True, first)
+        report = _coord_chain(alg, members, True, first)
         if report.length is None:
             raise NotGenerating(
                 f"a candidate spanning the target modulo F*I + J^2 "
@@ -446,16 +363,12 @@ def sample_generating_systems(
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    coords = _Coords(target)
-    if coords.identity is None:
+    alg = Algebra(target)
+    if alg.identity is None:
         raise NotASubalgebra("target must contain the identity")
-    # radical imports this module, so it is imported here, when needed
-    from .radical import _local_powers, _unit_plus_square
-
-    modulus = _unit_plus_square(coords, _local_powers(coords))
     f, out = target.field, []
-    for plan, report in _sample_reports(coords, modulus, count, seed, max_rejections):
+    for plan, report in _sample_reports(alg, count, seed, max_rejections):
         rows = [_plan_row(plan, k, f, scaled=True) for k in plan.chosen]
-        labelled = tuple((f"g{i + 1}", coords.matrix(x)) for i, x in enumerate(rows))
+        labelled = tuple((f"g{i + 1}", alg.matrix(x)) for i, x in enumerate(rows))
         out.append((GeneratingSystem(labelled, admit_empty_word=True), report))
     return out

@@ -1,8 +1,14 @@
-"""The radical of a local algebra, its powers, and the length bound.
+"""An algebra in its own coordinates: its table, radical and powers.
 
-The radical J of an algebra A of matrices is found as the kernel of one
-linear map on A, written in A's own coordinates (``lengths._Coords``), so
-it does not depend on the basis A is given in:
+An algebra A of matrices of dimension d is held as ``Algebra``: its RREF
+basis, the coordinates of a vector of A (its entries at the d pivots),
+and the d*d structure constants that turn every product inside A into a
+bilinear form on coordinates.  The radical J of A, the powers J, J^2, ...
+and the subspace F*I + J^2 are read off that table once each, when first
+asked for.
+
+J is found as the kernel of one linear map on A, written in A's own
+coordinates, so it does not depend on the basis A is given in:
 
 - over Q, J = {x : tr(xy) = 0 for all y in A} (Dickson's trace-form
   criterion);
@@ -18,22 +24,147 @@ only then does the nilpotency index N of J bound lengths by N - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
-from .constructions import GeneratingSystem
 from .errors import NotASubalgebra, NotLocalForm, NotNilpotent
-from .exact_linalg import PrimeField, Subspace, _Echelon, _nullspace, _reduce
-from .lengths import _chain, _Coords
+from .exact_linalg import (
+    Matrix,
+    PrimeField,
+    Subspace,
+    _by_row,
+    _check_compatible,
+    _Echelon,
+    _nullspace,
+    _reduce,
+    _vec_mul,
+    unvectorize,
+    vectorize,
+)
 
 
-def _trace_form(coords: _Coords) -> list:
+class Algebra:
+    """An algebra A in its own RREF coordinates, with its structure constants.
+
+    The coordinates of a vector of A are its entries at A's pivots, in
+    ascending pivot order: each RREF row is 1 at its own pivot and 0 at the
+    others.  ``table[(p, q)]`` holds the coordinates of row_p * row_q, and
+    ``identity`` those of the identity matrix (None when A lacks it).
+    Building the table is the check that A is multiplicatively closed.
+    """
+
+    def __init__(self, space: Subspace, what: str = "target"):
+        self.space = space
+        self.field = space.field
+        self.d = space.dim
+        self.index = {p: i for i, p in enumerate(space.pivot_rows)}
+        n = space.n
+        rows = [_by_row(row, n) for row in space.pivot_rows.values()]
+        self.table = {}
+        for p, x in enumerate(rows):
+            for q, y in enumerate(rows):
+                prod = self.coordinates(_vec_mul(x, y, n, self.field))
+                if prod is None:
+                    raise NotASubalgebra(
+                        f"{what} is not multiplicatively closed: "
+                        "some basis product leaves it"
+                    )
+                self.table[p, q] = prod
+        self.identity = self.coordinates(
+            vectorize(Matrix.identity(space.n, self.field))
+        )
+
+    @cached_property
+    def commutative(self) -> bool:
+        """True when A is commutative, that is when its table is symmetric."""
+        table = self.table
+        return all(
+            table[p, q] == table[q, p] for p in range(self.d) for q in range(p)
+        )
+
+    @cached_property
+    def radical(self) -> dict:
+        """RREF rows of the radical J of A, in A's coordinates.
+
+        Raises NotLocalForm when A lacks the identity, when dim A - dim J is
+        not 1, or over GF(p) when A is not commutative.
+        """
+        if self.identity is None:
+            raise NotLocalForm("the identity is not in the algebra")
+        f = self.field
+        constraints = _frobenius(self) if isinstance(f, PrimeField) else _trace_form(self)
+        j_coords = _nullspace(constraints, self.d, f)
+        if self.d - j_coords.dim != 1:
+            raise NotLocalForm(
+                f"the algebra modulo its radical has dimension "
+                f"{self.d - j_coords.dim}, not 1"
+            )
+        return j_coords.rows
+
+    @cached_property
+    def powers(self) -> list:
+        """RREF rows of J, J^2, ..., 0 for the local algebra A, in A's
+        coordinates; raises NotLocalForm when A is not scalars plus J."""
+        return _power_rows(self.radical, self)
+
+    @cached_property
+    def modulus(self) -> dict:
+        """RREF rows of F*I + J^2 in A's coordinates.
+
+        By Nakayama's lemma a system S, with the identity admitted, generates
+        the local algebra A = F*I + J exactly when span(S) + F*I + J^2 = A.
+        """
+        powers = self.powers
+        ech = _Echelon(self.field, powers[1] if len(powers) > 1 else None)
+        ech.insert(dict(self.identity))
+        return ech.rows
+
+    def coordinates(self, vec: dict) -> dict | None:
+        """Coordinates of a vectorized matrix, which is consumed; None when
+        it lies outside A."""
+        index = self.index
+        coords = {index[c]: v for c, v in vec.items() if c in index}
+        if _reduce(vec, self.space.pivot_rows, self.field):
+            return None
+        return coords
+
+    def mul(self, x: dict, y: dict, cache: dict | None = None) -> dict:
+        """Coordinates of x * y.  ``cache`` keeps x times each basis row,
+        for a caller that multiplies x by many vectors."""
+        f, table = self.field, self.table
+        cache = {} if cache is None else cache
+        out: dict = {}
+        for q, yv in y.items():
+            col = cache.get(q)
+            if col is None:
+                col = {}
+                for p, xv in x.items():
+                    f.axpy(col, xv, table[p, q])
+                cache[q] = col
+            f.axpy(out, yv, col)
+        return out
+
+    def vector(self, x: dict) -> dict:
+        """The vectorized matrix with coordinates x."""
+        f = self.field
+        rows = list(self.space.pivot_rows.values())
+        vec: dict = {}
+        for p, v in x.items():
+            f.axpy(vec, v, rows[p])
+        return vec
+
+    def matrix(self, x: dict) -> Matrix:
+        """The matrix with coordinates x."""
+        return unvectorize(self.vector(x), self.space.n, self.field)
+
+
+def _trace_form(alg: Algebra) -> list:
     """Rows of the Gram matrix tr(row_p * row_q) on A, over Q; it is
     symmetric, so its rows are the constraints of its kernel."""
-    f, n = coords.field, coords.space.n
+    f, n = alg.field, alg.space.n
     zero = f.zero()
     traces = [
         reduce(f.add, (row.get(i * (n + 1), zero) for i in range(n)), zero)
-        for row in coords.space.pivot_rows.values()
+        for row in alg.space.pivot_rows.values()
     ]
 
     def trace(x: dict):
@@ -41,73 +172,50 @@ def _trace_form(coords: _Coords) -> list:
         return reduce(f.add, (f.mul(v, traces[r]) for r, v in x.items()), zero)
 
     gram = []
-    for p in range(coords.d):
-        entries = ((q, trace(coords.table[p, q])) for q in range(coords.d))
+    for p in range(alg.d):
+        entries = ((q, trace(alg.table[p, q])) for q in range(alg.d))
         gram.append({q: t for q, t in entries if t})
     return gram
 
 
-def _frobenius(coords: _Coords) -> list:
+def _frobenius(alg: Algebra) -> list:
     """Constraint rows of ker(x -> x^(p^e)), p^e >= n, on commutative A."""
-    f, d = coords.field, coords.d
-    if not coords.commutative:
+    f, d = alg.field, alg.d
+    if not alg.commutative:
         raise NotLocalForm(
             f"the radical over {f.name} is found only for commutative algebras"
         )
     exponent = f.p
-    while exponent < coords.space.n:
+    while exponent < alg.space.n:
         exponent *= f.p
     rows: list = [{} for _ in range(d)]
     for p in range(d):
-        power, base, e = coords.identity, {p: f.one()}, exponent
+        power, base, e = alg.identity, {p: f.one()}, exponent
         while e:
             if e & 1:
-                power = coords.mul(power, base)
+                power = alg.mul(power, base)
             e >>= 1
             if e:
-                base = coords.mul(base, base)
+                base = alg.mul(base, base)
         for r, v in power.items():
             rows[r][p] = v
     return rows
 
 
-def _radical_rows(coords: _Coords) -> dict:
-    """RREF rows of the radical J of A, in A's coordinates.
+def radical_span(algebra: Subspace) -> Subspace:
+    """The radical J of A, which must be scalars plus J.
 
     Raises NotLocalForm when A lacks the identity, when dim A - dim J is
     not 1, or over GF(p) when A is not commutative.
     """
-    if coords.identity is None:
-        raise NotLocalForm("the identity is not in the algebra")
-    f = coords.field
-    constraints = (
-        _frobenius(coords) if isinstance(f, PrimeField) else _trace_form(coords)
-    )
-    j_coords = _nullspace(constraints, coords.d, f)
-    if coords.d - j_coords.dim != 1:
-        raise NotLocalForm(
-            f"the algebra modulo its radical has dimension "
-            f"{coords.d - j_coords.dim}, not 1"
-        )
-    return j_coords.rows
-
-
-def radical_span(algebra: Subspace, coords: _Coords | None = None) -> Subspace:
-    """The radical J of A, which must be scalars plus J.
-
-    ``coords`` is A's table when the caller has built it.  Raises
-    NotLocalForm when A lacks the identity, when dim A - dim J is not 1, or
-    over GF(p) when A is not commutative.
-    """
-    if coords is None:
-        coords = _Coords(algebra, "input span")
-    ech = _Echelon(coords.field)
-    for x in _radical_rows(coords).values():
-        ech.insert(coords.vector(x))
+    alg = Algebra(algebra, "input span")
+    ech = _Echelon(alg.field)
+    for x in alg.radical.values():
+        ech.insert(alg.vector(x))
     return ech.to_subspace(algebra.n)
 
 
-def _power_rows(j_rows: dict, coords: _Coords) -> list:
+def _power_rows(j_rows: dict, alg: Algebra) -> list:
     """RREF rows of J, J^2, ... down to the first zero power, in coordinates.
 
     J is given by its RREF rows in the coordinates of an algebra that
@@ -116,7 +224,7 @@ def _power_rows(j_rows: dict, coords: _Coords) -> list:
     J is not closed under products, and NotNilpotent when the dimensions
     stop strictly decreasing before reaching zero.
     """
-    f = coords.field
+    f = alg.field
     j_basis = list(j_rows.values())
     powers = [j_rows]
     current = j_basis
@@ -124,7 +232,7 @@ def _power_rows(j_rows: dict, coords: _Coords) -> list:
         nxt = _Echelon(f)
         for x in current:
             for y in j_basis:
-                prod = coords.mul(x, y)
+                prod = alg.mul(x, y)
                 if current is j_basis and _reduce(dict(prod), j_rows, f):
                     raise NotASubalgebra(
                         "radical candidate is not multiplicatively closed: "
@@ -139,40 +247,25 @@ def _power_rows(j_rows: dict, coords: _Coords) -> list:
     return powers
 
 
-def radical_power_dims(radical: Subspace, coords: _Coords | None = None) -> tuple:
+def radical_power_dims(radical: Subspace, alg: Algebra | None = None) -> tuple:
     """Dimensions of J, J^2, ... down to the first zero power.
 
-    ``coords`` is the table of an algebra that contains J, when the caller
-    has built it; otherwise J's own.  Raises NotASubalgebra when J lies
-    outside that algebra or is not closed under products, and NotNilpotent
-    when the dimensions stop strictly decreasing before reaching zero.
+    ``alg`` is an algebra that contains J, of J's size and field, when the
+    caller has built it; otherwise J's own.  Raises NotASubalgebra when J
+    lies outside that algebra or is not closed under products, and
+    NotNilpotent when the dimensions stop strictly decreasing before
+    reaching zero.
     """
-    if coords is None:
-        coords = _Coords(radical, "radical candidate")
-    j_ech = _Echelon(coords.field)
+    if alg is None:
+        alg = Algebra(radical, "radical candidate")
+    _check_compatible(radical, alg.space)
+    j_ech = _Echelon(alg.field)
     for row in radical.pivot_rows.values():
-        x = coords.coordinates(dict(row))
+        x = alg.coordinates(dict(row))
         if x is None:
             raise NotASubalgebra("the radical candidate lies outside the algebra")
         j_ech.insert(x)
-    return tuple(len(rows) for rows in _power_rows(j_ech.rows, coords))
-
-
-def _local_powers(coords: _Coords) -> list:
-    """RREF rows of J, J^2, ..., 0 for the local algebra A, in A's
-    coordinates; raises NotLocalForm when A is not scalars plus J."""
-    return _power_rows(_radical_rows(coords), coords)
-
-
-def _unit_plus_square(coords: _Coords, powers: list) -> dict:
-    """RREF rows of F*I + J^2 in A's coordinates, from A's ``powers``.
-
-    By Nakayama's lemma a system S, with the identity admitted, generates
-    the local algebra A = F*I + J exactly when span(S) + F*I + J^2 = A.
-    """
-    ech = _Echelon(coords.field, powers[1] if len(powers) > 1 else None)
-    ech.insert(dict(coords.identity))
-    return ech.rows
+    return tuple(len(rows) for rows in _power_rows(j_ech.rows, alg))
 
 
 def nilpotency_index(radical: Subspace) -> int:
@@ -189,13 +282,6 @@ class RadicalReport:
     power_dims: tuple
     bound_holds: bool
     length: int | None
-
-
-def bound_check(system: GeneratingSystem) -> RadicalReport:
-    """Check length(S) <= N - 1 where N is the radical's nilpotency index."""
-    report, spans = _chain(system)
-    coords = _Coords(spans[-1], "input span")
-    return _bound(_local_powers(coords), report.length)
 
 
 def _bound(powers: list, length: int | None) -> RadicalReport:
@@ -216,5 +302,4 @@ __all__ = [
     "radical_power_dims",
     "nilpotency_index",
     "RadicalReport",
-    "bound_check",
 ]

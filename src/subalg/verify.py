@@ -5,7 +5,8 @@ Only the closure's span chain runs in the n*n matrix coordinates.  Every
 later step reads the closure's structure-constant table: commutativity is
 its symmetry, maximality one early-exit rank of the centralizer
 constraints, and the radical, the samples and the chain of a witness
-inside the closure run in the closure's own coordinates.
+inside the closure run in the closure's own coordinates, on one
+``radical.Algebra``.
 """
 
 from __future__ import annotations
@@ -16,14 +17,8 @@ from .commute import MaximalityVerdict, _maximality
 from .constructions import GeneratingSystem
 from .errors import NotLocalForm
 from .exact_linalg import Subspace
-from .lengths import (
-    LengthReport,
-    _chain,
-    _Coords,
-    _sample_reports,
-    _target_chain,
-)
-from .radical import RadicalReport, _bound, _local_powers, _unit_plus_square
+from .lengths import LengthReport, _chain, _sample_reports, _target_chain
+from .radical import Algebra, RadicalReport, _bound
 
 
 @dataclass(frozen=True)
@@ -83,18 +78,23 @@ def verify_system(
     """
     own, spans = _chain(system)
     closure = spans[-1]
-    coords = _Coords(closure)
-    maximality = _maximality(system.matrices, coords)
-    measured = own if witness is None else _target_chain(witness, coords)
+    alg = Algebra(closure)
+    maximality = _maximality(system.matrices, alg)
+    measured = own if witness is None else _target_chain(witness, alg)
     try:
-        powers = _local_powers(coords)
+        radical = _bound(alg.powers, measured.length)
     except NotLocalForm:
-        powers = None
-    radical = None if powers is None else _bound(powers, measured.length)
+        radical = None
     sample_lengths = None
-    if samples > 0 and maximality.is_maximal and powers is not None:
-        pairs = _sample_reports(coords, _unit_plus_square(coords, powers), samples, seed)
+    if samples > 0 and maximality.is_maximal and radical is not None:
+        pairs = _sample_reports(alg, samples, seed)
         sample_lengths = tuple(report.length for _, report in pairs)
     return VerificationReport(
         closure, own, maximality, measured, certified, radical, sample_lengths
     )
+
+
+def bound_check(system: GeneratingSystem) -> RadicalReport:
+    """Check length(S) <= N - 1 where N is the radical's nilpotency index."""
+    report, spans = _chain(system)
+    return _bound(Algebra(spans[-1], "input span").powers, report.length)

@@ -33,8 +33,8 @@ from subalg import (
     span_of,
 )
 from subalg.exact_linalg import _check_compatible, _Echelon, _reduce
-from subalg.lengths import _coord_chain, _Coords
-from subalg.radical import _local_powers, _unit_plus_square
+from subalg.lengths import _coord_chain
+from subalg.radical import Algebra
 
 
 def to_sympy(m: Matrix) -> sympy.Matrix:
@@ -327,8 +327,8 @@ def _spans_modulo(modulus: dict, members: list, field, d: int) -> bool:
 
 def reference_samples(target, count: int, seed: int) -> list:
     """(system, LengthReport) pairs drawn from ``_recombined_basis``."""
-    coords = _Coords(target)
-    modulus = _unit_plus_square(coords, _local_powers(coords))
+    coords = Algebra(target)
+    modulus = coords.modulus
     rng = random.Random(seed)
     f, d = target.field, target.dim
     out = []

@@ -29,7 +29,8 @@ from subalg import (
     witness_system,
 )
 from subalg.commute import _maximality
-from subalg.lengths import _Coords, _target_chain
+from subalg.lengths import _target_chain
+from subalg.radical import Algebra
 
 from oracles import reference_maximality
 
@@ -40,7 +41,7 @@ PARAMS_8152 = ConstructionParams(n=8, m=1, l=5, k=2)
 def _verdicts(system):
     """(table-first verdict, reference verdict, verify_system's verdict)."""
     closure = algebra_closure(system)
-    got = _maximality(system.matrices, _Coords(closure))
+    got = _maximality(system.matrices, Algebra(closure))
     want = reference_maximality(system.matrices, closure)
     return got, want, verify_system(system).maximality
 
@@ -110,7 +111,7 @@ def test_family_witness_runs_on_the_table(field, monkeypatch):
     closure = algebra_closure(full)
     want = li_chain(witness, target=closure)
     monkeypatch.setattr(lengths, "li_chain", lambda *a, **k: pytest.fail("n*n chain"))
-    got = _target_chain(witness, _Coords(closure))
+    got = _target_chain(witness, Algebra(closure))
     assert got == want
     assert got.length == PARAMS_8152.k + 1
 
@@ -124,9 +125,9 @@ def test_witnesses_outside_the_table_fall_back(field):
     closure = algebra_closure(full)
     outside = GeneratingSystem(full.members[1:3] + (("X", matrix_unit(n, n, 1, field)),))
     bare = algebra_closure(GeneratingSystem(full.members[1:], admit_empty_word=False))
-    assert _Coords(bare).identity is None
+    assert Algebra(bare).identity is None
     for witness, target in [(outside, closure), (GeneratingSystem(full.members[1:3]), bare)]:
-        assert _target_chain(witness, _Coords(target)) == li_chain(
+        assert _target_chain(witness, Algebra(target)) == li_chain(
             witness, target=target
         )
 
@@ -145,4 +146,4 @@ def test_table_chain_matches_the_matrix_chain(field, data):
     witness = GeneratingSystem(
         _draw_members(full, data, field), admit_empty_word=data.draw(st.booleans())
     )
-    assert _target_chain(witness, _Coords(target)) == li_chain(witness, target=target)
+    assert _target_chain(witness, Algebra(target)) == li_chain(witness, target=target)

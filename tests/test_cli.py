@@ -10,10 +10,11 @@ import pytest
 
 import subalg.cli as cli
 import subalg.lengths as lengths
+import subalg.radical as radical
 from subalg import QQ, GeneratingSystem, Matrix, NotLocalForm, matrix_unit
 from subalg.cli import main
 from subalg.jsonio import dumps, system_to_dict
-from subalg.radical import _local_powers, _unit_plus_square
+from subalg.radical import Algebra
 
 
 def run_cli(capsys, *argv):
@@ -544,28 +545,30 @@ def test_verify_runs_each_chain_once(
 def test_verify_builds_one_table_and_samples_without_matrices(
     capsys, monkeypatch, full_8152
 ):
+    # one Algebra per verify call, whose radical (over Q, one trace form)
+    # is found once for the bound and the samples together
     tables = []
-    real_init = lengths._Coords.__init__
+    real_init = Algebra.__init__
     monkeypatch.setattr(
-        lengths._Coords,
+        Algebra,
         "__init__",
         lambda self, *a, **k: tables.append(a[0]) or real_init(self, *a, **k),
     )
+    radicals = _count_calls(monkeypatch, radical._trace_form)
     rc, _, _ = run_cli(
         capsys, "verify", "--family", "bkml",
         "--n", "8", "--m", "1", "--l", "5", "--k", "2", "--samples", "5",
     )
     assert rc == 0
-    assert len(tables) == 1
+    assert (len(tables), len(radicals)) == (1, 1)
 
     closure = lengths.algebra_closure(full_8152)
-    coords = lengths._Coords(closure)
-    modulus = _unit_plus_square(coords, _local_powers(coords))
+    coords = Algebra(closure)
     products = _count_calls(monkeypatch, lengths._vec_mul)
     chains = _count_calls(monkeypatch, lengths._chain)
     candidates = _count_calls(monkeypatch, lengths._plan)
     coord_chains = _count_calls(monkeypatch, lengths._coord_chain)
-    pairs = lengths._sample_reports(coords, modulus, 5, seed=8)
+    pairs = lengths._sample_reports(coords, 5, seed=8)
     assert len(pairs) == 5
     assert len(candidates) > 5
     assert len(coord_chains) == 5
@@ -605,9 +608,9 @@ def test_verify_samples_build_no_matrix_and_no_row_refused_by_count(
     screened once, on step 1 of its chain.  Every candidate of bkml
     (8,1,5,2) has enough members; some of bkm (8,2,2) have too few."""
     matrices = []
-    real_matrix = lengths._Coords.matrix
+    real_matrix = Algebra.matrix
     monkeypatch.setattr(
-        lengths._Coords,
+        Algebra,
         "matrix",
         lambda self, x: matrices.append(x) or real_matrix(self, x),
     )
@@ -624,7 +627,7 @@ def test_verify_samples_build_no_matrix_and_no_row_refused_by_count(
     assert rc == 0
     assert json.loads(out)["samples"]["count"] == 25
     assert matrices == []
-    rank = len(plans[0].perm) - len(screens[0])
+    rank = len(plans[0].perm) - len(screens[0].modulus)
     built = [p for p in plans if len(p.chosen) >= rank]
     assert (len(built) < len(plans)) == refusals
     assert len(rows) == sum(len(p.chosen) for p in built)

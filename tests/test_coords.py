@@ -21,7 +21,8 @@ from subalg import (
     radical_span,
     span_of,
 )
-from subalg.lengths import _chain, _coord_chain, _Coords
+from subalg.lengths import _chain, _coord_chain
+from subalg.radical import Algebra
 
 from oracles import matrix_power_dims
 
@@ -61,7 +62,7 @@ def test_coordinate_chain_equals_matrix_chain(field, gens, members, admit):
     step 1: each unordered pair of them once in a commutative algebra, at
     most s(s+1)/2 products for s members, and all s*g products otherwise."""
     algebra = algebra_closure(_system(field, 3, gens))
-    coords = _Coords(algebra)
+    coords = Algebra(algebra)
     xs = [
         {p: c for p, v in enumerate(m[: coords.d]) if (c := field.from_int(v))}
         for m in members
@@ -72,7 +73,7 @@ def test_coordinate_chain_equals_matrix_chain(field, gens, members, admit):
     )
     want, _ = _chain(system, algebra)
     right = []
-    coords.mul = lambda x, y, cache=None: right.append(y) or _Coords.mul(
+    coords.mul = lambda x, y, cache=None: right.append(y) or Algebra.mul(
         coords, x, y, cache
     )
     got = _coord_chain(coords, xs, admit)
@@ -102,7 +103,7 @@ def test_table_power_dims_equal_matrix_power_dims(field, gens):
     algebra = algebra_closure(_system(field, 4, gens, strict_upper=True))
     want = matrix_power_dims(nil)
     assert radical_power_dims(nil) == want
-    coords = _Coords(algebra)
+    coords = Algebra(algebra)
     assert radical_power_dims(nil, coords) == want
     commutative = all(
         coords.table[p, q] == coords.table[q, p]
@@ -123,7 +124,7 @@ def test_table_build_checks_closure(field, gens):
     space = span_of(mats)
     closed = algebra_closure(_system(field, 3, gens, admit=False)) == space
     if closed:
-        assert _Coords(space).d == space.dim
+        assert Algebra(space).d == space.dim
     else:
         with pytest.raises(NotASubalgebra):
-            _Coords(space)
+            Algebra(space)

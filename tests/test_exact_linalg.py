@@ -29,8 +29,7 @@ from subalg import (
     verify_system,
 )
 
-from subalg.lengths import _Coords
-from subalg.radical import _trace_form
+from subalg.radical import Algebra, _trace_form
 
 from oracles import (
     as_fraction_rows,
@@ -141,18 +140,14 @@ def test_rational_scale_and_axpy_match_fraction_arithmetic(y, c, x):
 
 def test_pipeline_keeps_integral_rationals_as_ints(monkeypatch):
     seen = []
-
-    def spy(coords):
-        powers = real(coords)
-        seen.append((coords, powers))
-        return powers
-
-    real = verify._local_powers
-    monkeypatch.setattr(verify, "_local_powers", spy)
+    monkeypatch.setattr(
+        verify, "Algebra", lambda *a: seen.append(Algebra(*a)) or seen[-1]
+    )
     system = build_bkml(ConstructionParams(n=8, k=2, m=1, l=5), QQ)
     report = verify_system(system)
     assert report.passed
-    [(coords, powers)] = seen
+    [coords] = seen
+    powers = coords.powers
     values = [v for row in report.closure.pivot_rows.values() for v in row.values()]
     values += [v for x in coords.table.values() for v in x.values()]
     values += [v for rows in powers for row in rows.values() for v in row.values()]
@@ -165,7 +160,7 @@ def test_trace_form_keeps_integral_rationals_as_ints():
     # tr(x) = 1/2 + 1/2 is integral although neither of its terms is.
     half = QQ.parse("1/2")
     x = Matrix.from_rows([[0, 1, 0], [0, half, 0], [0, 0, half]])
-    gram = _trace_form(_Coords(span_of([Matrix.identity(3), x])))
+    gram = _trace_form(Algebra(span_of([Matrix.identity(3), x])))
     assert gram == [{0: 3, 1: 1}, {0: 1, 1: half}]
     for row in gram:
         for value in row.values():

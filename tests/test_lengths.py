@@ -37,13 +37,12 @@ from subalg import (
 from subalg import exact_linalg
 from subalg.lengths import (
     _coord_chain,
-    _Coords,
     _plan,
     _plan_row,
     _sample_reports,
     _screen,
 )
-from subalg.radical import _local_powers, _unit_plus_square
+from subalg.radical import Algebra
 
 from oracles import (
     _recombined_basis,
@@ -221,8 +220,8 @@ def _local_target(params, field):
     """The closure of a family tuple, its table, and F*I + J^2 on it."""
     build = build_bkml if isinstance(params, ConstructionParams) else build_bkm
     target = algebra_closure(build(params, field))
-    coords = _Coords(target)
-    return target, coords, _unit_plus_square(coords, _local_powers(coords))
+    coords = Algebra(target)
+    return target, coords, coords.modulus
 
 
 @pytest.mark.parametrize("field", CRITERION_FIELDS, ids=lambda f: f.name)
@@ -246,7 +245,7 @@ def test_rank_test_modulo_unit_plus_square_decides_generation(
     verdict = _spans_modulo(modulus, members, field, d)
     event(f"generates: {verdict}")
     assert verdict == (_coord_chain(coords, members, True).length is not None)
-    assert verdict == (_screen(modulus, coords, members) is not None)
+    assert verdict == (_screen(coords, members) is not None)
     system = GeneratingSystem(
         tuple((f"g{i + 1}", coords.matrix(x)) for i, x in enumerate(members))
     )
@@ -257,10 +256,10 @@ def test_sampler_checks_each_accepted_chain(full_8152):
     # with all of A as the modulus every candidate passes the rank test;
     # seed 8 draws a non-generating one first, and its chain must say so
     target = algebra_closure(full_8152)
-    coords = _Coords(target)
-    whole = {i: {i: QQ.one()} for i in range(coords.d)}
+    coords = Algebra(target)
+    coords.modulus = {i: {i: QQ.one()} for i in range(coords.d)}
     with pytest.raises(NotGenerating):
-        _sample_reports(coords, whole, 1, seed=8)
+        _sample_reports(coords, 1, seed=8)
 
 
 def test_witness_chain_forms_each_commuting_pair_once():
@@ -276,7 +275,7 @@ def test_witness_chain_forms_each_commuting_pair_once():
     ]
     right = []
     coords = copy.copy(coords)
-    coords.mul = lambda x, y, cache=None: right.append(y) or _Coords.mul(
+    coords.mul = lambda x, y, cache=None: right.append(y) or Algebra.mul(
         coords, x, y, cache
     )
     report = _coord_chain(coords, members, True)
@@ -347,7 +346,7 @@ def test_table_build_work_is_counted_by_nonzeros(monkeypatch):
                 module, "mat_mul",
                 lambda *a: mat_muls.append(a) or real_mat_mul(*a),
             )
-    coords = _Coords(closure)
+    coords = Algebra(closure)
     reductions = sum(map(len, coords.table.values())) + len(coords.identity)
     assert mat_muls == []
     assert len(axpys) == products + reductions

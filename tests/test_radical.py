@@ -17,7 +17,7 @@ from subalg import (
     span_of,
 )
 
-from subalg.lengths import _Coords
+from subalg.radical import Algebra
 
 from oracles import to_sympy
 
@@ -92,7 +92,7 @@ def test_power_dims_reject_non_closed_candidate():
     units = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i <= j]
     upper = span_of([matrix_unit(3, i, j, QQ) for i, j in units])
     with pytest.raises(NotASubalgebra):
-        radical_power_dims(not_closed, _Coords(upper))
+        radical_power_dims(not_closed, Algebra(upper))
 
 
 def test_bound_check_on_reference_systems(full_8152, witness_8152):
