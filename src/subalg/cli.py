@@ -30,9 +30,9 @@ from .constructions import (
     witness_system_bkm,
 )
 from .errors import InvalidParams, SubalgError
-from .exact_linalg import field_from_name, span_of
+from .exact_linalg import _Echelon, field_from_name, vectorize
 from .jsonio import MAX_N, dumps, load_system, matrix_entries, system_to_dict
-from .lengths import _chain, enumerate_words
+from .lengths import _chain, _word_steps
 from .verify import verify_system
 
 
@@ -61,8 +61,8 @@ def _int_in(lo: int, hi: int | None = None):
 # Each sample costs candidates and a span chain, and its length is listed
 # in the document; a larger --samples is refused before anything is drawn.
 MAX_SAMPLES = 10_000
-# The words of one step of `length --check-words` are formed and spanned
-# before they are compared; a larger --word-budget is refused at parsing.
+# `length --check-words` forms up to this many words at its top step, one
+# at a time; a larger --word-budget is refused at parsing.
 MAX_WORD_BUDGET = 1_000_000
 
 _positive_int = _int_in(1)
@@ -220,10 +220,14 @@ def cmd_length(args) -> int:
         "target_dimension": report.target_dim,
     }
     if args.check_words:
-        for i, span in enumerate(spans):
-            words = enumerate_words(system, i, budget=args.word_budget)
-            oracle = span_of(words, n=system.n, field=system.field)
-            if oracle != span:
+        # the words of each step join one echelon as they are formed, which
+        # then holds the span of all words up to that step
+        steps = _word_steps(system, report.stabilization_step, args.word_budget)
+        ech = _Echelon(system.field)
+        for i, (span, words) in enumerate(zip(spans, steps)):
+            for word in words:
+                ech.insert(vectorize(word))
+            if ech.to_subspace(system.n) != span:
                 doc["word_oracle"] = f"mismatch at step {i}"
                 _emit(dumps(doc), args.out)
                 return 1
@@ -327,19 +331,18 @@ def cmd_sweep(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _add_family_args(parser, include_field=True) -> None:
+def _add_family_args(parser) -> None:
     parser.add_argument("--family", choices=("bkml", "bkm"), default="bkml")
     parser.add_argument("--n", type=_family_n)
     parser.add_argument("--m", type=_positive_int)
     parser.add_argument("--l", type=_positive_int)
     parser.add_argument("--k", type=_positive_int)
-    if include_field:
-        parser.add_argument(
-            "--field",
-            type=_field_arg,
-            default=field_from_name("rational"),
-            help='scalar field: "rational" or "gf:<prime>"',
-        )
+    parser.add_argument(
+        "--field",
+        type=_field_arg,
+        default=field_from_name("rational"),
+        help='scalar field: "rational" or "gf:<prime>"',
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

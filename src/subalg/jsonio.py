@@ -72,7 +72,8 @@ def system_from_dict(doc: dict) -> GeneratingSystem:
     if extra:
         raise InvalidGeneratorFile(f"unexpected keys: {sorted(extra)}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    # JSON's true and false load as bool, a subclass of int: match the type
+    if type(n) is not int or n < 1:
         raise InvalidGeneratorFile(f"n must be a positive integer, got {n!r}")
     if n > MAX_N:
         raise InvalidGeneratorFile(f"n = {n} exceeds the supported maximum {MAX_N}")
@@ -92,15 +93,18 @@ def system_from_dict(doc: dict) -> GeneratingSystem:
         label = gen["label"]
         if not isinstance(label, str) or not label:
             raise InvalidGeneratorFile(f"bad generator label {label!r}")
+        entries = gen["entries"]
+        if not isinstance(entries, list):
+            raise InvalidGeneratorFile(f"generator {label!r}: entries must be a list")
         rows = tuple({} for _ in range(n))
         seen = set()
-        for entry in gen["entries"]:
+        for entry in entries:
             if not (isinstance(entry, list) and len(entry) == 3):
                 raise InvalidGeneratorFile(
                     f"generator {label!r}: entries must be [i, j, value] triples"
                 )
             i, j, raw = entry
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not (type(i) is int and type(j) is int):
                 raise InvalidGeneratorFile(
                     f"generator {label!r}: indices must be integers"
                 )

@@ -218,6 +218,33 @@ def length_of_system(system: GeneratingSystem, target: Subspace) -> int:
     return report.length
 
 
+def _words(prefix: Matrix, mats: tuple, length: int):
+    """prefix times each product of ``length`` of ``mats``, in
+    index-lexicographic order.  Words are formed depth first, so only the
+    prefixes of the current word are held."""
+    if length == 0:
+        yield prefix
+        return
+    for g in mats:
+        yield from _words(mat_mul(prefix, g), mats, length - 1)
+
+
+def _word_steps(system: GeneratingSystem, max_len: int, budget: int):
+    """For i = 0, ..., max_len, an iterator over the products of exactly i
+    members (at i = 0 the identity, when the empty word is admitted), each
+    formed as it is read.  Raises BudgetExceeded, before any word is
+    formed, when the number of words of the top length,
+    len(members) ** max_len, exceeds the budget."""
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    base = len(system.members)
+    if base**max_len > budget:
+        raise BudgetExceeded(f"{base}**{max_len} words exceed the budget of {budget}")
+    identity, mats = system.identity(), system.matrices
+    for i in range(max_len + 1):
+        yield _words(identity, mats, i) if i or system.admit_empty_word else []
+
+
 def enumerate_words(
     system: GeneratingSystem, max_len: int, budget: int = 1_000_000
 ) -> list:
@@ -227,26 +254,7 @@ def enumerate_words(
     BudgetExceeded when the number of words of the top length,
     len(members) ** max_len, exceeds the budget.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    base = len(system.members)
-    if base**max_len > budget:
-        raise BudgetExceeded(
-            f"{base}**{max_len} words exceed the budget of {budget}"
-        )
-    mats = system.matrices
-    words: list[Matrix] = []
-    if system.admit_empty_word:
-        words.append(system.identity())
-    current = [system.identity()]
-    for _ in range(max_len):
-        nxt = []
-        for prefix in current:
-            for g in mats:
-                nxt.append(mat_mul(prefix, g))
-        words.extend(nxt)
-        current = nxt
-    return words
+    return [w for step in _word_steps(system, max_len, budget) for w in step]
 
 
 def _unit_draw(rng: random.Random, field):
@@ -317,10 +325,10 @@ def _sample_reports(
     A candidate generates A exactly when it spans A modulo F*I + J^2
     (``alg.modulus``; Nakayama's lemma).  One with fewer members than that
     rank is refused before any row is built; otherwise only its chosen rows
-    are built, unscaled: scaling members by units changes no span.  They run step 1 of their chain, which
-    ``_screen`` tests against F*I + J^2; an accepted candidate continues
-    its chain from there.  Refusals are capped at ``max_rejections`` per
-    sample.
+    are built, unscaled: scaling members by units changes no span.  They
+    run step 1 of their chain, which ``_screen`` tests against F*I + J^2;
+    an accepted candidate continues its chain from there.  Refusals are
+    capped at ``max_rejections`` per sample.
     """
     rng = random.Random(seed)
     f, d = alg.field, alg.d

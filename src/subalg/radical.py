@@ -91,8 +91,8 @@ class Algebra:
         if self.identity is None:
             raise NotLocalForm("the identity is not in the algebra")
         f = self.field
-        constraints = _frobenius(self) if isinstance(f, PrimeField) else _trace_form(self)
-        j_coords = _nullspace(constraints, self.d, f)
+        constraints = _frobenius if isinstance(f, PrimeField) else _trace_form
+        j_coords = _nullspace(constraints(self), self.d, f)
         if self.d - j_coords.dim != 1:
             raise NotLocalForm(
                 f"the algebra modulo its radical has dimension "

@@ -9,9 +9,19 @@ from pathlib import Path
 import pytest
 
 import subalg.cli as cli
+import subalg.exact_linalg as exact_linalg
 import subalg.lengths as lengths
 import subalg.radical as radical
-from subalg import QQ, GeneratingSystem, Matrix, NotLocalForm, matrix_unit
+from subalg import (
+    QQ,
+    BkmParams,
+    GeneratingSystem,
+    Matrix,
+    NotLocalForm,
+    PrimeField,
+    build_bkm,
+    matrix_unit,
+)
 from subalg.cli import main
 from subalg.jsonio import dumps, system_to_dict
 from subalg.radical import Algebra
@@ -176,7 +186,7 @@ def test_length_word_budget_is_enforced(capsys, tmp_path, full_8152):
 def test_word_budget_above_max_word_budget_is_refused(
     capsys, monkeypatch, tmp_path, full_8152
 ):
-    monkeypatch.setattr(cli, "enumerate_words", lambda *a, **k: pytest.fail("enumerated"))
+    monkeypatch.setattr(cli, "_word_steps", lambda *a, **k: pytest.fail("enumerated"))
     path = tmp_path / "full.json"
     path.write_text(dumps(system_to_dict(full_8152)), encoding="utf-8")
     t0 = time.perf_counter()
@@ -189,6 +199,23 @@ def test_word_budget_above_max_word_budget_is_refused(
     assert f"exceeds the supported maximum {cli.MAX_WORD_BUDGET}" in err
     assert "Traceback" not in err
     assert cli.MAX_WORD_BUDGET == 1_000_000
+
+
+def test_word_budget_is_checked_before_any_word_is_formed(
+    capsys, monkeypatch, tmp_path
+):
+    """bkm (16,1,5) over GF(7) has 12 members and stabilizes at step 6, so
+    its top step has 12**6 > 10**6 words; it is refused before step 0."""
+    path = tmp_path / "bkm.json"
+    system = build_bkm(BkmParams(16, 1, 5), PrimeField(7))
+    path.write_text(dumps(system_to_dict(system)), encoding="utf-8")
+    products = _count_calls(monkeypatch, exact_linalg.mat_mul)
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, "length", "--in", str(path), "--check-words")
+    assert time.perf_counter() - t0 < 1.0
+    assert (rc, out) == (2, "")
+    assert "12**6 words exceed the budget of 1000000" in err
+    assert products == []
 
 
 def test_centralizer_from_family(capsys):

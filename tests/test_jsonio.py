@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ from subalg import (
     build_bkml,
     matrix_unit,
 )
+import subalg
 from subalg.cli import main
 from subalg.jsonio import (
     MAX_N,
@@ -92,8 +97,9 @@ def test_schema_violations_are_reported():
     with pytest.raises(InvalidGeneratorFile, match="unexpected keys"):
         system_from_dict(bad)
 
-    with pytest.raises(InvalidGeneratorFile, match="positive integer"):
-        system_from_dict(dict(doc, n=0))
+    for n in (0, True, 2.0, "2"):
+        with pytest.raises(InvalidGeneratorFile, match="positive integer"):
+            system_from_dict(dict(doc, n=n))
 
     with pytest.raises(InvalidGeneratorFile, match="field"):
         system_from_dict(dict(doc, field="gf:9"))
@@ -118,6 +124,16 @@ def test_generator_violations_are_reported():
     bad = dict(doc, generators=[{"label": "", "entries": []}])
     with pytest.raises(InvalidGeneratorFile, match="bad generator label"):
         system_from_dict(bad)
+
+    for entries in (5, None, {}, "[]"):
+        bad = dict(doc, generators=[{"label": "g", "entries": entries}])
+        with pytest.raises(InvalidGeneratorFile, match="entries must be a list"):
+            system_from_dict(bad)
+
+    for triple in ([True, 2, "1"], [1, False, "1"], [1, "2", "1"], [1.0, 2, "1"]):
+        bad = dict(doc, generators=[{"label": "g", "entries": [triple]}])
+        with pytest.raises(InvalidGeneratorFile, match="indices must be integers"):
+            system_from_dict(bad)
 
     bad = dict(doc, generators=[{"label": "g", "entries": [[1, 3, "1"]]}])
     with pytest.raises(InvalidGeneratorFile, match="outside"):
@@ -145,6 +161,22 @@ def test_generator_violations_are_reported():
     bad = dict(doc, generators=[])
     with pytest.raises(InvalidGeneratorFile, match="empty"):
         system_from_dict(bad)
+
+
+def test_malformed_entries_exit_2_without_traceback(tmp_path):
+    doc = dict(_valid_doc(), generators=[{"label": "g", "entries": 5}])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(subalg.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "subalg.cli", "length", "--in", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert "entries must be a list" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_fraction_values_parse_in_both_fields():

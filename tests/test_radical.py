@@ -3,11 +3,14 @@ import sympy
 
 from subalg import (
     QQ,
+    DimensionMismatch,
+    FieldMismatch,
     GeneratingSystem,
     Matrix,
     NotASubalgebra,
     NotLocalForm,
     NotNilpotent,
+    PrimeField,
     algebra_closure,
     bound_check,
     matrix_unit,
@@ -93,6 +96,15 @@ def test_power_dims_reject_non_closed_candidate():
     upper = span_of([matrix_unit(3, i, j, QQ) for i, j in units])
     with pytest.raises(NotASubalgebra):
         radical_power_dims(not_closed, Algebra(upper))
+
+
+def test_power_dims_reject_an_algebra_of_another_size_or_field():
+    units = [(i, j) for i in range(1, 5) for j in range(1, 5) if i <= j]
+    upper = Algebra(span_of([matrix_unit(4, i, j, QQ) for i, j in units]))
+    with pytest.raises(DimensionMismatch):
+        radical_power_dims(span_of([matrix_unit(3, 1, 3, QQ)]), upper)
+    with pytest.raises(FieldMismatch):
+        radical_power_dims(span_of([matrix_unit(4, 1, 3, PrimeField(7))]), upper)
 
 
 def test_bound_check_on_reference_systems(full_8152, witness_8152):
