@@ -5,6 +5,8 @@ commutative and equals the centralizer of its own generators.  Both are
 read off A's structure-constant table and one rank: A is commutative when
 its table is symmetric, and then A lies in the centralizer, so the two are
 equal exactly when the centralizer's constraint rows have rank n*n - d.
+That rank is taken in row-echelon form without back-elimination; the
+constraints are brought to RREF only for a centralizer basis.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 from .constructions import GeneratingSystem
 from .errors import DimensionMismatch
-from .exact_linalg import Subspace, _check_compatible, _Echelon, kernel, mat_mul
+from .exact_linalg import Subspace, _check_compatible, _Rank, kernel, mat_mul
 from .lengths import algebra_closure
 from .radical import Algebra
 
@@ -98,23 +100,24 @@ def _maximality(mats, alg: Algebra) -> MaximalityVerdict:
     not are member pairs multiplied, to name the first pair that does not
     commute.  A commutative A lies in the centralizer C(S), so C(S) = A
     once the constraint rows inserted reach rank n*n - d, and the rest are
-    skipped.  Only when the full rank falls short is the kernel basis of
-    the constraints built, for its first element outside A.
+    skipped.  Ranks are taken without back-elimination; only when the full
+    rank falls short are the constraints brought to RREF, for the kernel
+    basis and its first element outside A.
     """
     closure, d = alg.space, alg.d
     ncoords = closure.n * closure.n
     commutes, pair = (True, None) if alg.commutative else is_commutative(mats)
-    ech = _Echelon(closure.field)
+    rank = _Rank(closure.field)
     for row in _constraint_rows(mats):
-        if commutes and ech.dim == ncoords - d:
+        if commutes and rank.dim == ncoords - d:
             break
-        ech.insert(row)
-    cent_dim = ncoords - ech.dim
+        rank.insert(row)
+    cent_dim = ncoords - rank.dim
     if not commutes:
         return MaximalityVerdict(d, cent_dim, False, False, pair)
     if cent_dim == d:
         return MaximalityVerdict(d, d, True, True, None)
-    cent = ech.nullspace(ncoords).to_subspace(closure.n)
+    cent = kernel(_constraint_rows(mats), closure.n, closure.field)
     outside = next(
         m for m in cent.basis_matrices() if not closure.contains_matrix(m)
     )

@@ -22,7 +22,10 @@ times, indexed by pivot.  Every basis row is zero at every other row's
 pivot, so a vector is reduced by one axpy per coordinate of it that is a
 pivot.  The RREF basis of a span is unique, so two subspaces are equal
 exactly when their bases are, and the result of ``span_of`` never depends
-on the order of its inputs.
+on the order of its inputs.  ``_Echelon`` keeps that form, and is the only
+source of canonical rows.  Steps that read only a dimension use ``_Rank``,
+which keeps plain row-echelon form, each row 1 at its lead and never
+back-eliminated, so an insert changes no stored row.
 
 Dense views are built on demand for callers that want them:
 ``Matrix.rows`` (a tuple of row tuples) and ``Subspace.basis`` (a tuple of
@@ -510,6 +513,54 @@ class _Echelon:
             if c not in self.rows:
                 out.insert(free_vecs.get(c) or {c: one})
         return out
+
+
+class _Rank:
+    """Row-echelon accumulator for callers that read only a dimension.
+
+    Each stored row is 1 at its lead, its least coordinate, and rows are
+    indexed by lead.  Rows are never back-eliminated, so they are not
+    canonical: ``_Echelon`` is the accumulator for spans that are read.
+    """
+
+    def __init__(self, field: Field):
+        self.field = field
+        self.rows: dict = {}
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def insert(self, vec: dict) -> bool:
+        """Add one vector, which is consumed; True when the dimension grew.
+
+        The vector is reduced only until its least coordinate is no lead:
+        a nonzero combination of the rows has its least coordinate at the
+        least lead it uses, so the vector is then independent of them.
+        """
+        f, rows = self.field, self.rows
+        while vec:
+            lead = min(vec)
+            row = rows.get(lead)
+            if row is None:
+                lv = vec[lead]
+                rows[lead] = vec if lv == f.one() else f.scale(vec, f.inv(lv))
+                return True
+            f.axpy(vec, f.neg(vec[lead]), row)
+        return False
+
+    def reduce(self, vec: dict) -> dict:
+        """Eliminate every lead coordinate of vec in place and return vec:
+        it ends empty exactly when it lies in the span, and two vectors end
+        equal exactly when they are equal modulo the span."""
+        f, rows = self.field, self.rows
+        # a row is zero below its lead, so eliminating a lead can only
+        # bring in coordinates at later leads
+        for lead in sorted(rows):
+            v = vec.get(lead)
+            if v is not None:
+                f.axpy(vec, f.neg(v), rows[lead])
+        return vec
 
 
 @dataclass(frozen=True)

@@ -146,4 +146,6 @@ def load_system(path) -> GeneratingSystem:
             raise InvalidGeneratorFile(f"{path}: not valid JSON ({exc})") from None
         except UnicodeDecodeError as exc:
             raise InvalidGeneratorFile(f"{path}: not UTF-8 ({exc.reason})") from None
+        except RecursionError:
+            raise InvalidGeneratorFile(f"{path}: JSON nested too deeply") from None
     return system_from_dict(doc)

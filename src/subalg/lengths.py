@@ -14,12 +14,15 @@ A's own coordinates, on its structure-constant table (``radical.Algebra``),
 which turns every product inside A into a bilinear form on d-vectors.
 Chain dimensions do not depend on the coordinates, so a
 chain run there reports what the n*n-coordinate chain would, without
-forming a matrix.
+forming a matrix.  Only its dimensions are read, so it keeps its span in
+row-echelon form without back-elimination (``exact_linalg._Rank``); a
+chain in n*n coordinates keeps RREF, whose spans it returns.
 
 The table's products, and those of a chain in n*n coordinates, go through
 the row-sparse kernel ``exact_linalg._vec_mul``: the basis rows, or the
 members and each frontier row, are grouped by matrix row once, and no
-product builds a ``Matrix``.  Each table product is reduced against A.
+product builds a ``Matrix``.  Each nonzero table product is reduced
+against A.
 
 The sampler plans each candidate's draws before any arithmetic.  It builds
 rows only for a candidate with enough members to generate, and only its
@@ -49,7 +52,7 @@ from .exact_linalg import (
     _check_compatible,
     _by_row,
     _Echelon,
-    _reduce,
+    _Rank,
     _vec_mul,
     mat_mul,
     vectorize,
@@ -72,7 +75,7 @@ class LengthReport:
     target_dim: int
 
 
-def _grow(ech: _Echelon, vecs, full: int | None = None) -> list:
+def _grow(ech: _Echelon | _Rank, vecs, full: int | None = None) -> list:
     """Insert vecs into ech, which consumes them, until it reaches
     dimension ``full``; returns a copy of each vector that grew the span."""
     grown = []
@@ -132,8 +135,8 @@ def algebra_closure(system: GeneratingSystem) -> Subspace:
     return spans[-1]
 
 
-# Step 1 of a chain in A's coordinates: the echelon of L_1, dim L_0, and
-# the indices of the members that grew the span.
+# Step 1 of a chain in A's coordinates: the rank accumulator of L_1, dim
+# L_0, and the indices of the members that grew the span.
 _FirstStep = namedtuple("_FirstStep", "ech dim0 grown")
 
 
@@ -141,7 +144,7 @@ def _first_step(alg: Algebra, members: list, admit_empty_word: bool) -> _FirstSt
     """Step 1 of the chain of members of A, given by coordinates, which are
     inserted as copies; it stops as soon as the span fills A."""
     d = alg.d
-    ech = _Echelon(alg.field)
+    ech = _Rank(alg.field)
     if admit_empty_word:
         ech.insert(dict(alg.identity))
     dim0 = ech.dim
@@ -306,14 +309,13 @@ def _screen(alg: Algebra, members: list) -> _FirstStep | None:
     of F*I + J^2, reduced modulo L_1, must have rank d - dim L_1.
     """
     first = _first_step(alg, members, True)
-    rows, f = first.ech.rows, alg.field
-    gap = alg.d - len(rows)
-    ech = _Echelon(f)
+    gap = alg.d - first.ech.dim
+    rank = _Rank(alg.field)
     for row in alg.modulus.values():
-        if ech.dim == gap:
+        if rank.dim == gap:
             break
-        ech.insert(_reduce(dict(row), rows, f))
-    return first if ech.dim == gap else None
+        rank.insert(first.ech.reduce(dict(row)))
+    return first if rank.dim == gap else None
 
 
 def _sample_reports(

@@ -2,10 +2,12 @@
 
 An algebra A of matrices of dimension d is held as ``Algebra``: its RREF
 basis, the coordinates of a vector of A (its entries at the d pivots),
-and the d*d structure constants that turn every product inside A into a
-bilinear form on coordinates.  The radical J of A, the powers J, J^2, ...
-and the subspace F*I + J^2 are read off that table once each, when first
-asked for.
+and the structure constants that turn every product inside A into a
+bilinear form on coordinates.  Only the nonzero basis products are stored,
+and a pair of basis rows whose supports cannot meet is never multiplied,
+so products, symmetry and the trace form visit only nonzero constants.
+The radical J of A, the powers J, J^2, ... and the subspace F*I + J^2 are
+read off that table once each, when first asked for.
 
 J is found as the kernel of one linear map on A, written in A's own
 coordinates, so it does not depend on the basis A is given in:
@@ -47,39 +49,44 @@ class Algebra:
 
     The coordinates of a vector of A are its entries at A's pivots, in
     ascending pivot order: each RREF row is 1 at its own pivot and 0 at the
-    others.  ``table[(p, q)]`` holds the coordinates of row_p * row_q, and
-    ``identity`` those of the identity matrix (None when A lacks it).
+    others.  ``table[(p, q)]`` holds the coordinates of row_p * row_q when
+    that product is nonzero, and no entry when it is zero; ``right[q]``
+    maps each p with a stored ``table[(p, q)]`` to it.  ``identity`` holds
+    the coordinates of the identity matrix (None when A lacks it).
     Building the table is the check that A is multiplicatively closed.
     """
 
     def __init__(self, space: Subspace, what: str = "target"):
         self.space = space
-        self.field = space.field
-        self.d = space.dim
+        f = self.field = space.field
+        d = self.d = space.dim
         self.index = {p: i for i, p in enumerate(space.pivot_rows)}
         n = space.n
         rows = [_by_row(row, n) for row in space.pivot_rows.values()]
+        # row_p * row_q is zero when no column of row_p is a nonempty row
+        # of row_q: ``_vec_mul`` would find no term, so the pair is skipped
+        cols = [{j for grow in x.values() for j in grow} for x in rows]
         self.table = {}
+        self.right = [{} for _ in range(d)]
         for p, x in enumerate(rows):
             for q, y in enumerate(rows):
-                prod = self.coordinates(_vec_mul(x, y, n, self.field))
+                if cols[p].isdisjoint(y):
+                    continue
+                prod = self.coordinates(_vec_mul(x, y, n, f))
                 if prod is None:
                     raise NotASubalgebra(
                         f"{what} is not multiplicatively closed: "
                         "some basis product leaves it"
                     )
-                self.table[p, q] = prod
-        self.identity = self.coordinates(
-            vectorize(Matrix.identity(space.n, self.field))
-        )
+                if prod:
+                    self.table[p, q] = self.right[q][p] = prod
+        self.identity = self.coordinates(vectorize(Matrix.identity(n, f)))
 
     @cached_property
     def commutative(self) -> bool:
         """True when A is commutative, that is when its table is symmetric."""
         table = self.table
-        return all(
-            table[p, q] == table[q, p] for p in range(self.d) for q in range(p)
-        )
+        return all(table.get((q, p)) == prod for (p, q), prod in table.items())
 
     @cached_property
     def radical(self) -> dict:
@@ -130,17 +137,27 @@ class Algebra:
     def mul(self, x: dict, y: dict, cache: dict | None = None) -> dict:
         """Coordinates of x * y.  ``cache`` keeps x times each basis row,
         for a caller that multiplies x by many vectors."""
-        f, table = self.field, self.table
+        f, right = self.field, self.right
         cache = {} if cache is None else cache
         out: dict = {}
         for q, yv in y.items():
             col = cache.get(q)
             if col is None:
                 col = {}
-                for p, xv in x.items():
-                    f.axpy(col, xv, table[p, q])
+                column = right[q]
+                if len(x) <= len(column):
+                    for p, xv in x.items():
+                        prod = column.get(p)
+                        if prod is not None:
+                            f.axpy(col, xv, prod)
+                else:
+                    for p, prod in column.items():
+                        xv = x.get(p)
+                        if xv is not None:
+                            f.axpy(col, xv, prod)
                 cache[q] = col
-            f.axpy(out, yv, col)
+            if col:
+                f.axpy(out, yv, col)
         return out
 
     def vector(self, x: dict) -> dict:
@@ -171,10 +188,11 @@ def _trace_form(alg: Algebra) -> list:
         """The trace of the element of A with coordinates x."""
         return reduce(f.add, (f.mul(v, traces[r]) for r, v in x.items()), zero)
 
-    gram = []
-    for p in range(alg.d):
-        entries = ((q, trace(alg.table[p, q])) for q in range(alg.d))
-        gram.append({q: t for q, t in entries if t})
+    gram: list = [{} for _ in range(alg.d)]
+    for (p, q), prod in alg.table.items():
+        t = trace(prod)
+        if t:
+            gram[p][q] = t
     return gram
 
 
@@ -231,8 +249,9 @@ def _power_rows(j_rows: dict, alg: Algebra) -> list:
     while powers[-1]:
         nxt = _Echelon(f)
         for x in current:
+            cache: dict = {}
             for y in j_basis:
-                prod = alg.mul(x, y)
+                prod = alg.mul(x, y, cache)
                 if current is j_basis and _reduce(dict(prod), j_rows, f):
                     raise NotASubalgebra(
                         "radical candidate is not multiplicatively closed: "

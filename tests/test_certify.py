@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subalg.exact_linalg as exact_linalg
 import subalg.lengths as lengths
 from subalg import (
     QQ,
@@ -147,3 +148,48 @@ def test_table_chain_matches_the_matrix_chain(field, data):
         _draw_members(full, data, field), admit_empty_word=data.draw(st.booleans())
     )
     assert _target_chain(witness, Algebra(target)) == li_chain(witness, target=target)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_maximal_verdict_takes_ranks_only_and_multiplies_only_nonzeros(
+    field, monkeypatch
+):
+    """A work count: on a maximal family tuple the verdict inserts into no
+    RREF accumulator, and the table's products, in the verdict, the
+    radical's powers and a chain, never pass an empty operand to an axpy."""
+    system = build_bkml(PARAMS_8152, field)
+    alg = Algebra(algebra_closure(system))
+    inserts = []
+    real_insert = exact_linalg._Echelon.insert
+    monkeypatch.setattr(
+        exact_linalg._Echelon,
+        "insert",
+        lambda self, vec: inserts.append(vec) or real_insert(self, vec),
+    )
+    assert _maximality(system.matrices, alg).is_maximal
+    assert inserts == []
+    monkeypatch.undo()
+
+    empty_operands, in_mul, muls = [], [], []
+    real_axpy, real_mul = type(field).axpy, Algebra.mul
+
+    def axpy(self, y, c, x):
+        if in_mul and not (c and x):
+            empty_operands.append((c, x))
+        return real_axpy(self, y, c, x)
+
+    def mul(self, *args):
+        in_mul.append(1)
+        muls.append(1)
+        try:
+            return real_mul(self, *args)
+        finally:
+            in_mul.pop()
+
+    monkeypatch.setattr(type(field), "axpy", axpy)
+    monkeypatch.setattr(Algebra, "mul", mul)
+    alg = Algebra(alg.space)
+    assert alg.commutative
+    assert len(alg.powers) == 4
+    assert verify_system(system, witness=witness_system(PARAMS_8152, field)).passed
+    assert muls and empty_operands == []

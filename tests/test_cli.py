@@ -437,6 +437,17 @@ def test_verify_unreadable_input_is_usage_error(capsys, tmp_path):
     assert "not UTF-8" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "length", "centralizer"])
+def test_deeply_nested_input_is_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    rc, out, err = run_cli(capsys, command, "--in", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_verify_refuses_rational_literal_with_exponent_quickly(capsys, tmp_path):
     # Eighteen bytes that an exponent-reading parser turns into a
     # ten-million-digit integer.
@@ -601,7 +612,15 @@ def test_verify_builds_one_table_and_samples_without_matrices(
     assert len(coord_chains) == 5
     assert (len(products), len(chains)) == (0, 0)
     lengths.sample_generating_systems(closure, 5, seed=8)
-    assert len(products) == closure.dim**2
+    # the table forms row_p * row_q only when a column of row_p is a
+    # nonempty row of row_q; every other basis product is zero
+    n = closure.n
+    basis = list(closure.pivot_rows.values())
+    cols = [{c % n for c in row} for row in basis]
+    nonempty_rows = [{c // n for c in row} for row in basis]
+    overlapping = sum(1 for cp in cols for rq in nonempty_rows if cp & rq)
+    assert 0 < overlapping < closure.dim**2
+    assert len(products) == overlapping
 
 
 def test_verify_runs_one_coordinate_chain_per_sample(capsys, monkeypatch):

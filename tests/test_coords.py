@@ -17,10 +17,12 @@ from subalg import (
     NotLocalForm,
     PrimeField,
     algebra_closure,
+    matrix_unit,
     radical_power_dims,
     radical_span,
     span_of,
 )
+from subalg.exact_linalg import _by_row, _vec_mul
 from subalg.lengths import _chain, _coord_chain
 from subalg.radical import Algebra
 
@@ -105,8 +107,9 @@ def test_table_power_dims_equal_matrix_power_dims(field, gens):
     assert radical_power_dims(nil) == want
     coords = Algebra(algebra)
     assert radical_power_dims(nil, coords) == want
+    table = coords.table
     commutative = all(
-        coords.table[p, q] == coords.table[q, p]
+        table.get((p, q), {}) == table.get((q, p), {})
         for p in range(coords.d)
         for q in range(coords.d)
     )
@@ -128,3 +131,48 @@ def test_table_build_checks_closure(field, gens):
     else:
         with pytest.raises(NotASubalgebra):
             Algebra(space)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@given(gens=matrices(3, 2), admit=st.booleans())
+def test_sparse_table_holds_every_nonzero_basis_product(field, gens, admit):
+    """Every basis product, formed without the support skip, has the stored
+    coordinates, or none when it is zero; the right index holds the same
+    entries by column, and the table's symmetry over the stored entries is
+    the full pairwise check."""
+    algebra = algebra_closure(_system(field, 3, gens, admit=admit))
+    coords = Algebra(algebra)
+    rows = [_by_row(row, 3) for row in algebra.pivot_rows.values()]
+    for p, x in enumerate(rows):
+        for q, y in enumerate(rows):
+            prod = coords.coordinates(_vec_mul(x, y, 3, field))
+            assert coords.table.get((p, q), {}) == prod
+            assert coords.right[q].get(p, {}) == prod
+    assert all(coords.table.values())
+    assert len(coords.table) == sum(len(col) for col in coords.right)
+    symmetric = all(
+        coords.table.get((p, q), {}) == coords.table.get((q, p), {})
+        for p in range(coords.d)
+        for q in range(coords.d)
+    )
+    event(f"commutative: {symmetric}")
+    assert coords.commutative == symmetric
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_sparse_table_of_known_closures(field):
+    """Products whose supports miss each other are zero and left out of the
+    table, closed or not; the span of E_12 and E_23 leaves out E_13."""
+
+    def e(i, j):
+        return matrix_unit(4, i, j, field)
+
+    zero = Algebra(span_of([e(1, 2), e(3, 4)]))
+    assert (zero.d, zero.table, zero.commutative) == (2, {}, True)
+    upper = Algebra(span_of([e(1, 2), e(1, 3), e(2, 3)]))
+    assert upper.table == {(0, 2): {1: field.one()}}
+    assert not upper.commutative
+    with pytest.raises(NotASubalgebra):
+        Algebra(span_of([e(1, 2), e(2, 3)]))
+    with pytest.raises(NotASubalgebra):
+        Algebra(span_of([e(1, 2), e(2, 1)]))

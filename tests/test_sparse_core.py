@@ -1,8 +1,8 @@
 """Oracle tests of the sparse exact core over all four test fields.
 
-Products, spans, kernels and centralizers are compared with the naive dense
-Gauss-Jordan reference in oracles.py, on inputs drawn both mostly-zero and
-dense.  The dense views must round-trip through the sparse constructors,
+Products, spans, kernels, centralizers and ranks are compared with the
+naive dense Gauss-Jordan reference in oracles.py, on inputs drawn both
+mostly-zero and dense.  The dense views must round-trip through the sparse constructors,
 and equal spans must compare and hash equal.
 """
 
@@ -22,7 +22,7 @@ from subalg import (
     unvectorize,
     vectorize,
 )
-from subalg.exact_linalg import _as_sparse, _by_row, _Echelon, _vec_mul
+from subalg.exact_linalg import _as_sparse, _by_row, _Echelon, _Rank, _reduce, _vec_mul
 
 from oracles import DenseRef
 
@@ -141,6 +141,40 @@ def test_indexed_echelon_matches_dense_reference(field, data):
         ]
         assert ref.rows(dense) == ref.rref(ref.rows(rows[:i]), ncoords)
     assert seeded.rows == seed
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@given(data=st.data())
+def test_rank_accumulator_matches_echelon_and_dense_reference(field, data):
+    """On every insert the row-echelon accumulator grows exactly when the
+    RREF accumulator does, to the dense rank, and keeps each row 1 at its
+    lead, its least coordinate.  ``reduce`` empties a vector exactly when
+    it lies in the span, and changes it only by a vector of the span."""
+    ncoords = data.draw(st.integers(min_value=1, max_value=9))
+    rows = data.draw(vectors(ncoords, max_count=10))
+    ref = DenseRef(field)
+    rank, ech = _Rank(field), _Echelon(field)
+    for i, row in enumerate(rows):
+        grew = rank.insert(_as_sparse(row, ncoords, field))
+        assert grew == ech.insert(_as_sparse(row, ncoords, field))
+        assert rank.dim == ech.dim == len(ref.rref(ref.rows(rows[: i + 1]), ncoords))
+    for lead, row in rank.rows.items():
+        assert min(row) == lead and row[lead] == field.one()
+    coeffs = st.lists(DENSE_ENTRY, min_size=len(rows), max_size=len(rows))
+    inside = [
+        [sum(c * row[k] for c, row in zip(mix, rows)) for k in range(ncoords)]
+        for mix in data.draw(st.lists(coeffs, max_size=3))
+    ]
+    for probe in inside + data.draw(vectors(ncoords, max_count=3)):
+        vec = _as_sparse(probe, ncoords, field)
+        in_span = len(ref.rref(ref.rows(rows + [probe]), ncoords)) == rank.dim
+        reduced = rank.reduce(dict(vec))
+        assert (not reduced) == in_span
+        assert not any(c in rank.rows for c in reduced)
+        field.axpy(vec, field.neg(field.one()), reduced)
+        assert not _reduce(vec, ech.rows, field)
+    for probe in inside:
+        assert not rank.reduce(_as_sparse(probe, ncoords, field))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
