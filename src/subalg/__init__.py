@@ -49,15 +49,11 @@ from .exact_linalg import (
     PrimeField,
     RationalField,
     Subspace,
-    commutator,
     field_from_name,
     kernel,
     mat_mul,
     matrix_unit,
-    rref,
     span_of,
-    subspace_contains,
-    subspace_sum,
     unvectorize,
     vectorize,
 )

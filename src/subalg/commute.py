@@ -5,8 +5,9 @@ commutative and equals the centralizer of its own generators.  Both are
 read off A's structure-constant table and one rank: A is commutative when
 its table is symmetric, and then A lies in the centralizer, so the two are
 equal exactly when the centralizer's constraint rows have rank n*n - d.
-That rank is taken in row-echelon form without back-elimination; the
-constraints are brought to RREF only for a centralizer basis.
+That rank is read off the accumulator's row-echelon form, with no
+canonical row built; the constraints are brought to RREF only for a
+centralizer basis.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from .constructions import GeneratingSystem
 from .errors import DimensionMismatch
-from .exact_linalg import Subspace, _check_compatible, _Rank, kernel, mat_mul
+from .exact_linalg import Subspace, _check_compatible, _Echelon, kernel, mat_mul
 from .lengths import algebra_closure
 from .radical import Algebra
 
@@ -100,14 +101,14 @@ def _maximality(mats, alg: Algebra) -> MaximalityVerdict:
     not are member pairs multiplied, to name the first pair that does not
     commute.  A commutative A lies in the centralizer C(S), so C(S) = A
     once the constraint rows inserted reach rank n*n - d, and the rest are
-    skipped.  Ranks are taken without back-elimination; only when the full
-    rank falls short are the constraints brought to RREF, for the kernel
-    basis and its first element outside A.
+    skipped.  Ranks build no canonical row; only when the full rank falls
+    short are the constraints brought to RREF, for the kernel basis and
+    its first element outside A.
     """
     closure, d = alg.space, alg.d
     ncoords = closure.n * closure.n
     commutes, pair = (True, None) if alg.commutative else is_commutative(mats)
-    rank = _Rank(closure.field)
+    rank = _Echelon(closure.field)
     for row in _constraint_rows(mats):
         if commutes and rank.dim == ncoords - d:
             break

@@ -17,28 +17,28 @@ Matrices are immutable and 1-indexed at the API surface.  A matrix is
 vectorized row-major: entry (i, j) lands at coordinate (i-1)*n + (j-1) of
 the n*n coordinate space.
 
-Subspaces of that space are stored in reduced row-echelon form at all
-times, indexed by pivot.  Every basis row is zero at every other row's
-pivot, so a vector is reduced by one axpy per coordinate of it that is a
-pivot.  The RREF basis of a span is unique, so two subspaces are equal
-exactly when their bases are, and the result of ``span_of`` never depends
-on the order of its inputs.  ``_Echelon`` keeps that form, and is the only
-source of canonical rows.  Steps that read only a dimension use ``_Rank``,
-which keeps plain row-echelon form, each row 1 at its lead and never
-back-eliminated, so an insert changes no stored row.
+Subspaces of that space are stored in reduced row-echelon form, indexed
+by pivot.  Every basis row is zero at every other row's pivot, so a vector
+is reduced by one axpy per coordinate of it that is a pivot.  The RREF
+basis of a span is unique, so two subspaces are equal exactly when their
+bases are, and the result of ``span_of`` never depends on the order of its
+inputs.  Vectors are collected by one accumulator, ``_Echelon``, which
+keeps plain row-echelon form: each row is 1 at its lead and is never
+back-eliminated, so an insert changes no stored row and a step that reads
+only a dimension pays for no more.  ``_Echelon.canonical`` back-substitutes
+its rows into RREF for the callers that read canonical rows.
 
 Dense views are built on demand for callers that want them:
 ``Matrix.rows`` (a tuple of row tuples) and ``Subspace.basis`` (a tuple of
-length-n*n tuples).  ``rref``, ``kernel``, ``unvectorize`` and
-``Subspace.contains_vector`` take dense sequences as well as sparse maps.
-The package itself never reads the dense views.
+length-n*n tuples).  ``Matrix.from_rows``, ``kernel`` and ``unvectorize``
+take dense sequences as well as sparse maps.  The package itself never
+reads the dense views.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import isqrt
 
 from .errors import DimensionMismatch, FieldMismatch, IndexOutOfRange, InvalidParams
 
@@ -46,6 +46,11 @@ try:
     from gmpy2 import mpq as _RAT
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     from fractions import Fraction as _RAT
+
+
+# Largest modulus a prime field may have.  Primality is tested by trial
+# division up to its square root, so a larger modulus is refused first.
+MAX_MODULUS = 2**31 - 1
 
 
 def _is_prime(p: int) -> bool:
@@ -200,8 +205,11 @@ class PrimeField(Field):
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or isinstance(self.p, bool) or not _is_prime(self.p):
-            raise InvalidParams(f"modulus must be prime, got {self.p!r}")
+        p = self.p
+        if isinstance(p, int) and p > MAX_MODULUS:
+            raise InvalidParams(f"modulus {p} exceeds the supported maximum {MAX_MODULUS}")
+        if not isinstance(p, int) or isinstance(p, bool) or not _is_prime(p):
+            raise InvalidParams(f"modulus must be prime, got {p!r}")
 
     @property
     def name(self) -> str:
@@ -412,11 +420,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return unvectorize(ab, n, f)
 
 
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    """AB - BA."""
-    return mat_mul(a, b) - mat_mul(b, a)
-
-
 def vectorize(m: Matrix) -> dict:
     """Sparse row-major coordinates: entry (i, j) at (i-1)*n + (j-1)."""
     n = m.n
@@ -445,87 +448,17 @@ def _reduce(vec: dict, index: dict, field: Field) -> dict:
 
 
 class _Echelon:
-    """Mutable RREF accumulator: sparse rows indexed by their pivots.
+    """Mutable row-echelon accumulator: sparse rows indexed by their leads.
 
-    A stored row is never changed in place (an update stores a new map), so
-    subspaces taken from the accumulator can share its rows.  ``holders``
-    maps each coordinate to a superset of the pivots whose rows may be
-    nonzero there, so back-elimination visits only those rows.
+    Each stored row is 1 at its lead, its least coordinate.  Rows are never
+    back-eliminated, and a stored row is never changed in place, so seed
+    rows and the rows of ``canonical`` can be shared.  ``canonical`` builds
+    the unique RREF rows of the span, for the callers that read them.
     """
 
     def __init__(self, field: Field, rows: dict | None = None):
         self.field = field
         self.rows = dict(rows or {})
-        self.holders: dict = {}
-        for p, row in self.rows.items():
-            for c in row:
-                self.holders.setdefault(c, set()).add(p)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def insert(self, vec: dict) -> bool:
-        """Add one vector, which is consumed; True when the dimension grew."""
-        f = self.field
-        rows = self.rows
-        _reduce(vec, rows, f)
-        if not vec:
-            return False
-        lead = min(vec)
-        lv = vec[lead]
-        if lv != f.one():
-            vec = f.scale(vec, f.inv(lv))
-        holders = self.holders
-        hits = [p for p in holders.pop(lead, ()) if lead in rows[p]]
-        for p in hits:
-            row = dict(rows[p])
-            f.axpy(row, f.neg(row[lead]), vec)
-            rows[p] = row
-        # Each eliminated row, and vec itself, may now be nonzero wherever
-        # vec is; only vec is nonzero at lead.
-        hits.append(lead)
-        for c in vec:
-            holders.setdefault(c, set()).update(hits)
-        holders[lead] = {lead}
-        rows[lead] = vec
-        return True
-
-    def to_subspace(self, n: int) -> "Subspace":
-        rows = self.rows
-        return Subspace(n, self.field, {p: rows[p] for p in sorted(rows)})
-
-    def nullspace(self, ncoords: int) -> "_Echelon":
-        """RREF basis of the vectors over coordinates 0..ncoords-1 that
-        every stored row, read as a constraint, sends to zero."""
-        field = self.field
-        # In RREF every off-pivot coordinate of a row is free, and free
-        # coordinate c spans the kernel vector e_c - sum over pivots p of
-        # row_p[c] * e_p.
-        one = field.one()
-        free_vecs: dict = {}
-        for p, row in self.rows.items():
-            for c, v in row.items():
-                if c != p:
-                    free_vecs.setdefault(c, {c: one})[p] = field.neg(v)
-        out = _Echelon(field)
-        for c in range(ncoords):
-            if c not in self.rows:
-                out.insert(free_vecs.get(c) or {c: one})
-        return out
-
-
-class _Rank:
-    """Row-echelon accumulator for callers that read only a dimension.
-
-    Each stored row is 1 at its lead, its least coordinate, and rows are
-    indexed by lead.  Rows are never back-eliminated, so they are not
-    canonical: ``_Echelon`` is the accumulator for spans that are read.
-    """
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.rows: dict = {}
 
     @property
     def dim(self) -> int:
@@ -562,6 +495,24 @@ class _Rank:
                 f.axpy(vec, f.neg(v), rows[lead])
         return vec
 
+    def canonical(self) -> dict:
+        """The RREF rows of the span, pivot -> row in ascending order.
+
+        Rows are back-substituted from the last lead down: the rows already
+        built are zero at each other's pivots, so one pass of ``_reduce``
+        clears a row at all of them.
+        """
+        f, out = self.field, {}
+        for lead in sorted(self.rows, reverse=True):
+            row = self.rows[lead]
+            if any(c in out for c in row):
+                row = _reduce(dict(row), out, f)
+            out[lead] = row
+        return dict(reversed(out.items()))
+
+    def to_subspace(self, n: int) -> "Subspace":
+        return Subspace(n, self.field, self.canonical())
+
 
 @dataclass(frozen=True)
 class Subspace:
@@ -580,18 +531,10 @@ class Subspace:
         return len(self.pivot_rows)
 
     @property
-    def pivots(self) -> tuple:
-        return tuple(self.pivot_rows)
-
-    @property
     def basis(self) -> tuple:
         z, ncoords = self.field.zero(), self.n * self.n
         rows = self.pivot_rows.values()
         return tuple(tuple(row.get(c, z) for c in range(ncoords)) for row in rows)
-
-    def contains_vector(self, vec) -> bool:
-        vec = _as_sparse(vec, self.n * self.n, self.field)
-        return not _reduce(vec, self.pivot_rows, self.field)
 
     def contains_matrix(self, m: Matrix) -> bool:
         _check_compatible(m, self)
@@ -603,31 +546,6 @@ class Subspace:
     def __hash__(self) -> int:
         rows = frozenset((p, frozenset(r.items())) for p, r in self.pivot_rows.items())
         return hash((self.n, self.field, rows))
-
-
-def _infer_square_side(ncoords: int) -> int:
-    n = isqrt(ncoords)
-    if n * n != ncoords:
-        raise DimensionMismatch(f"coordinate length {ncoords} is not a perfect square")
-    return n
-
-
-def rref(rows, field: Field, n: int | None = None) -> Subspace:
-    """Canonical RREF span of coordinate vectors (each of length n*n).
-
-    Rows are dense sequences or sparse maps.  The result depends only on
-    the span, never on the input order.  Pass n explicitly when rows may be
-    empty or are sparse.
-    """
-    rows = list(rows)
-    if n is None:
-        if not rows or isinstance(rows[0], dict):
-            raise DimensionMismatch("cannot infer coordinate length; pass n")
-        n = _infer_square_side(len(rows[0]))
-    ech = _Echelon(field)
-    for row in rows:
-        ech.insert(_as_sparse(row, n * n, field))
-    return ech.to_subspace(n)
 
 
 def span_of(mats, n: int | None = None, field: Field | None = None) -> Subspace:
@@ -650,22 +568,6 @@ def span_of(mats, n: int | None = None, field: Field | None = None) -> Subspace:
     return ech.to_subspace(first.n)
 
 
-def subspace_contains(space: Subspace, item) -> bool:
-    """Membership of a matrix, or inclusion when item is itself a subspace."""
-    if isinstance(item, Subspace):
-        _check_compatible(item, space)
-        return all(space.contains_vector(row) for row in item.pivot_rows.values())
-    return space.contains_matrix(item)
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    _check_compatible(a, b)
-    ech = _Echelon(a.field, a.pivot_rows)
-    for row in b.pivot_rows.values():
-        ech.insert(dict(row))
-    return ech.to_subspace(a.n)
-
-
 def kernel(rows, n: int, field: Field) -> Subspace:
     """Nullspace of a homogeneous system whose unknowns are n*n coordinates.
 
@@ -676,8 +578,23 @@ def kernel(rows, n: int, field: Field) -> Subspace:
 
 
 def _nullspace(rows, ncoords: int, field: Field) -> _Echelon:
-    """RREF nullspace of constraint rows over coordinates 0..ncoords-1."""
+    """Echelon of the vectors over coordinates 0..ncoords-1 that every
+    constraint row sends to zero."""
     ech = _Echelon(field)
     for row in rows:
         ech.insert(_as_sparse(row, ncoords, field))
-    return ech.nullspace(ncoords)
+    pivot_rows = ech.canonical()
+    # In RREF every off-pivot coordinate of a row is free, and free
+    # coordinate c spans the kernel vector e_c - sum over pivots p of
+    # row_p[c] * e_p.
+    one = field.one()
+    free_vecs: dict = {}
+    for p, row in pivot_rows.items():
+        for c, v in row.items():
+            if c != p:
+                free_vecs.setdefault(c, {c: one})[p] = field.neg(v)
+    out = _Echelon(field)
+    for c in range(ncoords):
+        if c not in pivot_rows:
+            out.insert(free_vecs.get(c) or {c: one})
+    return out

@@ -14,9 +14,10 @@ A's own coordinates, on its structure-constant table (``radical.Algebra``),
 which turns every product inside A into a bilinear form on d-vectors.
 Chain dimensions do not depend on the coordinates, so a
 chain run there reports what the n*n-coordinate chain would, without
-forming a matrix.  Only its dimensions are read, so it keeps its span in
-row-echelon form without back-elimination (``exact_linalg._Rank``); a
-chain in n*n coordinates keeps RREF, whose spans it returns.
+forming a matrix.  Only its dimensions are read, so its span is never
+brought to RREF; a chain in n*n coordinates returns its spans, so it
+builds their canonical rows (``exact_linalg._Echelon.canonical``) once per
+step.
 
 The table's products, and those of a chain in n*n coordinates, go through
 the row-sparse kernel ``exact_linalg._vec_mul``: the basis rows, or the
@@ -52,7 +53,6 @@ from .exact_linalg import (
     _check_compatible,
     _by_row,
     _Echelon,
-    _Rank,
     _vec_mul,
     mat_mul,
     vectorize,
@@ -75,7 +75,7 @@ class LengthReport:
     target_dim: int
 
 
-def _grow(ech: _Echelon | _Rank, vecs, full: int | None = None) -> list:
+def _grow(ech: _Echelon, vecs, full: int | None = None) -> list:
     """Insert vecs into ech, which consumes them, until it reaches
     dimension ``full``; returns a copy of each vector that grew the span."""
     grown = []
@@ -144,7 +144,7 @@ def _first_step(alg: Algebra, members: list, admit_empty_word: bool) -> _FirstSt
     """Step 1 of the chain of members of A, given by coordinates, which are
     inserted as copies; it stops as soon as the span fills A."""
     d = alg.d
-    ech = _Rank(alg.field)
+    ech = _Echelon(alg.field)
     if admit_empty_word:
         ech.insert(dict(alg.identity))
     dim0 = ech.dim
@@ -310,7 +310,7 @@ def _screen(alg: Algebra, members: list) -> _FirstStep | None:
     """
     first = _first_step(alg, members, True)
     gap = alg.d - first.ech.dim
-    rank = _Rank(alg.field)
+    rank = _Echelon(alg.field)
     for row in alg.modulus.values():
         if rank.dim == gap:
             break

@@ -105,7 +105,7 @@ class Algebra:
                 f"the algebra modulo its radical has dimension "
                 f"{self.d - j_coords.dim}, not 1"
             )
-        return j_coords.rows
+        return j_coords.canonical()
 
     @cached_property
     def powers(self) -> list:
@@ -123,7 +123,7 @@ class Algebra:
         powers = self.powers
         ech = _Echelon(self.field, powers[1] if len(powers) > 1 else None)
         ech.insert(dict(self.identity))
-        return ech.rows
+        return ech.canonical()
 
     def coordinates(self, vec: dict) -> dict | None:
         """Coordinates of a vectorized matrix, which is consumed; None when
@@ -258,11 +258,11 @@ def _power_rows(j_rows: dict, alg: Algebra) -> list:
                         "some basis product leaves it"
                     )
                 nxt.insert(prod)
-        powers.append(nxt.rows)
+        powers.append(nxt.canonical())
         if nxt.dim and nxt.dim >= len(current):
             dims = [len(rows) for rows in powers]
             raise NotNilpotent(f"power dimensions stalled at {nxt.dim} after {dims}")
-        current = list(nxt.rows.values())
+        current = list(powers[-1].values())
     return powers
 
 
@@ -284,7 +284,7 @@ def radical_power_dims(radical: Subspace, alg: Algebra | None = None) -> tuple:
         if x is None:
             raise NotASubalgebra("the radical candidate lies outside the algebra")
         j_ech.insert(x)
-    return tuple(len(rows) for rows in _power_rows(j_ech.rows, alg))
+    return tuple(len(rows) for rows in _power_rows(j_ech.canonical(), alg))
 
 
 def nilpotency_index(radical: Subspace) -> int:

@@ -10,29 +10,34 @@ sampler as it was before it planned its draws: it recombines the whole
 basis of every candidate and turns each sample into matrices.
 ``_spans_modulo`` is its rank test modulo F*I + J^2, in an echelon of its
 own, and ``full_walk_constraint_rows`` the centralizer constraints from a
-walk over every output position.
+walk over every output position.  ``rref``, ``commutator``,
+``subspace_contains``, ``subspace_sum``, ``contains_vector`` and ``pivots``
+are conveniences on top of the package's sparse core that only tests use.
 """
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import sympy
 
 from subalg import (
     QQ,
+    DimensionMismatch,
     Field,
     GeneratingSystem,
     MaximalityVerdict,
     Matrix,
     NotNilpotent,
     RationalField,
+    Subspace,
     centralizer,
     is_commutative,
     mat_mul,
     matrix_unit,
     span_of,
 )
-from subalg.exact_linalg import _check_compatible, _Echelon, _reduce
+from subalg.exact_linalg import _as_sparse, _check_compatible, _Echelon, _reduce
 from subalg.lengths import _coord_chain
 from subalg.radical import Algebra
 
@@ -349,3 +354,61 @@ def reference_samples(target, count: int, seed: int) -> list:
             )
             out.append((system, _coord_chain(coords, members, True)))
     return out
+
+
+# -- test-only conveniences on the sparse core --------------------------------
+def commutator(a: Matrix, b: Matrix) -> Matrix:
+    """AB - BA."""
+    return mat_mul(a, b) - mat_mul(b, a)
+
+
+def pivots(space: Subspace) -> tuple:
+    """The pivots of a subspace's RREF basis, in ascending order."""
+    return tuple(space.pivot_rows)
+
+
+def contains_vector(space: Subspace, vec) -> bool:
+    """Membership of a sparse or dense coordinate vector."""
+    vec = _as_sparse(vec, space.n * space.n, space.field)
+    return not _reduce(vec, space.pivot_rows, space.field)
+
+
+def _infer_square_side(ncoords: int) -> int:
+    n = isqrt(ncoords)
+    if n * n != ncoords:
+        raise DimensionMismatch(f"coordinate length {ncoords} is not a perfect square")
+    return n
+
+
+def rref(rows, field: Field, n: int | None = None) -> Subspace:
+    """Canonical RREF span of coordinate vectors (each of length n*n).
+
+    Rows are dense sequences or sparse maps.  The result depends only on
+    the span, never on the input order.  Pass n explicitly when rows may be
+    empty or are sparse.
+    """
+    rows = list(rows)
+    if n is None:
+        if not rows or isinstance(rows[0], dict):
+            raise DimensionMismatch("cannot infer coordinate length; pass n")
+        n = _infer_square_side(len(rows[0]))
+    ech = _Echelon(field)
+    for row in rows:
+        ech.insert(_as_sparse(row, n * n, field))
+    return ech.to_subspace(n)
+
+
+def subspace_contains(space: Subspace, item) -> bool:
+    """Membership of a matrix, or inclusion when item is itself a subspace."""
+    if isinstance(item, Subspace):
+        _check_compatible(item, space)
+        return all(contains_vector(space, row) for row in item.pivot_rows.values())
+    return space.contains_matrix(item)
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    _check_compatible(a, b)
+    ech = _Echelon(a.field, a.pivot_rows)
+    for row in b.pivot_rows.values():
+        ech.insert(dict(row))
+    return ech.to_subspace(a.n)

@@ -26,6 +26,7 @@ from subalg import (
     matrix_unit,
     valid_bkm_params,
     valid_bkml_params,
+    vectorize,
     verify_system,
     witness_system,
 )
@@ -154,20 +155,26 @@ def test_table_chain_matches_the_matrix_chain(field, data):
 def test_maximal_verdict_takes_ranks_only_and_multiplies_only_nonzeros(
     field, monkeypatch
 ):
-    """A work count: on a maximal family tuple the verdict inserts into no
-    RREF accumulator, and the table's products, in the verdict, the
-    radical's powers and a chain, never pass an empty operand to an axpy."""
+    """A work count: on a maximal family tuple neither the verdict nor the
+    witness's chain on the table builds canonical rows, and the table's
+    products, in the verdict, the radical's powers and a chain, never pass
+    an empty operand to an axpy."""
     system = build_bkml(PARAMS_8152, field)
     alg = Algebra(algebra_closure(system))
-    inserts = []
-    real_insert = exact_linalg._Echelon.insert
+    witness = witness_system(PARAMS_8152, field)
+    members = [alg.coordinates(vectorize(m)) for m in witness.matrices]
+    canonical_calls = []
+    real_canonical = exact_linalg._Echelon.canonical
     monkeypatch.setattr(
         exact_linalg._Echelon,
-        "insert",
-        lambda self, vec: inserts.append(vec) or real_insert(self, vec),
+        "canonical",
+        lambda self: canonical_calls.append(self) or real_canonical(self),
     )
     assert _maximality(system.matrices, alg).is_maximal
-    assert inserts == []
+    assert canonical_calls == []
+    chain = lengths._coord_chain(alg, members, witness.admit_empty_word)
+    assert chain.length == PARAMS_8152.k + 1
+    assert canonical_calls == []
     monkeypatch.undo()
 
     empty_operands, in_mul, muls = [], [], []

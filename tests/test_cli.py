@@ -288,22 +288,27 @@ def test_sweep_parallel_matches_serial(capsys):
     assert without_timing(json.loads(out1)) == without_timing(json.loads(out2))
 
 
+def _cli_env() -> dict:
+    """The environment with the package under test on PYTHONPATH, also when
+    pytest alone put src/ on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def test_console_script_entry_point(tmp_path):
     exe = shutil.which("subalg")
     if exe:
         cmd = [exe]
     else:
         cmd = [sys.executable, "-m", "subalg.cli"]
-    # the package under test, also when pytest alone put src/ on its path
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         cmd + ["construct", "--family", "bkm", "--n", "4", "--m", "1", "--k", "1"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_cli_env(),
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
@@ -462,6 +467,37 @@ def test_verify_refuses_rational_literal_with_exponent_quickly(capsys, tmp_path)
     assert (rc, out) == (2, "")
     assert "bad value '1e10000000'" in err
     assert "Traceback" not in err
+
+
+HUGE_PRIME = 10**18 + 3
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_modulus_above_the_maximum_is_refused_quickly(tmp_path, source):
+    # A prime whose trial-division test would take minutes.
+    field = f"gf:{HUGE_PRIME}"
+    if source == "flag":
+        argv = ["--family", "bkml", "--n", "8", "--m", "1", "--l", "5", "--k", "2"]
+        argv += ["--field", field, "--samples", "0"]
+    else:
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "n": 2, "field": field, "admit_empty_word": True,
+            "generators": [{"label": "a", "entries": [[1, 2, "1"]]}],
+        }))
+        argv = ["--in", str(path)]
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "subalg.cli", "verify", *argv],
+        capture_output=True,
+        text=True,
+        env=_cli_env(),
+        timeout=30,
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"modulus {HUGE_PRIME} exceeds the supported maximum" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("value", ["1_000", " 3 ", "\u0663", "+5/ 2", "1/7"])

@@ -15,15 +15,11 @@ from subalg import (
     Matrix,
     PrimeField,
     build_bkml,
-    commutator,
     field_from_name,
     kernel,
     mat_mul,
     matrix_unit,
-    rref,
     span_of,
-    subspace_contains,
-    subspace_sum,
     unvectorize,
     vectorize,
     verify_system,
@@ -33,7 +29,12 @@ from subalg.radical import Algebra, _trace_form
 
 from oracles import (
     as_fraction_rows,
+    commutator,
     mat_pow,
+    pivots,
+    rref,
+    subspace_contains,
+    subspace_sum,
     sympy_rank_of_matrices,
     sympy_rref_rows,
     to_sympy,
@@ -188,6 +189,10 @@ def test_prime_field_arithmetic():
 def test_field_from_name_round_trip():
     assert field_from_name("rational") == QQ
     assert field_from_name("gf:32003") == PrimeField(32003)
+    top = exact_linalg.MAX_MODULUS
+    assert field_from_name(f"gf:{top}") == PrimeField(2**31 - 1)
+    with pytest.raises(InvalidParams, match="exceeds the supported maximum"):
+        field_from_name(f"gf:{top + 2}")
     with pytest.raises(InvalidParams):
         field_from_name("gf:10")
     with pytest.raises(InvalidParams):
@@ -268,7 +273,7 @@ def test_rref_matches_independent_reduction():
     sub = rref([[QQ.from_int(v) for v in row] for row in vectors], QQ, n=2)
     assert as_fraction_rows(sub) == expected
     assert sub.dim == 2
-    assert sub.pivots == (0, 1)
+    assert pivots(sub) == (0, 1)
 
 
 def test_span_is_basis_order_invariant():

@@ -1,7 +1,10 @@
 """The package's import structure: every module imports its siblings at
-the top, so the import graph has no cycle that a deferred import hides."""
+the top, so the import graph has no cycle that a deferred import hides.
+The names that the benchmark's tracer and self-tests patch still exist."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -40,3 +43,32 @@ def test_module_imports_first_in_a_fresh_interpreter(module):
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Names patched by bench/tracing.py's ``Tracer.install`` and by
+# bench/test_bench.py, beyond the tracer's ``SPANS``.
+BENCH_PATCHED = [
+    ("subalg.exact_linalg", "mat_mul"),
+    ("subalg.lengths", "_chain"),
+    ("subalg.cli", "_sweep_task"),
+    ("subalg.cli", "ProcessPoolExecutor"),
+    ("subalg.exact_linalg", "_Echelon.insert"),
+]
+
+
+def test_names_the_benchmark_patches_still_resolve():
+    """The benchmark only warns when a name it traces is missing, so a
+    rename would silently zero its spans and counters."""
+    path = Path(__file__).parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [t for group in tracing.SPANS.values() for t in group]
+    missing = []
+    for module, attr in targets + BENCH_PATCHED:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{module}.{attr}")
+    assert missing == []

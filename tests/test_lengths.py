@@ -47,6 +47,7 @@ from subalg.radical import Algebra
 from oracles import (
     _recombined_basis,
     _spans_modulo,
+    contains_vector,
     reference_samples,
     sympy_word_span_dims,
 )
@@ -107,7 +108,7 @@ def test_chain_spans_are_nested(witness_8152):
     spans = li_chain_spans(witness_8152)
     assert len(spans) == 5
     for smaller, larger in zip(spans, spans[1:]):
-        assert all(larger.contains_vector(row) for row in smaller.basis)
+        assert all(contains_vector(larger, row) for row in smaller.basis)
 
 
 def test_length_against_explicit_target(witness_8152, full_8152):

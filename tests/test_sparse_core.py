@@ -17,14 +17,13 @@ from subalg import (
     centralizer,
     kernel,
     mat_mul,
-    rref,
     span_of,
     unvectorize,
     vectorize,
 )
-from subalg.exact_linalg import _as_sparse, _by_row, _Echelon, _Rank, _reduce, _vec_mul
+from subalg.exact_linalg import _as_sparse, _by_row, _Echelon, _reduce, _vec_mul
 
-from oracles import DenseRef
+from oracles import DenseRef, pivots, rref
 
 FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
 
@@ -112,7 +111,7 @@ def test_rref_and_span_match_dense_reference(field, data):
     expected = ref.rref(ref.rows(rows), n * n)
     sub = rref(rows, field, n=n)
     assert _basis(ref, sub) == expected
-    assert list(sub.pivots) == [next(c for c, v in enumerate(r) if v) for r in expected]
+    assert list(pivots(sub)) == [next(c for c, v in enumerate(r) if v) for r in expected]
     mats = [unvectorize(row, n, field) for row in rows]
     assert span_of(mats, n=n, field=field) == sub
 
@@ -120,9 +119,12 @@ def test_rref_and_span_match_dense_reference(field, data):
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 @given(data=st.data())
 def test_indexed_echelon_matches_dense_reference(field, data):
-    """Inserts into an accumulator, seeded with the RREF rows of a prefix
-    or empty, keep the rows of the dense RREF of everything inserted, and
-    never change the seed's rows in place."""
+    """An accumulator, seeded with the rows of a prefix or empty, grows on
+    each insert exactly when the dense rank does, keeps each row 1 at its
+    lead, its least coordinate, and never changes a stored row, its seed's
+    included.  ``canonical`` is the dense RREF of everything inserted.
+    ``reduce`` empties a vector exactly when it lies in the span, and
+    changes it only by a vector of the span."""
     ncoords = data.draw(st.integers(min_value=1, max_value=9))
     rows = data.draw(vectors(ncoords, max_count=10))
     split = data.draw(st.integers(min_value=0, max_value=len(rows)))
@@ -133,33 +135,24 @@ def test_indexed_echelon_matches_dense_reference(field, data):
     seed = {p: dict(row) for p, row in seeded.rows.items()}
     ech = _Echelon(field, seeded.rows)
     for i in range(split, len(rows) + 1):
+        stored = {p: (row, dict(row)) for p, row in ech.rows.items()}
+        expected = ref.rref(ref.rows(rows[:i]), ncoords)
         if i > split:
-            ech.insert(_as_sparse(rows[i - 1], ncoords, field))
+            grew = ech.insert(_as_sparse(rows[i - 1], ncoords, field))
+            assert grew == (ech.dim > len(stored))
+        assert ech.dim == len(expected)
+        canonical = ech.canonical()
         dense = [
-            [ech.rows[p].get(c, field.zero()) for c in range(ncoords)]
-            for p in sorted(ech.rows)
+            [row.get(c, field.zero()) for c in range(ncoords)]
+            for row in canonical.values()
         ]
-        assert ref.rows(dense) == ref.rref(ref.rows(rows[:i]), ncoords)
+        assert ref.rows(dense) == expected
+        assert list(canonical) == sorted(ech.rows)
+        for lead, row in ech.rows.items():
+            assert min(row) == lead and row[lead] == field.one()
+        for lead, (row, copy) in stored.items():
+            assert ech.rows[lead] is row and row == copy
     assert seeded.rows == seed
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
-@given(data=st.data())
-def test_rank_accumulator_matches_echelon_and_dense_reference(field, data):
-    """On every insert the row-echelon accumulator grows exactly when the
-    RREF accumulator does, to the dense rank, and keeps each row 1 at its
-    lead, its least coordinate.  ``reduce`` empties a vector exactly when
-    it lies in the span, and changes it only by a vector of the span."""
-    ncoords = data.draw(st.integers(min_value=1, max_value=9))
-    rows = data.draw(vectors(ncoords, max_count=10))
-    ref = DenseRef(field)
-    rank, ech = _Rank(field), _Echelon(field)
-    for i, row in enumerate(rows):
-        grew = rank.insert(_as_sparse(row, ncoords, field))
-        assert grew == ech.insert(_as_sparse(row, ncoords, field))
-        assert rank.dim == ech.dim == len(ref.rref(ref.rows(rows[: i + 1]), ncoords))
-    for lead, row in rank.rows.items():
-        assert min(row) == lead and row[lead] == field.one()
     coeffs = st.lists(DENSE_ENTRY, min_size=len(rows), max_size=len(rows))
     inside = [
         [sum(c * row[k] for c, row in zip(mix, rows)) for k in range(ncoords)]
@@ -167,14 +160,14 @@ def test_rank_accumulator_matches_echelon_and_dense_reference(field, data):
     ]
     for probe in inside + data.draw(vectors(ncoords, max_count=3)):
         vec = _as_sparse(probe, ncoords, field)
-        in_span = len(ref.rref(ref.rows(rows + [probe]), ncoords)) == rank.dim
-        reduced = rank.reduce(dict(vec))
+        in_span = len(ref.rref(ref.rows(rows + [probe]), ncoords)) == ech.dim
+        reduced = ech.reduce(dict(vec))
         assert (not reduced) == in_span
-        assert not any(c in rank.rows for c in reduced)
+        assert not any(c in ech.rows for c in reduced)
         field.axpy(vec, field.neg(field.one()), reduced)
-        assert not _reduce(vec, ech.rows, field)
+        assert not _reduce(vec, canonical, field)
     for probe in inside:
-        assert not rank.reduce(_as_sparse(probe, ncoords, field))
+        assert not ech.reduce(_as_sparse(probe, ncoords, field))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -228,6 +221,6 @@ def test_dense_views_round_trip(field, data):
     sub = span_of([m, mat_mul(m, m), Matrix.identity(n, field)])
     assert rref(sub.basis, field, n=n) == sub
     one = field.one()
-    for row, p in zip(sub.basis, sub.pivots):
+    for row, p in zip(sub.basis, pivots(sub)):
         assert len(row) == n * n
         assert row[p] == one and not any(row[:p])
