@@ -122,9 +122,7 @@ def test_indexed_echelon_matches_dense_reference(field, data):
     """An accumulator, seeded with the rows of a prefix or empty, grows on
     each insert exactly when the dense rank does, keeps each row 1 at its
     lead, its least coordinate, and never changes a stored row, its seed's
-    included.  ``canonical`` is the dense RREF of everything inserted.
-    ``reduce`` empties a vector exactly when it lies in the span, and
-    changes it only by a vector of the span."""
+    included.  ``canonical`` is the dense RREF of everything inserted."""
     ncoords = data.draw(st.integers(min_value=1, max_value=9))
     rows = data.draw(vectors(ncoords, max_count=10))
     split = data.draw(st.integers(min_value=0, max_value=len(rows)))
@@ -153,6 +151,29 @@ def test_indexed_echelon_matches_dense_reference(field, data):
         for lead, (row, copy) in stored.items():
             assert ech.rows[lead] is row and row == copy
     assert seeded.rows == seed
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@given(data=st.data())
+def test_rank_accumulator_matches_echelon_and_dense_reference(field, data):
+    """On every insert the row-echelon accumulator grows exactly when its
+    canonical RREF does, to the dense rank, and keeps each row 1 at its
+    lead, its least coordinate.  ``reduce`` empties a vector exactly when
+    it lies in the span, and changes it only by a vector of the span."""
+    ncoords = data.draw(st.integers(min_value=1, max_value=9))
+    rows = data.draw(vectors(ncoords, max_count=10))
+    ref = DenseRef(field)
+    ech = _Echelon(field)
+    canonical = ech.canonical()
+    for i, row in enumerate(rows):
+        before = len(canonical)
+        grew = ech.insert(_as_sparse(row, ncoords, field))
+        canonical = ech.canonical()
+        assert grew == (len(canonical) > before)
+        expected = ref.rref(ref.rows(rows[: i + 1]), ncoords)
+        assert ech.dim == len(canonical) == len(expected)
+    for lead, row in ech.rows.items():
+        assert min(row) == lead and row[lead] == field.one()
     coeffs = st.lists(DENSE_ENTRY, min_size=len(rows), max_size=len(rows))
     inside = [
         [sum(c * row[k] for c, row in zip(mix, rows)) for k in range(ncoords)]
