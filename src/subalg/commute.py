@@ -7,7 +7,8 @@ its table is symmetric, and then A lies in the centralizer, so the two are
 equal exactly when the centralizer's constraint rows have rank n*n - d.
 That rank is read off the accumulator's row-echelon form, with no
 canonical row built; the constraints are brought to RREF only for a
-centralizer basis.
+centralizer basis.  A constraint row is copied from a column and a negated
+row of a generator, so building it needs no field multiply.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ def _constraint_rows(mats):
 
     One sparse row per generator and output position (i, j) of X*G - G*X:
     it reads column j of G and row i of G, so positions where both are
-    empty give no row and are not visited.
+    empty give no row and are not visited.  A row is column j of G beside
+    the negated row i of G, which share one coordinate, X[i, j], and only
+    when G[i, i] and G[j, j] are both nonzero, so no row needs a multiply.
     """
     mats = list(mats)
     if not mats:
@@ -47,7 +50,6 @@ def _constraint_rows(mats):
     n, f = first.n, first.field
     for m in mats[1:]:
         _check_compatible(first, m)
-    minus_one = f.neg(f.one())
     for g in mats:
         grows = g.sparse_rows
         gcols = [{} for _ in range(n)]
@@ -56,11 +58,21 @@ def _constraint_rows(mats):
                 gcols[j][k] = v
         cols = [j for j in range(n) if gcols[j]]
         for i, gi in enumerate(grows):
+            at = i * n
+            neg = [(k * n, f.neg(v)) for k, v in gi.items()]
+            gii = gi.get(i)
             for j in range(n) if gi else cols:
                 gj = gcols[j]
                 # (X*G)[i, j] = sum_k X[i, k] G[k, j], (G*X)[i, j] = sum_k G[i, k] X[k, j]
-                row = {i * n + k: v for k, v in gj.items()}
-                f.axpy(row, minus_one, {k * n + j: v for k, v in gi.items()})
+                row = {at + k: v for k, v in gj.items()}
+                for kn, v in neg:
+                    row[kn + j] = v
+                if gii is not None and j in gj:
+                    v = f.sub(gj[j], gii)
+                    if v:
+                        row[at + j] = v
+                    else:
+                        del row[at + j]
                 if row:
                     yield row
 

@@ -7,7 +7,10 @@ bilinear form on coordinates.  Only the nonzero basis products are stored,
 and a pair of basis rows whose supports cannot meet is never multiplied,
 so products, symmetry and the trace form visit only nonzero constants.
 The radical J of A, the powers J, J^2, ... and the subspace F*I + J^2 are
-read off that table once each, when first asked for.
+read off that table once each, when first asked for.  A basis row x of a
+power is multiplied only by the rows y of J for which the table stores a
+product of basis rows in the supports of x and y: every other product is
+zero.
 
 J is found as the kernel of one linear map on A, written in A's own
 coordinates, so it does not depend on the basis A is given in:
@@ -209,12 +212,15 @@ def _frobenius(alg: Algebra) -> list:
     rows: list = [{} for _ in range(d)]
     for p in range(d):
         power, base, e = alg.identity, {p: f.one()}, exponent
-        while e:
+        # once the power or a square of the base is zero, so is the result
+        while e and power:
             if e & 1:
                 power = alg.mul(power, base)
             e >>= 1
             if e:
                 base = alg.mul(base, base)
+                if not base:
+                    power = {}
         for r, v in power.items():
             rows[r][p] = v
     return rows
@@ -238,20 +244,30 @@ def _power_rows(j_rows: dict, alg: Algebra) -> list:
 
     J is given by its RREF rows in the coordinates of an algebra that
     contains it.  Each next power spans the products of the current
-    power's basis with the basis of J itself.  Raises NotASubalgebra when
-    J is not closed under products, and NotNilpotent when the dimensions
-    stop strictly decreasing before reaching zero.
+    power's basis with the basis of J itself.  x * y can be nonzero only
+    when the table stores some product row_p * row_q with p in supp(x) and
+    q in supp(y), so only those pairs are multiplied, each x by the rows y
+    in ascending order; every other product is zero.  Raises
+    NotASubalgebra when J is not closed under products, and NotNilpotent
+    when the dimensions stop strictly decreasing before reaching zero.
     """
     f = alg.field
     j_basis = list(j_rows.values())
+    # meets[p]: the rows of J that hold a q with a stored table[(p, q)]
+    meets = [set() for _ in range(alg.d)]
+    for r, y in enumerate(j_basis):
+        for q in y:
+            for p in alg.right[q]:
+                meets[p].add(r)
     powers = [j_rows]
     current = j_basis
     while powers[-1]:
         nxt = _Echelon(f)
         for x in current:
             cache: dict = {}
-            for y in j_basis:
-                prod = alg.mul(x, y, cache)
+            for r in sorted(set().union(*(meets[p] for p in x))):
+                prod = alg.mul(x, j_basis[r], cache)
+                # a product never formed is zero, so it lies in J
                 if current is j_basis and _reduce(dict(prod), j_rows, f):
                     raise NotASubalgebra(
                         "radical candidate is not multiplicatively closed: "

@@ -10,9 +10,11 @@ sampler as it was before it planned its draws: it recombines the whole
 basis of every candidate and turns each sample into matrices.
 ``_spans_modulo`` is its rank test modulo F*I + J^2, in an echelon of its
 own, and ``full_walk_constraint_rows`` the centralizer constraints from a
-walk over every output position.  ``rref``, ``commutator``,
-``subspace_contains``, ``subspace_sum``, ``contains_vector`` and ``pivots``
-are conveniences on top of the package's sparse core that only tests use.
+walk over every output position.  ``all_pairs_power_rows`` is the
+radical's power chain from every product of a power's basis with J's
+basis.  ``rref``, ``commutator``, ``subspace_contains``, ``subspace_sum``,
+``contains_vector`` and ``pivots`` are conveniences on top of the
+package's sparse core that only tests use.
 """
 
 import random
@@ -28,6 +30,7 @@ from subalg import (
     GeneratingSystem,
     MaximalityVerdict,
     Matrix,
+    NotASubalgebra,
     NotNilpotent,
     RationalField,
     Subspace,
@@ -163,6 +166,39 @@ def matrix_power_dims(radical) -> tuple:
                 f"power dimensions stalled at {nxt.dim} after {dims}"
             )
         current = nxt
+
+
+def all_pairs_power_rows(j_rows: dict, alg: Algebra) -> list:
+    """RREF rows of J, J^2, ... down to the first zero power, in coordinates.
+
+    J is given by its RREF rows in the coordinates of an algebra that
+    contains it.  Each next power spans the products of the current
+    power's basis with the basis of J itself.  Raises NotASubalgebra when
+    J is not closed under products, and NotNilpotent when the dimensions
+    stop strictly decreasing before reaching zero.
+    """
+    f = alg.field
+    j_basis = list(j_rows.values())
+    powers = [j_rows]
+    current = j_basis
+    while powers[-1]:
+        nxt = _Echelon(f)
+        for x in current:
+            cache: dict = {}
+            for y in j_basis:
+                prod = alg.mul(x, y, cache)
+                if current is j_basis and _reduce(dict(prod), j_rows, f):
+                    raise NotASubalgebra(
+                        "radical candidate is not multiplicatively closed: "
+                        "some basis product leaves it"
+                    )
+                nxt.insert(prod)
+        powers.append(nxt.canonical())
+        if nxt.dim and nxt.dim >= len(current):
+            dims = [len(rows) for rows in powers]
+            raise NotNilpotent(f"power dimensions stalled at {nxt.dim} after {dims}")
+        current = list(powers[-1].values())
+    return powers
 
 
 def reference_maximality(mats, closure) -> MaximalityVerdict:
