@@ -302,7 +302,12 @@ def cmd_sweep(args) -> int:
                     continue
                 selected.append(params)
     if not selected:
-        return _fail2("sweep selected no valid parameter tuples")
+        message = "sweep selected no valid parameter tuples"
+        if skipped:
+            first = skipped[0]
+            params = ", ".join(f"{k}={v}" for k, v in first["params"].items())
+            message += f"; first skipped ({params}): {first['reason']}"
+        return _fail2(message)
     selected.sort(key=astuple)
     tasks = [
         (args.family, asdict(p), args.field.name, args.samples, args.seed)

@@ -4,11 +4,16 @@ A subalgebra A of dimension d is maximal commutative exactly when it is
 commutative and equals the centralizer of its own generators.  Both are
 read off A's structure-constant table and one rank: A is commutative when
 its table is symmetric, and then A lies in the centralizer, so the two are
-equal exactly when the centralizer's constraint rows have rank n*n - d.
-That rank is read off the accumulator's row-echelon form, with no
-canonical row built; the constraints are brought to RREF only for a
-centralizer basis.  A constraint row is copied from a column and a negated
-row of a generator, so building it needs no field multiply.
+equal exactly when the centralizer's constraints have rank n*n - d.
+
+Most constraints of a sparse generator have one entry and only say that a
+coordinate of X is zero.  They are read off the generator's sparsity
+pattern as a set of zero coordinates, with no row built.  The rank is the
+size of that set plus the rank of the other rows with those coordinates
+removed, read off the accumulator's row-echelon form with no canonical row
+built; the constraints are brought to RREF only for a centralizer basis.
+A constraint row is copied from a column and a negated row of a
+generator, so building it needs no field multiply.
 """
 
 from __future__ import annotations
@@ -32,16 +37,22 @@ def is_commutative(mats) -> tuple:
     return True, None
 
 
-def _constraint_rows(mats):
-    """The rows of X*G - G*X = 0 for every G in ``mats``: the constraints
-    whose kernel is the centralizer.  The matrices must be at least one, of
+def _constraints(mats):
+    """The constraints X*G - G*X = 0 for every G in ``mats``, whose kernel
+    is the centralizer, as ``(zero, rows)``: the set of coordinates of X
+    that a one-entry constraint forces to zero, and the list of constraint
+    rows with two entries or more.  The matrices must be at least one, of
     one size and field.
 
-    One sparse row per generator and output position (i, j) of X*G - G*X:
-    it reads column j of G and row i of G, so positions where both are
-    empty give no row and are not visited.  A row is column j of G beside
-    the negated row i of G, which share one coordinate, X[i, j], and only
-    when G[i, i] and G[j, j] are both nonzero, so no row needs a multiply.
+    Output position (i, j) of X*G - G*X reads column j of G, placed in row
+    i of X, and minus row i of G, placed in column j.  Where row i of G is
+    empty the constraint is the column alone, and where column j is empty
+    it is the negated row alone: a one-entry column or row gives a zero
+    coordinate, and no dict is built for it.  Where both are nonempty they
+    share one coordinate, X[i, j], and only when G[i, i] and G[j, j] are
+    both nonzero, so no row needs a multiply; a row left with one entry
+    there gives a zero coordinate too.  A scalar G commutes with every X,
+    so it gives no constraint and is skipped.
     """
     mats = list(mats)
     if not mats:
@@ -50,20 +61,38 @@ def _constraint_rows(mats):
     n, f = first.n, first.field
     for m in mats[1:]:
         _check_compatible(first, m)
+    zero, rows = set(), []
     for g in mats:
         grows = g.sparse_rows
-        gcols = [{} for _ in range(n)]
-        for k, grow in enumerate(grows):
-            for j, v in grow.items():
-                gcols[j][k] = v
-        cols = [j for j in range(n) if gcols[j]]
+        c = grows[0].get(0)
+        if all(gi == {i: c} for i, gi in enumerate(grows)):
+            continue
+        gcols, bare, full = {}, [], []
         for i, gi in enumerate(grows):
-            at = i * n
+            if not gi:
+                bare.append(i * n)
+                continue
+            full.append(i)
+            for j, v in gi.items():
+                gcols.setdefault(j, {})[i] = v
+        # (X*G)[i, j] = sum_k X[i, k] G[k, j], (G*X)[i, j] = sum_k G[i, k] X[k, j]
+        # row i of G empty: column j of G, placed in row i of X
+        for gj in gcols.values():
+            if len(gj) == 1:
+                zero.update([at + k for at in bare for k in gj])
+            else:
+                rows.extend({at + k: v for k, v in gj.items()} for at in bare)
+        empty = [j for j in range(n) if j not in gcols]
+        for i in full:
+            gi = grows[i]
             neg = [(k * n, f.neg(v)) for k, v in gi.items()]
-            gii = gi.get(i)
-            for j in range(n) if gi else cols:
-                gj = gcols[j]
-                # (X*G)[i, j] = sum_k X[i, k] G[k, j], (G*X)[i, j] = sum_k G[i, k] X[k, j]
+            # column j of G empty: minus row i of G, placed in column j of X
+            if len(neg) == 1:
+                zero.update([neg[0][0] + j for j in empty])
+            else:
+                rows.extend({kn + j: v for kn, v in neg} for j in empty)
+            at, gii = i * n, gi.get(i)
+            for j, gj in gcols.items():
                 row = {at + k: v for k, v in gj.items()}
                 for kn, v in neg:
                     row[kn + j] = v
@@ -73,15 +102,36 @@ def _constraint_rows(mats):
                         row[at + j] = v
                     else:
                         del row[at + j]
-                if row:
-                    yield row
+                if len(row) > 1:
+                    rows.append(row)
+                else:
+                    zero.update(row)
+    return zero, rows
+
+
+def _stripped(zero, rows):
+    """Fresh copies of the constraint rows with the ``zero`` coordinates
+    removed, the empty ones dropped.  Modulo the unit vectors of ``zero``
+    they span what the rows span."""
+    for row in rows:
+        row = {c: v for c, v in row.items() if c not in zero}
+        if row:
+            yield row
+
+
+def _kernel(zero, rows, n, field) -> Subspace:
+    """The centralizer from its constraints ``(zero, rows)``: the kernel of
+    a unit row per zero coordinate and of the stripped rows."""
+    one = field.one()
+    units = [{c: one} for c in zero]
+    return kernel(units + list(_stripped(zero, rows)), n, field)
 
 
 def centralizer(mats) -> Subspace:
     """All X with X*G = G*X for every given G, as a canonical subspace."""
     mats = list(mats)
-    rows = list(_constraint_rows(mats))
-    return kernel(rows, mats[0].n, mats[0].field)
+    zero, rows = _constraints(mats)
+    return _kernel(zero, rows, mats[0].n, mats[0].field)
 
 
 @dataclass(frozen=True)
@@ -111,26 +161,29 @@ def _maximality(mats, alg: Algebra) -> MaximalityVerdict:
 
     A is commutative exactly when its table is symmetric; only when it is
     not are member pairs multiplied, to name the first pair that does not
-    commute.  A commutative A lies in the centralizer C(S), so C(S) = A
-    once the constraint rows inserted reach rank n*n - d, and the rest are
-    skipped.  Ranks build no canonical row; only when the full rank falls
-    short are the constraints brought to RREF, for the kernel basis and
-    its first element outside A.
+    commute.  The rank of the centralizer constraints is the number of
+    zero coordinates plus the rank of the other rows with those
+    coordinates removed, so only those rows are inserted.  A commutative A
+    lies in the centralizer C(S), so C(S) = A once the rank reaches
+    n*n - d, and the rest are skipped.  Ranks build no canonical row; only
+    when the full rank falls short are the constraints brought to RREF,
+    for the kernel basis and its first element outside A.
     """
     closure, d = alg.space, alg.d
-    ncoords = closure.n * closure.n
+    n, field = closure.n, closure.field
     commutes, pair = (True, None) if alg.commutative else is_commutative(mats)
-    rank = _Echelon(closure.field)
-    for row in _constraint_rows(mats):
-        if commutes and rank.dim == ncoords - d:
+    zero, rows = _constraints(mats)
+    rank, full = _Echelon(field), n * n - d - len(zero)
+    for row in _stripped(zero, rows):
+        if commutes and rank.dim == full:
             break
         rank.insert(row)
-    cent_dim = ncoords - rank.dim
+    cent_dim = n * n - len(zero) - rank.dim
     if not commutes:
         return MaximalityVerdict(d, cent_dim, False, False, pair)
     if cent_dim == d:
         return MaximalityVerdict(d, d, True, True, None)
-    cent = kernel(_constraint_rows(mats), closure.n, closure.field)
+    cent = _kernel(zero, rows, n, field)
     outside = next(
         m for m in cent.basis_matrices() if not closure.contains_matrix(m)
     )

@@ -3,9 +3,11 @@
 The maximality verdict read off the closure's table (its symmetry, then
 the rank of the centralizer constraints with an early exit) must equal
 ``oracles.reference_maximality`` (pairwise products and the full
-centralizer kernel), counterexample included.  A witness's chain run on
-the closure's table must report what ``li_chain(..., target=closure)``
-reports in the n*n matrix coordinates.
+centralizer kernel), counterexample included, on family systems and on
+small dense, polynomial and diagonal systems, whose centralizer must also
+equal the kernel of the full walk's constraint rows.  A witness's chain
+run on the closure's table must report what ``li_chain(...,
+target=closure)`` reports in the n*n matrix coordinates.
 """
 
 import pytest
@@ -16,12 +18,16 @@ import subalg.exact_linalg as exact_linalg
 import subalg.lengths as lengths
 from subalg import (
     QQ,
+    BkmParams,
     ConstructionParams,
     GeneratingSystem,
+    Matrix,
     PrimeField,
     algebra_closure,
     build_bkm,
     build_bkml,
+    centralizer,
+    kernel,
     li_chain,
     matrix_unit,
     valid_bkm_params,
@@ -30,11 +36,11 @@ from subalg import (
     verify_system,
     witness_system,
 )
-from subalg.commute import _maximality
+from subalg.commute import _constraints, _maximality
 from subalg.lengths import _target_chain
 from subalg.radical import Algebra
 
-from oracles import reference_maximality
+from oracles import full_walk_constraint_rows, reference_maximality
 
 FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
 PARAMS_8152 = ConstructionParams(n=8, m=1, l=5, k=2)
@@ -104,6 +110,75 @@ def test_verdict_matches_the_whole_centralizer(field, data):
     )
     got, want, piped = _verdicts(system)
     assert got == want == piped
+
+
+def _draw_matrix(data, field, n, diagonal=False):
+    """A sparse random n-by-n matrix, or its diagonal alone."""
+    values = st.sampled_from([0, 0, 0, 1, -1, 2])
+    v = data.draw(st.lists(values, min_size=n * n, max_size=n * n))
+    rows = [
+        [field.from_int(v[i * n + j]) if i == j or not diagonal else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    return Matrix.from_rows(rows, field)
+
+
+def _draw_small_system(field, data):
+    """Up to three n-by-n matrices, n <= 5: dense ones, which seldom
+    commute; polynomials in one matrix, which commute and may or may not
+    generate a maximal algebra; or diagonal ones."""
+    n = data.draw(st.integers(1, 5))
+    kind = data.draw(st.sampled_from(["dense", "polynomials", "diagonal"]))
+    count = data.draw(st.integers(1, 3))
+    if kind == "polynomials":
+        a = _draw_matrix(data, field, n)
+        powers = [Matrix.identity(n, field)]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * a)
+        mats = []
+        for _ in range(count):
+            coeffs = data.draw(
+                st.lists(st.sampled_from([0, 1, -1, 2]), min_size=n, max_size=n)
+            )
+            p = Matrix.zero(n, field)
+            for c, power in zip(coeffs, powers):
+                p = p + power.scale(field.from_int(c))
+            mats.append(p)
+    else:
+        mats = [_draw_matrix(data, field, n, kind == "diagonal") for _ in range(count)]
+    members = tuple((f"g{i}", m) for i, m in enumerate(mats))
+    return GeneratingSystem(members, admit_empty_word=data.draw(st.booleans()))
+
+
+@pytest.mark.parametrize("field", FIELDS[:3], ids=lambda f: f.name)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_verdict_matches_the_reference_beyond_family_members(field, data):
+    system = _draw_small_system(field, data)
+    mats, n = system.matrices, system.n
+    closure = algebra_closure(system)
+    assert _maximality(mats, Algebra(closure)) == reference_maximality(mats, closure)
+    assert centralizer(mats) == kernel(list(full_walk_constraint_rows(mats)), n, field)
+
+
+def test_maximality_inserts_no_one_entry_constraint(monkeypatch):
+    """A work count: at bkm (24,1,8) over Q the one-entry constraints are
+    the zero set, so the rank inserts none of them, and at most one
+    stripped copy of each other row.  Inserting the walk's own rows until
+    the rank reaches n*n - d would take 1 033 inserts."""
+    system = build_bkm(BkmParams(24, 1, 8), QQ)
+    alg = Algebra(algebra_closure(system))
+    zero, rows = _constraints(system.matrices)
+    inserted = []
+    real_insert = exact_linalg._Echelon.insert
+    monkeypatch.setattr(
+        exact_linalg._Echelon,
+        "insert",
+        lambda self, vec: inserted.append(dict(vec)) or real_insert(self, vec),
+    )
+    assert _maximality(system.matrices, alg).is_maximal
+    assert 0 < len(inserted) <= len(rows) == 96
+    assert all(zero.isdisjoint(vec) for vec in inserted)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)

@@ -280,6 +280,19 @@ def test_sweep_with_no_valid_tuples(capsys):
     assert "no valid" in err
 
 
+def test_sweep_explicit_grid_with_no_valid_tuples_names_the_violation(capsys, tmp_path):
+    target = tmp_path / "sweep.json"
+    rc, out, err = run_cli(
+        capsys,
+        "sweep", "--family", "bkm", "--n", "6", "--m", "1..2", "--k", "9",
+        "--out", str(target),
+    )
+    assert rc == 2
+    assert out == "" and not target.exists()
+    assert "no valid" in err
+    assert "k+m+1 <= n violated" in err
+
+
 def test_sweep_parallel_matches_serial(capsys):
     argv = ("sweep", "--family", "bkm", "--n", "4..5", "--samples", "1")
     rc1, out1, _ = run_cli(capsys, *argv, "--jobs", "1")

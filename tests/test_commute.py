@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 import sympy
 from hypothesis import given
@@ -17,7 +19,7 @@ from subalg import (
     is_maximal_commutative,
     matrix_unit,
 )
-from subalg.commute import _constraint_rows
+from subalg.commute import _constraints
 
 from oracles import full_walk_constraint_rows, to_sympy
 
@@ -124,34 +126,53 @@ def test_reference_construction_is_maximal(full_8152):
     assert v.algebra_dim == v.centralizer_dim == 9
 
 
+def _assert_constraints_split_the_full_walk(mats):
+    """``_constraints`` gives the coordinates of the full walk's one-entry
+    rows as its zero set, and the walk's other rows as a multiset: neither
+    the rank nor the canonical kernel depends on the rows' order."""
+    zero, rows = _constraints(mats)
+    walk = list(full_walk_constraint_rows(mats))
+    assert zero == {c for row in walk if len(row) == 1 for c in row}
+    assert Counter(tuple(sorted(row.items())) for row in rows) == Counter(
+        tuple(sorted(row.items())) for row in walk if len(row) > 1
+    )
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
-def test_constraint_rows_equal_the_full_walk_on_family_systems(field):
-    """The walk over nonempty rows and columns yields the full walk's rows,
-    in its order, so the early-exit rank and the counterexample are kept."""
+def test_constraints_split_the_full_walk_on_family_systems(field):
     for system in (
         build_bkml(ConstructionParams(8, 1, 5, 2), field),
         build_bkm(BkmParams(8, 2, 2), field),
         build_bkm(BkmParams(12, 1, 5), field),
     ):
-        mats = system.matrices
-        assert list(_constraint_rows(mats)) == list(full_walk_constraint_rows(mats))
+        _assert_constraints_split_the_full_walk(system.matrices)
+
+
+def _drawn_matrix(field, n, kind, v):
+    """A dense matrix from the values ``v``, their diagonal alone, or the
+    scalar matrix of their first nonzero value outside {0, 1}."""
+    if kind == "scalar":
+        c = next((x for x in v if x not in (0, 1)), 2)
+        return Matrix.identity(n, field).scale(field.from_int(c))
+    rows = [[field.from_int(v[i * n + j]) for j in range(n)] for i in range(n)]
+    if kind == "diagonal":
+        z = field.zero()
+        rows = [[x if i == j else z for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    return Matrix.from_rows(rows, field)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
 @given(
     n=st.integers(min_value=1, max_value=5),
     drawn=st.lists(
-        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=25, max_size=25),
+        st.tuples(
+            st.sampled_from(["dense", "dense", "diagonal", "scalar"]),
+            st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 3]), min_size=25, max_size=25),
+        ),
         min_size=1,
         max_size=3,
     ),
 )
-def test_constraint_rows_equal_the_full_walk_on_random_matrices(field, n, drawn):
-    mats = [
-        Matrix.from_rows(
-            [[field.from_int(v[i * n + j]) for j in range(n)] for i in range(n)],
-            field,
-        )
-        for v in drawn
-    ]
-    assert list(_constraint_rows(mats)) == list(full_walk_constraint_rows(mats))
+def test_constraints_split_the_full_walk_on_random_matrices(field, n, drawn):
+    mats = [_drawn_matrix(field, n, kind, v) for kind, v in drawn]
+    _assert_constraints_split_the_full_walk(mats)
