@@ -60,7 +60,6 @@ from .exact_linalg import (
 from .lengths import (
     LengthReport,
     algebra_closure,
-    enumerate_words,
     length_of_system,
     li_chain,
     li_chain_spans,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 import time
@@ -61,6 +62,10 @@ def _int_in(lo: int, hi: int | None = None):
 # Each sample costs candidates and a span chain, and its length is listed
 # in the document; a larger --samples is refused before anything is drawn.
 MAX_SAMPLES = 10_000
+# A sweep walks every combination of its explicit --m/--l/--k ranges, or
+# else the n**2 (bkm) or n**3 (bkml) ones per n that ``valid_*_params``
+# try; a sweep walking more is refused before any tuple is enumerated.
+MAX_SWEEP_COMBINATIONS = 100_000
 # `length --check-words` forms up to this many words at its top step, one
 # at a time; a larger --word-budget is refused at parsing.
 MAX_WORD_BUDGET = 1_000_000
@@ -75,8 +80,9 @@ _family_n = _int_in(1, MAX_N)
 def _range_arg(s: str) -> tuple:
     """Accepts "8", "6..10", or "1,3,5"; returns a sorted tuple of ints.
 
-    No parameter of a valid tuple exceeds its n, so a range reaching above
-    ``MAX_N`` is refused before it is built.
+    No parameter of a valid tuple exceeds its n or is below 1, so a range
+    reaching above ``MAX_N``, or holding more than ``MAX_N`` values, is
+    refused before it is built.
     """
     try:
         if ".." in s:
@@ -95,6 +101,10 @@ def _range_arg(s: str) -> tuple:
         ) from None
     if values[-1] > MAX_N:
         raise argparse.ArgumentTypeError(f"exceeds the supported maximum {MAX_N}: {s}")
+    if len(values) > MAX_N:
+        raise argparse.ArgumentTypeError(
+            f"a range of {len(values)} values exceeds the supported maximum {MAX_N}: {s}"
+        )
     return tuple(values)
 
 
@@ -282,6 +292,15 @@ def cmd_sweep(args) -> int:
     names = ("n", "m", "l", "k") if bkml else ("n", "m", "k")
     ranges = (args.m, args.l, args.k) if bkml else (args.m, args.k)
     explicit_all = all(r is not None for r in ranges)
+    walked = sum(
+        math.prod(map(len, ranges)) if explicit_all else max(n, 0) ** len(ranges)
+        for n in args.n
+    )
+    if walked > MAX_SWEEP_COMBINATIONS:
+        return _fail2(
+            f"sweep walks {walked} parameter combinations, above the supported "
+            f"maximum {MAX_SWEEP_COMBINATIONS}; narrow --n, --m, --l or --k"
+        )
     selected = []
     skipped = []
     for n in args.n:

@@ -75,6 +75,15 @@ class Field:
 
     name: str = "?"
 
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def fmt(self, x) -> str:
+        return str(x)
+
     def coerce(self, value):
         """Turn an int or string into a canonical scalar; pass scalars through."""
         if isinstance(value, bool):
@@ -136,17 +145,8 @@ class RationalField(Field):
     def name(self) -> str:
         return "rational"
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def from_int(self, i: int):
         return int(i)
-
-    def fmt(self, x) -> str:
-        return str(x)
 
     def _passthrough(self, value):
         if isinstance(value, type(_RAT(0))):
@@ -215,17 +215,8 @@ class PrimeField(Field):
     def name(self) -> str:
         return f"gf:{self.p}"
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def from_int(self, i: int):
         return i % self.p
-
-    def fmt(self, x) -> str:
-        return str(x)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -481,19 +472,6 @@ class _Echelon:
                 return True
             f.axpy(vec, f.neg(vec[lead]), row)
         return False
-
-    def reduce(self, vec: dict) -> dict:
-        """Eliminate every lead coordinate of vec in place and return vec:
-        it ends empty exactly when it lies in the span, and two vectors end
-        equal exactly when they are equal modulo the span."""
-        f, rows = self.field, self.rows
-        # a row is zero below its lead, so eliminating a lead can only
-        # bring in coordinates at later leads
-        for lead in sorted(rows):
-            v = vec.get(lead)
-            if v is not None:
-                f.axpy(vec, f.neg(v), rows[lead])
-        return vec
 
     def canonical(self) -> dict:
         """The RREF rows of the span, pivot -> row in ascending order.

@@ -28,9 +28,9 @@ against A.
 The sampler plans each candidate's draws before any arithmetic.  It builds
 rows only for a candidate with enough members to generate, and only its
 chosen ones, unscaled: scaling by units changes no span, so the chain runs
-on them as they are.  Step 1 of that chain is the screen, and an accepted
-candidate's chain goes on from it.  Only ``sample_generating_systems``
-applies the units and forms matrices, for accepted samples.
+on them as they are.  The screen inserts F*I + J^2 into a copy of step 1
+of that chain, and an accepted candidate's chain goes on from step 1.
+Only ``sample_generating_systems`` applies the units and forms matrices.
 """
 
 from __future__ import annotations
@@ -248,18 +248,6 @@ def _word_steps(system: GeneratingSystem, max_len: int, budget: int):
         yield _words(identity, mats, i) if i or system.admit_empty_word else []
 
 
-def enumerate_words(
-    system: GeneratingSystem, max_len: int, budget: int = 1_000_000
-) -> list:
-    """All products of at most max_len members, in index-lexicographic order.
-
-    The identity is listed first when the empty word is admitted.  Raises
-    BudgetExceeded when the number of words of the top length,
-    len(members) ** max_len, exceeds the budget.
-    """
-    return [w for step in _word_steps(system, max_len, budget) for w in step]
-
-
 def _unit_draw(rng: random.Random, field):
     # A handful of invertible scalars; over GF(p) any nonzero residue.
     units = ("1", "-1", "2", "-2", "1/2")
@@ -305,17 +293,16 @@ def _screen(alg: Algebra, members: list) -> _FirstStep | None:
     when they generate A; None when they do not.
 
     By Nakayama's lemma they generate the local A exactly when L_1, which
-    holds I, spans A together with F*I + J^2 (``alg.modulus``): the rows
-    of F*I + J^2, reduced modulo L_1, must have rank d - dim L_1.
+    holds I, spans A together with F*I + J^2 (``alg.modulus``): the rows of
+    F*I + J^2, inserted into a copy of L_1's accumulator, must fill A.
     """
     first = _first_step(alg, members, True)
-    gap = alg.d - first.ech.dim
-    rank = _Echelon(alg.field)
+    ech = _Echelon(alg.field, first.ech.rows)
     for row in alg.modulus.values():
-        if rank.dim == gap:
+        if ech.dim == alg.d:
             break
-        rank.insert(first.ech.reduce(dict(row)))
-    return first if rank.dim == gap else None
+        ech.insert(dict(row))
+    return first if ech.dim == alg.d else None
 
 
 def _sample_reports(
@@ -328,9 +315,9 @@ def _sample_reports(
     (``alg.modulus``; Nakayama's lemma).  One with fewer members than that
     rank is refused before any row is built; otherwise only its chosen rows
     are built, unscaled: scaling members by units changes no span.  They
-    run step 1 of their chain, which ``_screen`` tests against F*I + J^2;
-    an accepted candidate continues its chain from there.  Refusals are
-    capped at ``max_rejections`` per sample.
+    run step 1 of their chain, and ``_screen`` inserts F*I + J^2 into a
+    copy of L_1; an accepted candidate continues its chain from step 1.
+    Refusals are capped at ``max_rejections`` per sample.
     """
     rng = random.Random(seed)
     f, d = alg.field, alg.d

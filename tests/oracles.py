@@ -12,9 +12,11 @@ basis of every candidate and turns each sample into matrices.
 own, and ``full_walk_constraint_rows`` the centralizer constraints from a
 walk over every output position.  ``all_pairs_power_rows`` is the
 radical's power chain from every product of a power's basis with J's
-basis.  ``rref``, ``commutator``, ``subspace_contains``, ``subspace_sum``,
-``contains_vector`` and ``pivots`` are conveniences on top of the
-package's sparse core that only tests use.
+basis.  ``enumerate_words`` lists every word of at most a given length,
+the word-enumeration oracle for span chains.  ``rref``, ``commutator``,
+``subspace_contains``, ``subspace_sum``, ``contains_vector`` and
+``pivots`` are conveniences on top of the package's sparse core that only
+tests use.
 """
 
 import random
@@ -41,7 +43,7 @@ from subalg import (
     span_of,
 )
 from subalg.exact_linalg import _as_sparse, _check_compatible, _Echelon, _reduce
-from subalg.lengths import _coord_chain
+from subalg.lengths import _coord_chain, _word_steps
 from subalg.radical import Algebra
 
 
@@ -113,6 +115,16 @@ def sympy_rref_rows(vectors) -> list:
         if any(v != 0 for v in row):
             rows.append([Fraction(str(v)) for v in row])
     return rows
+
+
+def enumerate_words(system, max_len: int, budget: int = 1_000_000) -> list:
+    """All products of at most max_len members, in index-lexicographic order.
+
+    The identity is listed first when the empty word is admitted.  Raises
+    BudgetExceeded when the number of words of the top length,
+    len(members) ** max_len, exceeds the budget.
+    """
+    return [w for step in _word_steps(system, max_len, budget) for w in step]
 
 
 def mat_pow(a: Matrix, e: int) -> Matrix:

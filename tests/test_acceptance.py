@@ -21,7 +21,6 @@ from subalg import (
     centralizer,
     dimension_formula,
     dimension_formula_bkm,
-    enumerate_words,
     is_commutative,
     li_chain_spans,
     matrix_unit,
@@ -35,7 +34,7 @@ from subalg import (
     witness_system_bkm,
 )
 
-from oracles import mat_pow, mat_power_of_chain
+from oracles import enumerate_words, mat_pow, mat_power_of_chain
 
 GF2 = PrimeField(2)
 GF7 = PrimeField(7)

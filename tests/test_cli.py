@@ -550,6 +550,7 @@ def test_negative_counts_are_usage_errors(capsys, argv):
         ("sweep", "--family", "bkm", "--n", "5000", "--samples", "0"),
         ("sweep", "--family", "bkm", "--n", "6..10000000000000", "--samples", "0"),
         ("sweep", "--family", "bkm", "--n", "6,257", "--samples", "0"),
+        ("sweep", "--family", "bkm", "--n=-1000000000..8", "--samples", "0"),
     ],
 )
 def test_family_n_above_max_n_is_refused_before_building(capsys, monkeypatch, argv):
@@ -576,6 +577,30 @@ def test_sweep_parameter_ranges_above_max_n_are_refused(capsys, monkeypatch, arg
     rc, out, err = run_cli(capsys, "sweep", *argv, "--samples", "0")
     assert (rc, out) == (2, "")
     assert "exceeds the supported maximum 256" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "bkml", "--n", "1..256"),
+        ("--family", "bkml", "--n", "8", "--m", "1..256", "--l", "1..256", "--k", "1..256"),
+        ("--family", "bkm", "--n", "1..67"),
+    ],
+)
+def test_sweep_walking_too_many_combinations_is_refused_before_enumerating(
+    capsys, monkeypatch, argv
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an oversized sweep enumerated its tuples")
+
+    monkeypatch.setattr(cli, "valid_bkml_params", unreachable)
+    monkeypatch.setattr(cli, "valid_bkm_params", unreachable)
+    monkeypatch.setattr(cli, "_PARAMS", {"bkml": unreachable, "bkm": unreachable})
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, "sweep", *argv, "--samples", "0")
+    assert time.perf_counter() - t0 < 1.0
+    assert (rc, out) == (2, "")
+    assert f"above the supported maximum {cli.MAX_SWEEP_COMBINATIONS}" in err
 
 
 def test_family_n_at_max_n_is_accepted():

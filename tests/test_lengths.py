@@ -24,7 +24,6 @@ from subalg import (
     algebra_closure,
     build_bkm,
     build_bkml,
-    enumerate_words,
     length_of_system,
     li_chain,
     li_chain_spans,
@@ -48,6 +47,7 @@ from oracles import (
     _recombined_basis,
     _spans_modulo,
     contains_vector,
+    enumerate_words,
     reference_samples,
     sympy_word_span_dims,
 )

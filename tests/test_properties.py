@@ -19,7 +19,6 @@ from subalg import (
     algebra_closure,
     build_bkm,
     build_bkml,
-    enumerate_words,
     li_chain,
     li_chain_spans,
     mat_mul,
@@ -30,7 +29,7 @@ from subalg import (
     verify_system,
 )
 
-from oracles import commutator, pivots, rref, sympy_word_span_dims
+from oracles import commutator, enumerate_words, pivots, rref, sympy_word_span_dims
 
 FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
 
