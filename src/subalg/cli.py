@@ -288,6 +288,8 @@ def _sweep_task(task) -> dict:
 
 def cmd_sweep(args) -> int:
     bkml = args.family == "bkml"
+    if not bkml and args.l is not None:
+        raise InvalidParams("family bkm takes no --l")
     cls = _PARAMS[args.family]
     names = ("n", "m", "l", "k") if bkml else ("n", "m", "k")
     ranges = (args.m, args.l, args.k) if bkml else (args.m, args.k)

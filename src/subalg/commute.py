@@ -119,19 +119,14 @@ def _stripped(zero, rows):
             yield row
 
 
-def _kernel(zero, rows, n, field) -> Subspace:
-    """The centralizer from its constraints ``(zero, rows)``: the kernel of
-    a unit row per zero coordinate and of the stripped rows."""
-    one = field.one()
-    units = [{c: one} for c in zero]
-    return kernel(units + list(_stripped(zero, rows)), n, field)
-
-
 def centralizer(mats) -> Subspace:
-    """All X with X*G = G*X for every given G, as a canonical subspace."""
+    """All X with X*G = G*X for every given G, as a canonical subspace: the
+    kernel of a unit row per zero coordinate and of the stripped rows."""
     mats = list(mats)
     zero, rows = _constraints(mats)
-    return _kernel(zero, rows, mats[0].n, mats[0].field)
+    n, field = mats[0].n, mats[0].field
+    units = [{c: field.one()} for c in zero]
+    return kernel(units + list(_stripped(zero, rows)), n, field)
 
 
 @dataclass(frozen=True)
@@ -183,7 +178,7 @@ def _maximality(mats, alg: Algebra) -> MaximalityVerdict:
         return MaximalityVerdict(d, cent_dim, False, False, pair)
     if cent_dim == d:
         return MaximalityVerdict(d, d, True, True, None)
-    cent = _kernel(zero, rows, n, field)
+    cent = centralizer(mats)
     outside = next(
         m for m in cent.basis_matrices() if not closure.contains_matrix(m)
     )

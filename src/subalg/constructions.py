@@ -174,41 +174,27 @@ def build_bkm(p: BkmParams, field: Field = QQ) -> GeneratingSystem:
     return GeneratingSystem(tuple(members), admit_empty_word=True)
 
 
+def _without(system: GeneratingSystem, *labels) -> GeneratingSystem:
+    """The system with the members of the given labels left out."""
+    kept = tuple(m for m in system.members if m[0] not in labels)
+    return GeneratingSystem(kept, admit_empty_word=system.admit_empty_word)
+
+
 def witness_system(p: ConstructionParams, field: Field = QQ) -> GeneratingSystem:
     """The short system whose length attains k+1 for the two-chain family.
 
-    It keeps the two chains and all unit generators except E(m, m+k+1) and
-    E(l, l+k+1); those two reappear as the (k+1)-st chain powers, which is
-    what forces the length up to k+1.
+    It is ``build_bkml`` without I, E(m, m+k+1) and E(l, l+k+1); those two
+    units reappear as the (k+1)-st chain powers, which is what forces the
+    length up to k+1.
     """
-    sets = index_sets(p)
-    excluded = {(p.m, p.m + p.k + 1), (p.l, p.l + p.k + 1)}
-    pairs = [
-        (i, j)
-        for i in sets.row_indices
-        for j in sets.col_indices
-        if (i, j) not in excluded
-    ]
-    members = [
-        ("B1", shift_matrix(p.n, p.m, p.k, field)),
-        ("B2", shift_matrix(p.n, p.l, p.k, field)),
-    ] + _unit_members(p.n, pairs, field)
-    return GeneratingSystem(tuple(members), admit_empty_word=True)
+    m_unit, l_unit = f"E_{p.m}_{p.m + p.k + 1}", f"E_{p.l}_{p.l + p.k + 1}"
+    return _without(build_bkml(p, field), "I", m_unit, l_unit)
 
 
 def witness_system_bkm(p: BkmParams, field: Field = QQ) -> GeneratingSystem:
-    """One-chain analogue of ``witness_system``: drop E(m, m+k+1) only."""
-    excluded = (p.m, p.m + p.k + 1)
-    pairs = [
-        (i, j)
-        for i in range(1, p.m + 1)
-        for j in range(p.m + p.k + 1, p.n + 1)
-        if (i, j) != excluded
-    ]
-    members = [("B", shift_matrix(p.n, p.m, p.k, field))] + _unit_members(
-        p.n, pairs, field
-    )
-    return GeneratingSystem(tuple(members), admit_empty_word=True)
+    """One-chain analogue of ``witness_system``: ``build_bkm`` without I and
+    E(m, m+k+1)."""
+    return _without(build_bkm(p, field), "I", f"E_{p.m}_{p.m + p.k + 1}")
 
 
 def coefficient_template(p: ConstructionParams) -> tuple:

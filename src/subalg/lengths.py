@@ -28,8 +28,8 @@ against A.
 The sampler plans each candidate's draws before any arithmetic.  It builds
 rows only for a candidate with enough members to generate, and only its
 chosen ones, unscaled: scaling by units changes no span, so the chain runs
-on them as they are.  The screen inserts F*I + J^2 into a copy of step 1
-of that chain, and an accepted candidate's chain goes on from step 1.
+on them as they are.  That chain is screened: after step 1 it inserts
+F*I + J^2 into a copy of L_1 and goes on only when the copy fills A.
 Only ``sample_generating_systems`` applies the units and forms matrices.
 """
 
@@ -88,39 +88,39 @@ def _grow(ech: _Echelon, vecs, full: int | None = None) -> list:
     return grown
 
 
-def _chain(system: GeneratingSystem, target: Subspace | None = None):
-    """Run the span chain to stabilization; returns (report, per-step spans)."""
+def _chain(system: GeneratingSystem):
+    """Run the span chain to stabilization; returns (report, per-step spans),
+    the report's length measured against the span it stabilizes at."""
     if not system.members and not system.admit_empty_word:
         raise EmptySystem("no members and the empty word is not admitted")
-    if target is not None:
-        _check_compatible(system, target)
     n, f = system.n, system.field
     ech = _Echelon(f)
     if system.admit_empty_word:
         ech.insert(vectorize(system.identity()))
     spans = [ech.to_subspace(n)]
-    length = 0 if target is not None and spans[0] == target else None
     vecs = [vectorize(m) for m in system.matrices]
     members = [_by_row(vec, n) for vec in vecs]
     while True:
         frontier = [_by_row(x, n) for x in _grow(ech, vecs)]
         spans.append(ech.to_subspace(n))
-        if target is not None and length is None and spans[-1] == target:
-            length = len(spans) - 1
         if spans[-1].dim == spans[-2].dim:
             break
         vecs = (_vec_mul(g, x, n, f) for x in frontier for g in members)
     dims = tuple(s.dim for s in spans)
     stabilization = len(spans) - 1
-    if target is None:
-        return LengthReport(dims, stabilization, stabilization - 1, dims[-1]), spans
-    return LengthReport(dims, stabilization, length, target.dim), spans
+    return LengthReport(dims, stabilization, stabilization - 1, dims[-1]), spans
 
 
 def li_chain(system: GeneratingSystem, target: Subspace | None = None) -> LengthReport:
-    """Chain report for S; with a target, ``length`` is measured against it."""
-    report, _ = _chain(system, target)
-    return report
+    """Chain report for S; with a target, ``length`` is the first i with L_i
+    equal to it, None when no span is."""
+    if target is not None:
+        _check_compatible(system, target)
+    report, spans = _chain(system)
+    if target is None:
+        return report
+    length = spans.index(target) if target in spans else None
+    return LengthReport(report.dims, report.stabilization_step, length, target.dim)
 
 
 def li_chain_spans(system: GeneratingSystem) -> list:
@@ -135,31 +135,16 @@ def algebra_closure(system: GeneratingSystem) -> Subspace:
     return spans[-1]
 
 
-# Step 1 of a chain in A's coordinates: the rank accumulator of L_1, dim
-# L_0, and the indices of the members that grew the span.
-_FirstStep = namedtuple("_FirstStep", "ech dim0 grown")
-
-
-def _first_step(alg: Algebra, members: list, admit_empty_word: bool) -> _FirstStep:
-    """Step 1 of the chain of members of A, given by coordinates, which are
-    inserted as copies; it stops as soon as the span fills A."""
-    d = alg.d
-    ech = _Echelon(alg.field)
-    if admit_empty_word:
-        ech.insert(dict(alg.identity))
-    dim0 = ech.dim
-    grown = [i for i, g in enumerate(members) if ech.dim < d and ech.insert(dict(g))]
-    return _FirstStep(ech, dim0, grown)
-
-
 def _coord_chain(
-    alg: Algebra,
-    members: list,
-    admit_empty_word: bool,
-    first: _FirstStep | None = None,
-) -> LengthReport:
-    """The span chain of members of A, given by coordinates, against A;
-    ``first`` is its step 1 when that has already run.
+    alg: Algebra, members: list, admit_empty_word: bool, screen: bool = False
+) -> LengthReport | None:
+    """The span chain of members of A, given by coordinates, against A.
+
+    Step 1 inserts copies of the members and stops as soon as the span
+    fills A.  With ``screen`` the chain stops there, returning None, unless
+    L_1 spans A together with F*I + J^2 (``alg.modulus``): by Nakayama's
+    lemma, members with the identity admitted generate the local A exactly
+    then.  The rows of F*I + J^2 go into a copy of L_1's accumulator.
 
     Each later step multiplies the members by the vectors that grew the span
     at the step before.  At step 2 those are the grown members, so in a
@@ -168,8 +153,20 @@ def _coord_chain(
     repeat A, is recorded without being run.
     """
     d = alg.d
-    ech, dim0, grown = first or _first_step(alg, members, admit_empty_word)
-    dims = [dim0, ech.dim]
+    ech = _Echelon(alg.field)
+    if admit_empty_word:
+        ech.insert(dict(alg.identity))
+    dims = [ech.dim]
+    grown = [i for i, g in enumerate(members) if ech.dim < d and ech.insert(dict(g))]
+    dims.append(ech.dim)
+    if screen:
+        probe = _Echelon(alg.field, ech.rows)
+        for row in alg.modulus.values():
+            if probe.dim == d:
+                break
+            probe.insert(dict(row))
+        if probe.dim < d:
+            return None
     caches = [{} for _ in members]
     mul = alg.mul
     if alg.commutative:
@@ -288,23 +285,6 @@ def _plan_row(plan: _Plan, k: int, f, scaled: bool = False) -> dict:
     return f.scale(row, f.parse(str(plan.units[i]))) if scaled else row
 
 
-def _screen(alg: Algebra, members: list) -> _FirstStep | None:
-    """Step 1 of the chain of members of A with the empty word admitted,
-    when they generate A; None when they do not.
-
-    By Nakayama's lemma they generate the local A exactly when L_1, which
-    holds I, spans A together with F*I + J^2 (``alg.modulus``): the rows of
-    F*I + J^2, inserted into a copy of L_1's accumulator, must fill A.
-    """
-    first = _first_step(alg, members, True)
-    ech = _Echelon(alg.field, first.ech.rows)
-    for row in alg.modulus.values():
-        if ech.dim == alg.d:
-            break
-        ech.insert(dict(row))
-    return first if ech.dim == alg.d else None
-
-
 def _sample_reports(
     alg: Algebra, count: int, seed: int, max_rejections: int = 1000
 ) -> list:
@@ -314,9 +294,9 @@ def _sample_reports(
     A candidate generates A exactly when it spans A modulo F*I + J^2
     (``alg.modulus``; Nakayama's lemma).  One with fewer members than that
     rank is refused before any row is built; otherwise only its chosen rows
-    are built, unscaled: scaling members by units changes no span.  They
-    run step 1 of their chain, and ``_screen`` inserts F*I + J^2 into a
-    copy of L_1; an accepted candidate continues its chain from step 1.
+    are built, unscaled: scaling members by units changes no span.  Each
+    built candidate runs one screened chain (``_coord_chain``), which stops
+    after step 1 unless the candidate generates A.
     Refusals are capped at ``max_rejections`` per sample.
     """
     rng = random.Random(seed)
@@ -329,14 +309,13 @@ def _sample_reports(
             if len(plan.chosen) < rank:
                 continue
             members = [_plan_row(plan, k, f) for k in plan.chosen]
-            first = _screen(alg, members)
-            if first is not None:
+            report = _coord_chain(alg, members, True, screen=True)
+            if report is not None:
                 break
         else:
             raise SamplingExhausted(
                 f"no generating subset found within {max_rejections} rejections"
             )
-        report = _coord_chain(alg, members, True, first)
         if report.length is None:
             raise NotGenerating(
                 f"a candidate spanning the target modulo F*I + J^2 "

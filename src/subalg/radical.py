@@ -37,7 +37,6 @@ from .exact_linalg import (
     PrimeField,
     Subspace,
     _by_row,
-    _check_compatible,
     _Echelon,
     _nullspace,
     _reduce,
@@ -282,25 +281,17 @@ def _power_rows(j_rows: dict, alg: Algebra) -> list:
     return powers
 
 
-def radical_power_dims(radical: Subspace, alg: Algebra | None = None) -> tuple:
-    """Dimensions of J, J^2, ... down to the first zero power.
+def radical_power_dims(radical: Subspace) -> tuple:
+    """Dimensions of J, J^2, ... down to the first zero power, read off J's
+    own table, on which J's rows are the unit coordinate vectors.
 
-    ``alg`` is an algebra that contains J, of J's size and field, when the
-    caller has built it; otherwise J's own.  Raises NotASubalgebra when J
-    lies outside that algebra or is not closed under products, and
+    Raises NotASubalgebra when J is not closed under products, and
     NotNilpotent when the dimensions stop strictly decreasing before
     reaching zero.
     """
-    if alg is None:
-        alg = Algebra(radical, "radical candidate")
-    _check_compatible(radical, alg.space)
-    j_ech = _Echelon(alg.field)
-    for row in radical.pivot_rows.values():
-        x = alg.coordinates(dict(row))
-        if x is None:
-            raise NotASubalgebra("the radical candidate lies outside the algebra")
-        j_ech.insert(x)
-    return tuple(len(rows) for rows in _power_rows(j_ech.canonical(), alg))
+    alg = Algebra(radical, "radical candidate")
+    units = {p: {p: alg.field.one()} for p in range(alg.d)}
+    return tuple(len(rows) for rows in _power_rows(units, alg))
 
 
 def nilpotency_index(radical: Subspace) -> int:

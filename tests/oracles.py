@@ -12,7 +12,10 @@ basis of every candidate and turns each sample into matrices.
 own, and ``full_walk_constraint_rows`` the centralizer constraints from a
 walk over every output position.  ``all_pairs_power_rows`` is the
 radical's power chain from every product of a power's basis with J's
-basis.  ``enumerate_words`` lists every word of at most a given length,
+basis, on J's rows in an algebra's coordinates (``coordinate_rows``).
+``reference_witness_system`` and ``reference_witness_system_bkm`` build
+the witness systems by enumerating their unit pairs, not by filtering the
+family's full system.  ``enumerate_words`` lists every word of at most a given length,
 the word-enumeration oracle for span chains.  ``rref``, ``commutator``,
 ``subspace_contains``, ``subspace_sum``, ``contains_vector`` and
 ``pivots`` are conveniences on top of the package's sparse core that only
@@ -27,6 +30,8 @@ import sympy
 
 from subalg import (
     QQ,
+    BkmParams,
+    ConstructionParams,
     DimensionMismatch,
     Field,
     GeneratingSystem,
@@ -37,9 +42,11 @@ from subalg import (
     RationalField,
     Subspace,
     centralizer,
+    index_sets,
     is_commutative,
     mat_mul,
     matrix_unit,
+    shift_matrix,
     span_of,
 )
 from subalg.exact_linalg import _as_sparse, _check_compatible, _Echelon, _reduce
@@ -211,6 +218,52 @@ def all_pairs_power_rows(j_rows: dict, alg: Algebra) -> list:
             raise NotNilpotent(f"power dimensions stalled at {nxt.dim} after {dims}")
         current = list(powers[-1].values())
     return powers
+
+
+def coordinate_rows(space: Subspace, alg: Algebra) -> dict:
+    """RREF rows, in the coordinates of ``alg``, of a subspace inside it."""
+    ech = _Echelon(alg.field)
+    for row in space.pivot_rows.values():
+        ech.insert(alg.coordinates(dict(row)))
+    return ech.canonical()
+
+
+def _unit_members(n, pairs, field):
+    return [(f"E_{i}_{j}", matrix_unit(n, i, j, field)) for i, j in pairs]
+
+
+def reference_witness_system(p: ConstructionParams, field: Field = QQ):
+    """The two chains and every unit of the two-chain family except
+    E(m, m+k+1) and E(l, l+k+1), with their unit pairs enumerated."""
+    sets = index_sets(p)
+    excluded = {(p.m, p.m + p.k + 1), (p.l, p.l + p.k + 1)}
+    pairs = [
+        (i, j)
+        for i in sets.row_indices
+        for j in sets.col_indices
+        if (i, j) not in excluded
+    ]
+    members = [
+        ("B1", shift_matrix(p.n, p.m, p.k, field)),
+        ("B2", shift_matrix(p.n, p.l, p.k, field)),
+    ] + _unit_members(p.n, pairs, field)
+    return GeneratingSystem(tuple(members), admit_empty_word=True)
+
+
+def reference_witness_system_bkm(p: BkmParams, field: Field = QQ):
+    """The chain and every unit of the one-chain family except
+    E(m, m+k+1), with their unit pairs enumerated."""
+    excluded = (p.m, p.m + p.k + 1)
+    pairs = [
+        (i, j)
+        for i in range(1, p.m + 1)
+        for j in range(p.m + p.k + 1, p.n + 1)
+        if (i, j) != excluded
+    ]
+    members = [("B", shift_matrix(p.n, p.m, p.k, field))] + _unit_members(
+        p.n, pairs, field
+    )
+    return GeneratingSystem(tuple(members), admit_empty_word=True)
 
 
 def reference_maximality(mats, closure) -> MaximalityVerdict:

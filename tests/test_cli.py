@@ -293,6 +293,31 @@ def test_sweep_explicit_grid_with_no_valid_tuples_names_the_violation(capsys, tm
     assert "k+m+1 <= n violated" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--m", "1", "--k", "2", "--samples", "0"),
+        ("construct", "--m", "1", "--k", "2"),
+        ("centralizer", "--m", "1", "--k", "2"),
+        ("sweep", "--m", "1", "--k", "2", "--samples", "0"),
+        ("sweep", "--samples", "0"),
+    ],
+    ids=["verify", "construct", "centralizer", "sweep", "sweep-filtered"],
+)
+def test_family_bkm_refuses_l(capsys, monkeypatch, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a sweep with a stray --l enumerated its tuples")
+
+    monkeypatch.setattr(cli, "valid_bkm_params", unreachable)
+    monkeypatch.setattr(cli, "_PARAMS", {"bkml": unreachable, "bkm": unreachable})
+    command, *rest = argv
+    rc, out, err = run_cli(
+        capsys, command, "--family", "bkm", "--n", "8", "--l", "2", *rest
+    )
+    assert (rc, out) == (2, "")
+    assert "family bkm takes no --l" in err
+
+
 def test_sweep_parallel_matches_serial(capsys):
     argv = ("sweep", "--family", "bkm", "--n", "4..5", "--samples", "1")
     rc1, out1, _ = run_cli(capsys, *argv, "--jobs", "1")
@@ -627,6 +652,20 @@ def _count_calls(monkeypatch, real):
     return calls
 
 
+def _coord_chain_runs(monkeypatch):
+    """Records (algebra, screen, report) of each coordinate chain run."""
+    runs = []
+    real = lengths._coord_chain
+
+    def recording(alg, members, admit_empty_word, screen=False):
+        report = real(alg, members, admit_empty_word, screen=screen)
+        runs.append((alg, screen, report))
+        return report
+
+    monkeypatch.setattr(lengths, "_coord_chain", recording)
+    return runs
+
+
 @pytest.fixture
 def chain_runs(monkeypatch):
     """Counts span-chain runs, wherever in the package they are started."""
@@ -679,11 +718,13 @@ def test_verify_builds_one_table_and_samples_without_matrices(
     products = _count_calls(monkeypatch, lengths._vec_mul)
     chains = _count_calls(monkeypatch, lengths._chain)
     candidates = _count_calls(monkeypatch, lengths._plan)
-    coord_chains = _count_calls(monkeypatch, lengths._coord_chain)
+    coord_chains = _coord_chain_runs(monkeypatch)
     pairs = lengths._sample_reports(coords, 5, seed=8)
     assert len(pairs) == 5
     assert len(candidates) > 5
-    assert len(coord_chains) == 5
+    # every chain is screened, and only the 5 accepted ones go past step 1
+    assert all(screen for _, screen, _ in coord_chains)
+    assert sum(1 for *_, report in coord_chains if report is not None) == 5
     assert (len(products), len(chains)) == (0, 0)
     lengths.sample_generating_systems(closure, 5, seed=8)
     # the table forms row_p * row_q only when a column of row_p is a
@@ -698,17 +739,19 @@ def test_verify_builds_one_table_and_samples_without_matrices(
 
 
 def test_verify_runs_one_coordinate_chain_per_sample(capsys, monkeypatch):
-    """Rejected candidates are screened by a rank test and run no chain;
-    the one further coordinate chain is the witness's."""
+    """Each built candidate runs one screened coordinate chain, and a
+    rejected one stops after step 1; the chains that go past step 1 are
+    the 25 samples' and the witness's, which alone is not screened."""
     candidates = _count_calls(monkeypatch, lengths._plan)
-    coord_chains = _count_calls(monkeypatch, lengths._coord_chain)
+    coord_chains = _coord_chain_runs(monkeypatch)
     rc, out, _ = run_cli(
         capsys, "verify", "--family", "bkml", "--n", "8", "--m", "1", "--l", "5",
         "--k", "2", "--field", "gf:7", "--samples", "25",
     )
     assert rc == 0
     assert json.loads(out)["samples"]["count"] == 25
-    assert len(coord_chains) == 25 + 1
+    finished = [screen for _, screen, report in coord_chains if report is not None]
+    assert sorted(finished) == [False] + [True] * 25
     assert len(candidates) > 25
 
 
@@ -725,7 +768,7 @@ def test_verify_samples_build_no_matrix_and_no_row_refused_by_count(
     """A deterministic work count in place of a wall-clock gate: verify's
     samples become no matrix, and a candidate with fewer members than the
     rank modulo F*I + J^2 gets no row built, and each built candidate is
-    screened once, on step 1 of its chain.  Every candidate of bkml
+    screened once, on step 1 of its one chain.  Every candidate of bkml
     (8,1,5,2) has enough members; some of bkm (8,2,2) have too few."""
     matrices = []
     real_matrix = Algebra.matrix
@@ -740,13 +783,14 @@ def test_verify_samples_build_no_matrix_and_no_row_refused_by_count(
         lengths, "_plan", lambda *a: plans.append(real_plan(*a)) or plans[-1]
     )
     rows = _count_calls(monkeypatch, lengths._plan_row)
-    screens = _count_calls(monkeypatch, lengths._screen)
+    coord_chains = _coord_chain_runs(monkeypatch)
     rc, out, _ = run_cli(
         capsys, "verify", "--family", *family, "--field", "gf:7", "--samples", "25",
     )
     assert rc == 0
     assert json.loads(out)["samples"]["count"] == 25
     assert matrices == []
+    screens = [alg for alg, screen, _ in coord_chains if screen]
     rank = len(plans[0].perm) - len(screens[0].modulus)
     built = [p for p in plans if len(p.chosen) >= rank]
     assert (len(built) < len(plans)) == refusals

@@ -23,7 +23,13 @@ from subalg import (
     witness_system_bkm,
 )
 
-from oracles import mat_pow, mat_power_of_chain, shift_power_support
+from oracles import (
+    mat_pow,
+    mat_power_of_chain,
+    reference_witness_system,
+    reference_witness_system_bkm,
+    shift_power_support,
+)
 
 
 def test_params_validation_names_the_violated_constraint():
@@ -81,6 +87,29 @@ def test_witness_bkm_drops_one_unit():
     assert "E_1_4" not in w.labels
     assert "I" not in w.labels
     assert set(build_bkm(p, QQ).labels) - set(w.labels) == {"I", "E_1_4"}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=lambda f: f.name)
+def test_witnesses_equal_the_enumerating_builders(field):
+    """Filtered from the full systems, the witnesses hold the members that
+    enumerating their unit pairs gives: the same labels in the same order
+    and the same matrices, on every valid tuple with n <= 12."""
+    tuples = 0
+    for n in range(1, 13):
+        cases = [
+            (p, witness_system, reference_witness_system)
+            for p in valid_bkml_params(n)
+        ]
+        cases += [
+            (p, witness_system_bkm, reference_witness_system_bkm)
+            for p in valid_bkm_params(n)
+        ]
+        for p, build, reference in cases:
+            got, want = build(p, field), reference(p, field)
+            assert got.labels == want.labels, p
+            assert got == want, p
+            tuples += 1
+    assert tuples == 350
 
 
 def test_build_bkm_members():

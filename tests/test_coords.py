@@ -17,16 +17,17 @@ from subalg import (
     NotLocalForm,
     PrimeField,
     algebra_closure,
+    li_chain,
     matrix_unit,
     radical_power_dims,
     radical_span,
     span_of,
 )
 from subalg.exact_linalg import _by_row, _vec_mul
-from subalg.lengths import _chain, _coord_chain
-from subalg.radical import Algebra
+from subalg.lengths import _coord_chain
+from subalg.radical import Algebra, _power_rows
 
-from oracles import matrix_power_dims
+from oracles import coordinate_rows, matrix_power_dims
 
 FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
 
@@ -73,7 +74,7 @@ def test_coordinate_chain_equals_matrix_chain(field, gens, members, admit):
         tuple((f"x{i + 1}", coords.matrix(x)) for i, x in enumerate(xs)),
         admit_empty_word=admit,
     )
-    want, _ = _chain(system, algebra)
+    want = li_chain(system, algebra)
     right = []
     coords.mul = lambda x, y, cache=None: right.append(y) or Algebra.mul(
         coords, x, y, cache
@@ -106,7 +107,8 @@ def test_table_power_dims_equal_matrix_power_dims(field, gens):
     want = matrix_power_dims(nil)
     assert radical_power_dims(nil) == want
     coords = Algebra(algebra)
-    assert radical_power_dims(nil, coords) == want
+    powers = _power_rows(coordinate_rows(nil, coords), coords)
+    assert tuple(len(rows) for rows in powers) == want
     table = coords.table
     commutative = all(
         table.get((p, q), {}) == table.get((q, p), {})

@@ -12,7 +12,9 @@ from subalg import (
     BkmParams,
     BudgetExceeded,
     ConstructionParams,
+    DimensionMismatch,
     EmptySystem,
+    FieldMismatch,
     GeneratingSystem,
     Matrix,
     NotASubalgebra,
@@ -39,7 +41,6 @@ from subalg.lengths import (
     _plan,
     _plan_row,
     _sample_reports,
-    _screen,
 )
 from subalg.radical import Algebra
 
@@ -115,6 +116,25 @@ def test_length_against_explicit_target(witness_8152, full_8152):
     target = algebra_closure(full_8152)
     assert length_of_system(witness_8152, target) == 3
     assert length_of_system(full_8152, target) == 2
+
+
+def test_li_chain_length_is_the_step_that_reaches_the_target(witness_8152):
+    own = li_chain(witness_8152)
+    spans = li_chain_spans(witness_8152)
+    # the last span repeats the one before it, so each earlier one is new
+    for i, span in enumerate(spans[:-1]):
+        report = li_chain(witness_8152, span)
+        assert (report.dims, report.stabilization_step) == (
+            own.dims,
+            own.stabilization_step,
+        )
+        assert (report.length, report.target_dim) == (i, span.dim)
+    never = span_of([matrix_unit(8, 1, 1, QQ)])
+    assert li_chain(witness_8152, never).length is None
+    with pytest.raises(DimensionMismatch):
+        li_chain(witness_8152, span_of([matrix_unit(3, 1, 1, QQ)]))
+    with pytest.raises(FieldMismatch):
+        li_chain(witness_8152, span_of([matrix_unit(8, 1, 1, PrimeField(7))]))
 
 
 def test_length_rejects_non_subalgebra_target(witness_8152):
@@ -246,7 +266,7 @@ def test_rank_test_modulo_unit_plus_square_decides_generation(
     verdict = _spans_modulo(modulus, members, field, d)
     event(f"generates: {verdict}")
     assert verdict == (_coord_chain(coords, members, True).length is not None)
-    assert verdict == (_screen(coords, members) is not None)
+    assert verdict == (_coord_chain(coords, members, True, screen=True) is not None)
     system = GeneratingSystem(
         tuple((f"g{i + 1}", coords.matrix(x)) for i, x in enumerate(members))
     )
@@ -284,6 +304,29 @@ def test_witness_chain_forms_each_commuting_pair_once():
     assert coords.commutative
     assert sum(1 for y in right if any(y is x for x in members)) == 10
     assert len(right) == 10 + 6
+
+
+def test_refused_screened_chain_forms_no_product():
+    """The witness of bkml (8,1,5,2) without B1 does not generate its
+    closure, so its screened chain stops after step 1 with no product; run
+    unscreened, the same chain goes on to multiply."""
+    params = ConstructionParams(8, 1, 5, 2)
+    _, coords, _ = _local_target(params, QQ)
+    witness = witness_system(params, QQ)
+    members = [
+        coords.coordinates(vectorize(m))
+        for label, m in witness.members
+        if label != "B1"
+    ]
+    products = []
+    coords = copy.copy(coords)
+    coords.mul = lambda x, y, cache=None: products.append(y) or Algebra.mul(
+        coords, x, y, cache
+    )
+    assert _coord_chain(coords, members, True, screen=True) is None
+    assert products == []
+    assert _coord_chain(coords, members, True).length is None
+    assert products != []
 
 
 @pytest.mark.parametrize("field", CRITERION_FIELDS, ids=lambda f: f.name)
