@@ -23,12 +23,11 @@ from .commute import centralizer
 from .constructions import (
     BkmParams,
     ConstructionParams,
+    _witness_of,
     build_bkm,
     build_bkml,
     valid_bkm_params,
     valid_bkml_params,
-    witness_system,
-    witness_system_bkm,
 )
 from .errors import InvalidParams, SubalgError
 from .exact_linalg import _Echelon, field_from_name, vectorize
@@ -125,9 +124,9 @@ _PARAMS = {"bkml": ConstructionParams, "bkm": BkmParams}
 
 
 def _build_family(family: str, params, field):
-    if family == "bkml":
-        return build_bkml(params, field), witness_system(params, field)
-    return build_bkm(params, field), witness_system_bkm(params, field)
+    """The family's full system at params and the witness inside it."""
+    gens = (build_bkml if family == "bkml" else build_bkm)(params, field)
+    return gens, _witness_of(gens, params)
 
 
 def _report_doc(rep, family, params, field_name, seed, t0) -> dict:

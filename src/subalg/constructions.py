@@ -180,6 +180,14 @@ def _without(system: GeneratingSystem, *labels) -> GeneratingSystem:
     return GeneratingSystem(kept, admit_empty_word=system.admit_empty_word)
 
 
+def _witness_of(system: GeneratingSystem, p) -> GeneratingSystem:
+    """The witness inside ``system``, the full system of either family at p:
+    it without I and the unit E(s, s+k+1) of each chain row s (m, and l
+    for two chains)."""
+    rows = (p.m, p.l) if isinstance(p, ConstructionParams) else (p.m,)
+    return _without(system, "I", *(f"E_{s}_{s + p.k + 1}" for s in rows))
+
+
 def witness_system(p: ConstructionParams, field: Field = QQ) -> GeneratingSystem:
     """The short system whose length attains k+1 for the two-chain family.
 
@@ -187,14 +195,13 @@ def witness_system(p: ConstructionParams, field: Field = QQ) -> GeneratingSystem
     units reappear as the (k+1)-st chain powers, which is what forces the
     length up to k+1.
     """
-    m_unit, l_unit = f"E_{p.m}_{p.m + p.k + 1}", f"E_{p.l}_{p.l + p.k + 1}"
-    return _without(build_bkml(p, field), "I", m_unit, l_unit)
+    return _witness_of(build_bkml(p, field), p)
 
 
 def witness_system_bkm(p: BkmParams, field: Field = QQ) -> GeneratingSystem:
     """One-chain analogue of ``witness_system``: ``build_bkm`` without I and
     E(m, m+k+1)."""
-    return _without(build_bkm(p, field), "I", f"E_{p.m}_{p.m + p.k + 1}")
+    return _witness_of(build_bkm(p, field), p)
 
 
 def coefficient_template(p: ConstructionParams) -> tuple:

@@ -13,6 +13,10 @@ objects hold equal maps.  Every product is formed by one kernel,
 ``_vec_mul``, on its factors' nonempty rows ``{i: {j: value}}``: it costs
 one axpy per nonzero a_ik whose row k of B is nonempty and writes A B
 straight into vectorized coordinates (``mat_mul`` wraps it for matrices).
+Callers that multiply many pairs skip those that cannot meet through one
+support index, ``_support_index``, which maps each key to an int bitmask
+of the operands holding it; ``_meeting`` lists, in ascending order, the
+operands that hold some key of another operand.
 Matrices are immutable and 1-indexed at the API surface.  A matrix is
 vectorized row-major: entry (i, j) lands at coordinate (i-1)*n + (j-1) of
 the n*n coordinate space.
@@ -400,6 +404,31 @@ def _vec_mul(a: dict, b: dict, n: int, field: Field) -> dict:
         base = i * n
         for j, v in acc.items():
             out[base + j] = v
+    return out
+
+
+def _support_index(supports) -> dict:
+    """Each key of the given supports -> an int whose bit i is set when the
+    i-th support holds that key."""
+    index: dict = {}
+    for i, keys in enumerate(supports):
+        bit = 1 << i
+        for k in keys:
+            index[k] = index.get(k, 0) | bit
+    return index
+
+
+def _meeting(index: dict, keys) -> list:
+    """The positions, ascending, of the supports in ``index`` that hold
+    some of the keys."""
+    get, mask = index.get, 0
+    for k in keys:
+        mask |= get(k, 0)
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

@@ -25,6 +25,12 @@ members and each frontier row, are grouped by matrix row once, and no
 product builds a ``Matrix``.  Each nonzero table product is reduced
 against A.
 
+A chain multiplies a vector x only by the members g for which g * x can
+be nonzero, which one support index lists in ascending order
+(``exact_linalg._meeting``).  A skipped product is zero and would insert
+nothing, so each step inserts the same nonzero vectors, in the same
+order, as multiplying every pair would.
+
 The sampler plans each candidate's draws before any arithmetic.  It builds
 rows only for a candidate with enough members to generate, and only its
 chosen ones, unscaled: scaling by units changes no span, so the chain runs
@@ -53,6 +59,8 @@ from .exact_linalg import (
     _check_compatible,
     _by_row,
     _Echelon,
+    _meeting,
+    _support_index,
     _vec_mul,
     mat_mul,
     vectorize,
@@ -100,12 +108,18 @@ def _chain(system: GeneratingSystem):
     spans = [ech.to_subspace(n)]
     vecs = [vectorize(m) for m in system.matrices]
     members = [_by_row(vec, n) for vec in vecs]
+    # g * x is zero unless a column of g is a nonempty row of x
+    holders = _support_index([j for row in g.values() for j in row] for g in members)
     while True:
         frontier = [_by_row(x, n) for x in _grow(ech, vecs)]
         spans.append(ech.to_subspace(n))
         if spans[-1].dim == spans[-2].dim:
             break
-        vecs = (_vec_mul(g, x, n, f) for x in frontier for g in members)
+        vecs = (
+            _vec_mul(members[i], x, n, f)
+            for x in frontier
+            for i in _meeting(holders, x)
+        )
     dims = tuple(s.dim for s in spans)
     stabilization = len(spans) - 1
     return LengthReport(dims, stabilization, stabilization - 1, dims[-1]), spans
@@ -147,10 +161,12 @@ def _coord_chain(
     then.  The rows of F*I + J^2 go into a copy of L_1's accumulator.
 
     Each later step multiplies the members by the vectors that grew the span
-    at the step before.  At step 2 those are the grown members, so in a
-    commutative A each unordered pair of them is multiplied once.  A step
-    stops as soon as the span fills A; the step after it, which can only
-    repeat A, is recorded without being run.
+    at the step before, each vector x only by the members g for which the
+    table stores some product in the supports of g and x.  At step 2 those
+    vectors are the grown members, so in a commutative A each unordered
+    pair of them is multiplied once.  A step stops as soon as the span
+    fills A; the step after it, which can only repeat A, is recorded
+    without being run.
     """
     d = alg.d
     ech = _Echelon(alg.field)
@@ -168,22 +184,28 @@ def _coord_chain(
         if probe.dim < d:
             return None
     caches = [{} for _ in members]
-    mul = alg.mul
-    if alg.commutative:
-        vecs = (
-            mul(members[i], members[j], caches[i])
-            for k, j in enumerate(grown)
-            for i in grown[: k + 1]
-        )
-    else:
-        vecs = (mul(g, members[j], c) for j in grown for g, c in zip(members, caches))
+    mul, right = alg.mul, alg.right
+    holders = _support_index(members)
+
+    def left_of(x: dict) -> list:
+        # g * x is zero unless g holds a p with right[q][p] for q in x
+        return _meeting(holders, (p for q in x for p in right[q]))
+
+    # step 2 on a commutative table: g_i * g_j for grown i <= j only
+    firsts = set(grown) if alg.commutative else None
+    vecs = (
+        mul(members[i], members[j], caches[i])
+        for j in grown
+        for i in left_of(members[j])
+        if firsts is None or (i <= j and i in firsts)
+    )
     while dims[-1] != dims[-2]:
         if dims[-1] == d:
             dims.append(d)
             break
         frontier = _grow(ech, vecs, full=d)
         dims.append(ech.dim)
-        vecs = (mul(g, x, c) for x in frontier for g, c in zip(members, caches))
+        vecs = (mul(members[i], x, caches[i]) for x in frontier for i in left_of(x))
     length = dims.index(d) if d in dims else None
     return LengthReport(tuple(dims), len(dims) - 1, length, d)
 

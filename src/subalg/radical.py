@@ -4,13 +4,15 @@ An algebra A of matrices of dimension d is held as ``Algebra``: its RREF
 basis, the coordinates of a vector of A (its entries at the d pivots),
 and the structure constants that turn every product inside A into a
 bilinear form on coordinates.  Only the nonzero basis products are stored,
-and a pair of basis rows whose supports cannot meet is never multiplied,
-so products, symmetry and the trace form visit only nonzero constants.
+and a pair of basis rows whose supports cannot meet is never visited: a
+support index (``exact_linalg._support_index``) lists, for each row, the
+rows whose nonempty rows meet its columns.  So building the table,
+products, symmetry and the trace form visit only nonzero constants.
 The radical J of A, the powers J, J^2, ... and the subspace F*I + J^2 are
 read off that table once each, when first asked for.  A basis row x of a
 power is multiplied only by the rows y of J for which the table stores a
-product of basis rows in the supports of x and y: every other product is
-zero.
+product of basis rows in the supports of x and y, listed by the same
+index: every other product is zero.
 
 J is found as the kernel of one linear map on A, written in A's own
 coordinates, so it does not depend on the basis A is given in:
@@ -38,8 +40,10 @@ from .exact_linalg import (
     Subspace,
     _by_row,
     _Echelon,
+    _meeting,
     _nullspace,
     _reduce,
+    _support_index,
     _vec_mul,
     unvectorize,
     vectorize,
@@ -65,16 +69,14 @@ class Algebra:
         self.index = {p: i for i, p in enumerate(space.pivot_rows)}
         n = space.n
         rows = [_by_row(row, n) for row in space.pivot_rows.values()]
-        # row_p * row_q is zero when no column of row_p is a nonempty row
+        # row_p * row_q is zero unless a column of row_p is a nonempty row
         # of row_q: ``_vec_mul`` would find no term, so the pair is skipped
-        cols = [{j for grow in x.values() for j in grow} for x in rows]
+        holders = _support_index(rows)
         self.table = {}
         self.right = [{} for _ in range(d)]
         for p, x in enumerate(rows):
-            for q, y in enumerate(rows):
-                if cols[p].isdisjoint(y):
-                    continue
-                prod = self.coordinates(_vec_mul(x, y, n, f))
+            for q in _meeting(holders, {j for grow in x.values() for j in grow}):
+                prod = self.coordinates(_vec_mul(x, rows[q], n, f))
                 if prod is None:
                     raise NotASubalgebra(
                         f"{what} is not multiplicatively closed: "
@@ -181,8 +183,9 @@ def _trace_form(alg: Algebra) -> list:
     symmetric, so its rows are the constraints of its kernel."""
     f, n = alg.field, alg.space.n
     zero = f.zero()
+    # the diagonal of an n-by-n matrix sits at the coordinates c = i*(n+1)
     traces = [
-        reduce(f.add, (row.get(i * (n + 1), zero) for i in range(n)), zero)
+        reduce(f.add, (v for c, v in row.items() if c % (n + 1) == 0), zero)
         for row in alg.space.pivot_rows.values()
     ]
 
@@ -250,21 +253,17 @@ def _power_rows(j_rows: dict, alg: Algebra) -> list:
     NotASubalgebra when J is not closed under products, and NotNilpotent
     when the dimensions stop strictly decreasing before reaching zero.
     """
-    f = alg.field
+    f, right = alg.field, alg.right
     j_basis = list(j_rows.values())
-    # meets[p]: the rows of J that hold a q with a stored table[(p, q)]
-    meets = [set() for _ in range(alg.d)]
-    for r, y in enumerate(j_basis):
-        for q in y:
-            for p in alg.right[q]:
-                meets[p].add(r)
+    # the rows of J at key p: those holding a q with a stored table[(p, q)]
+    holders = _support_index([p for q in y for p in right[q]] for y in j_basis)
     powers = [j_rows]
     current = j_basis
     while powers[-1]:
         nxt = _Echelon(f)
         for x in current:
             cache: dict = {}
-            for r in sorted(set().union(*(meets[p] for p in x))):
+            for r in _meeting(holders, x):
                 prod = alg.mul(x, j_basis[r], cache)
                 # a product never formed is zero, so it lies in J
                 if current is j_basis and _reduce(dict(prod), j_rows, f):

@@ -13,6 +13,10 @@ own, and ``full_walk_constraint_rows`` the centralizer constraints from a
 walk over every output position.  ``all_pairs_power_rows`` is the
 radical's power chain from every product of a power's basis with J's
 basis, on J's rows in an algebra's coordinates (``coordinate_rows``).
+``all_pairs_chain``, ``all_pairs_coord_chain`` and ``all_pairs_table``
+are the span chains and the structure-constant table from every product
+of members, frontier vectors or basis rows, with no support index.
+``draw_conjugator`` draws a similarity P with its inverse.
 ``reference_witness_system`` and ``reference_witness_system_bkm`` build
 the witness systems by enumerating their unit pairs, not by filtering the
 family's full system.  ``enumerate_words`` lists every word of at most a given length,
@@ -27,12 +31,14 @@ from fractions import Fraction
 from math import isqrt
 
 import sympy
+from hypothesis import strategies as st
 
 from subalg import (
     QQ,
     BkmParams,
     ConstructionParams,
     DimensionMismatch,
+    EmptySystem,
     Field,
     GeneratingSystem,
     MaximalityVerdict,
@@ -49,8 +55,16 @@ from subalg import (
     shift_matrix,
     span_of,
 )
-from subalg.exact_linalg import _as_sparse, _check_compatible, _Echelon, _reduce
-from subalg.lengths import _coord_chain, _word_steps
+from subalg.exact_linalg import (
+    _as_sparse,
+    _by_row,
+    _check_compatible,
+    _Echelon,
+    _reduce,
+    _vec_mul,
+    vectorize,
+)
+from subalg.lengths import LengthReport, _coord_chain, _grow, _word_steps
 from subalg.radical import Algebra
 
 
@@ -218,6 +232,79 @@ def all_pairs_power_rows(j_rows: dict, alg: Algebra) -> list:
             raise NotNilpotent(f"power dimensions stalled at {nxt.dim} after {dims}")
         current = list(powers[-1].values())
     return powers
+
+
+def all_pairs_chain(system):
+    """The span chain in n*n coordinates with every product of a member and
+    a frontier row formed: (LengthReport, per-step spans), each frontier
+    row multiplied by every member in order."""
+    if not system.members and not system.admit_empty_word:
+        raise EmptySystem("no members and the empty word is not admitted")
+    n, f = system.n, system.field
+    ech = _Echelon(f)
+    if system.admit_empty_word:
+        ech.insert(vectorize(system.identity()))
+    spans = [ech.to_subspace(n)]
+    vecs = [vectorize(m) for m in system.matrices]
+    members = [_by_row(vec, n) for vec in vecs]
+    while True:
+        frontier = [_by_row(x, n) for x in _grow(ech, vecs)]
+        spans.append(ech.to_subspace(n))
+        if spans[-1].dim == spans[-2].dim:
+            break
+        vecs = (_vec_mul(g, x, n, f) for x in frontier for g in members)
+    dims = tuple(s.dim for s in spans)
+    stabilization = len(spans) - 1
+    return LengthReport(dims, stabilization, stabilization - 1, dims[-1]), spans
+
+
+def all_pairs_coord_chain(alg: Algebra, members: list, admit_empty_word: bool):
+    """The unscreened chain of members of A in A's coordinates with every
+    product formed: at step 2 each unordered pair of grown members once on
+    a commutative table, else every member times each grown one, and at
+    later steps every member times each frontier vector."""
+    d = alg.d
+    ech = _Echelon(alg.field)
+    if admit_empty_word:
+        ech.insert(dict(alg.identity))
+    dims = [ech.dim]
+    grown = [i for i, g in enumerate(members) if ech.dim < d and ech.insert(dict(g))]
+    dims.append(ech.dim)
+    caches = [{} for _ in members]
+    mul = alg.mul
+    if alg.commutative:
+        vecs = (
+            mul(members[i], members[j], caches[i])
+            for k, j in enumerate(grown)
+            for i in grown[: k + 1]
+        )
+    else:
+        vecs = (mul(g, members[j], c) for j in grown for g, c in zip(members, caches))
+    while dims[-1] != dims[-2]:
+        if dims[-1] == d:
+            dims.append(d)
+            break
+        frontier = _grow(ech, vecs, full=d)
+        dims.append(ech.dim)
+        vecs = (mul(g, x, c) for x in frontier for g, c in zip(members, caches))
+    length = dims.index(d) if d in dims else None
+    return LengthReport(tuple(dims), len(dims) - 1, length, d)
+
+
+def all_pairs_table(space: Subspace, alg: Algebra) -> tuple:
+    """(table, right) of the algebra ``alg`` holds for ``space``, from every
+    product of two basis rows, p ascending and then q, in coordinates."""
+    n, f = space.n, space.field
+    rows = [_by_row(row, n) for row in space.pivot_rows.values()]
+    table, right = {}, [{} for _ in rows]
+    for p, x in enumerate(rows):
+        for q, y in enumerate(rows):
+            prod = alg.coordinates(_vec_mul(x, y, n, f))
+            if prod is None:
+                raise NotASubalgebra("some basis product leaves the span")
+            if prod:
+                table[p, q] = right[q][p] = prod
+    return table, right
 
 
 def coordinate_rows(space: Subspace, alg: Algebra) -> dict:
@@ -458,6 +545,37 @@ def reference_samples(target, count: int, seed: int) -> list:
 
 
 # -- test-only conveniences on the sparse core --------------------------------
+def draw_conjugator(field, n: int, data):
+    """A random unipotent or monomial P, with its inverse, drawn from a
+    hypothesis ``data`` strategy."""
+    ident = Matrix.identity(n, field)
+    if data.draw(st.booleans()):
+        # P = I + N, N strictly lower triangular: P^-1 = sum of (-N)^k.
+        small = st.integers(min_value=-3, max_value=3)
+        entries = data.draw(st.lists(small, min_size=n * n, max_size=n * n))
+        rows = [
+            [entries[i * n + j] if j < i else int(i == j) for j in range(n)]
+            for i in range(n)
+        ]
+        rows = [[field.from_int(v) for v in row] for row in rows]
+        p = Matrix.from_rows(rows, field)
+        minus_n = ident - p
+        p_inv, term = ident, ident
+        for _ in range(n - 1):
+            term = term * minus_n
+            p_inv = p_inv + term
+        return p, p_inv
+    perm = data.draw(st.permutations(range(n)))
+    drawn = data.draw(st.lists(st.sampled_from([1, -1, 2, 3]), min_size=n, max_size=n))
+    units = [field.from_int(u) or field.one() for u in drawn]
+    p_rows = [[field.zero()] * n for _ in range(n)]
+    inv_rows = [[field.zero()] * n for _ in range(n)]
+    for j, (i, u) in enumerate(zip(perm, units)):
+        p_rows[i][j] = u
+        inv_rows[j][i] = field.inv(u)
+    return Matrix.from_rows(p_rows, field), Matrix.from_rows(inv_rows, field)
+
+
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     """AB - BA."""
     return mat_mul(a, b) - mat_mul(b, a)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import subalg.cli as cli
+import subalg.constructions as constructions
 import subalg.exact_linalg as exact_linalg
 import subalg.lengths as lengths
 import subalg.radical as radical
@@ -691,6 +692,23 @@ def test_verify_runs_each_chain_once(
     assert rc == 0
     assert [s.labels[:2] for s in chain_runs] == [("I", "B1")]
     assert len(coord_chains) == 1
+
+
+@pytest.mark.parametrize(
+    "family, args",
+    [
+        ("bkml", ("--n", "8", "--m", "1", "--l", "5", "--k", "2")),
+        ("bkm", ("--n", "8", "--m", "2", "--k", "3")),
+    ],
+)
+def test_verify_family_builds_its_system_once(capsys, monkeypatch, family, args):
+    """The witness is filtered from the full system already built, so one
+    ``verify --family`` builds the family's system exactly once."""
+    two_chain = _count_calls(monkeypatch, constructions.build_bkml)
+    one_chain = _count_calls(monkeypatch, constructions.build_bkm)
+    rc, _, _ = run_cli(capsys, "verify", "--family", family, *args, "--samples", "0")
+    assert rc == 0
+    assert len(two_chain) + len(one_chain) == 1
 
 
 def test_verify_builds_one_table_and_samples_without_matrices(

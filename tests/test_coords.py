@@ -23,7 +23,7 @@ from subalg import (
     radical_span,
     span_of,
 )
-from subalg.exact_linalg import _by_row, _vec_mul
+from subalg.exact_linalg import _by_row, _Echelon, _vec_mul
 from subalg.lengths import _coord_chain
 from subalg.radical import Algebra, _power_rows
 
@@ -63,7 +63,10 @@ def _system(field, n, drawn, admit=True, strict_upper=False):
 def test_coordinate_chain_equals_matrix_chain(field, gens, members, admit):
     """Step 2 multiplies the members by the g members that grew the span at
     step 1: each unordered pair of them once in a commutative algebra, at
-    most s(s+1)/2 products for s members, and all s*g products otherwise."""
+    most s(s+1)/2 products for s members, and every member otherwise.  A
+    pair (x, y) is multiplied only when the table stores a product of basis
+    rows p in supp(x) and q in supp(y); that count is found here from the
+    table's stored pairs."""
     algebra = algebra_closure(_system(field, 3, gens))
     coords = Algebra(algebra)
     xs = [
@@ -84,8 +87,19 @@ def test_coordinate_chain_equals_matrix_chain(field, gens, members, admit):
     # later steps multiply by copies, so a member on the right marks step 2
     step2 = sum(1 for y in right if any(y is x for x in xs))
     s, d, dims = len(xs), coords.d, got.dims
-    g = dims[1] - dims[0]
-    every = g * (g + 1) // 2 if coords.commutative else s * g
+    ech = _Echelon(field)
+    if admit:
+        ech.insert(dict(coords.identity))
+    grown = [x for x in xs if ech.dim < d and ech.insert(dict(x))]
+
+    def meets(x, y):
+        return any((p, q) in coords.table for p in x for q in y)
+
+    if coords.commutative:
+        pairs = [(x, y) for j, y in enumerate(grown) for x in grown[: j + 1]]
+    else:
+        pairs = [(x, y) for y in grown for x in xs]
+    every = sum(1 for x, y in pairs if meets(x, y))
     event(f"commutative: {coords.commutative}")
     if dims[1] in (dims[0], d):
         assert step2 == 0

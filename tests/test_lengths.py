@@ -285,10 +285,12 @@ def test_sampler_checks_each_accepted_chain(full_8152):
 
 def test_witness_chain_forms_each_commuting_pair_once():
     """A deterministic work count in place of a wall-clock gate.  The
-    witness of bkml (8,1,5,2) over Q has s = 4 members and dims
-    (1, 5, 7, 9, 9) on its commutative closure's table: step 2 multiplies
-    each unordered pair of members once, s(s+1)/2 = 10 products where each
-    ordered pair took 16, and step 3 fills A at its 6th product."""
+    witness of bkml (8,1,5,2) over Q has s = 4 members B1, B2, E_1_8 and
+    E_5_4, and dims (1, 5, 7, 9, 9) on its commutative closure's table.
+    Step 2 multiplies an unordered pair of members once, and only when the
+    table stores a product of basis rows in their supports: B1*B1 and
+    B2*B2, where all s(s+1)/2 = 10 pairs took 10 products.  Step 3 fills A
+    with B1*B1^2 and B2*B2^2, where all members took 6 products."""
     params = ConstructionParams(8, 1, 5, 2)
     _, coords, _ = _local_target(params, QQ)
     members = [
@@ -302,8 +304,14 @@ def test_witness_chain_forms_each_commuting_pair_once():
     report = _coord_chain(coords, members, True)
     assert report.dims == (1, 5, 7, 9, 9)
     assert coords.commutative
-    assert sum(1 for y in right if any(y is x for x in members)) == 10
-    assert len(right) == 10 + 6
+    meeting = sum(
+        1
+        for j, y in enumerate(members)
+        for x in members[: j + 1]
+        if any((p, q) in coords.table for p in x for q in y)
+    )
+    assert sum(1 for y in right if any(y is x for x in members)) == meeting == 2
+    assert len(right) == 2 + 2
 
 
 def test_refused_screened_chain_forms_no_product():

@@ -29,7 +29,14 @@ from subalg import (
     verify_system,
 )
 
-from oracles import commutator, enumerate_words, pivots, rref, sympy_word_span_dims
+from oracles import (
+    commutator,
+    draw_conjugator,
+    enumerate_words,
+    pivots,
+    rref,
+    sympy_word_span_dims,
+)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
 
@@ -168,34 +175,6 @@ def test_sampled_systems_always_generate(seed):
         assert algebra_closure(system) == target
 
 
-def _conjugator(field, n, data):
-    """A random unipotent or monomial P, with its inverse."""
-    ident = Matrix.identity(n, field)
-    if data.draw(st.booleans()):
-        # P = I + N, N strictly lower triangular: P^-1 = sum of (-N)^k.
-        entries = data.draw(st.lists(small_int, min_size=n * n, max_size=n * n))
-        rows = [
-            [entries[i * n + j] if j < i else int(i == j) for j in range(n)]
-            for i in range(n)
-        ]
-        p = Matrix.from_rows(_to_field_rows(rows, field), field)
-        minus_n = ident - p
-        p_inv, term = ident, ident
-        for _ in range(n - 1):
-            term = term * minus_n
-            p_inv = p_inv + term
-        return p, p_inv
-    perm = data.draw(st.permutations(range(n)))
-    drawn = data.draw(st.lists(st.sampled_from([1, -1, 2, 3]), min_size=n, max_size=n))
-    units = [field.from_int(u) or field.one() for u in drawn]
-    p_rows = [[field.zero()] * n for _ in range(n)]
-    inv_rows = [[field.zero()] * n for _ in range(n)]
-    for j, (i, u) in enumerate(zip(perm, units)):
-        p_rows[i][j] = u
-        inv_rows[j][i] = field.inv(u)
-    return Matrix.from_rows(p_rows, field), Matrix.from_rows(inv_rows, field)
-
-
 @pytest.mark.parametrize("field", FIELDS)
 @settings(max_examples=10)
 @given(data=st.data())
@@ -212,7 +191,7 @@ def test_verdicts_are_invariant_under_similarity(field, data):
         st.lists(st.sampled_from(range(len(full.members))), min_size=1, unique=True)
     )
     system = GeneratingSystem(tuple(full.members[i] for i in sorted(picks)))
-    p, p_inv = _conjugator(field, system.n, data)
+    p, p_inv = draw_conjugator(field, system.n, data)
     assert p * p_inv == Matrix.identity(system.n, field)
     similar = GeneratingSystem(
         tuple((label, p * m * p_inv) for label, m in system.members)
