@@ -335,8 +335,17 @@ def cmd_sweep(args) -> int:
     ]
     jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
+        # one call per worker, on a strided share of the size-sorted tasks
+        order = [i for w in range(jobs) for i in range(w, len(tasks), jobs)]
+        reports = [None] * len(tasks)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_sweep_task, tasks))
+            done = pool.map(
+                _sweep_task,
+                [tasks[i] for i in order],
+                chunksize=-(-len(tasks) // jobs),
+            )
+            for i, report in zip(order, done):
+                reports[i] = report
     else:
         reports = [_sweep_task(t) for t in tasks]
     passed = sum(1 for r in reports if r["pass"])

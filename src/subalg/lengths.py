@@ -31,16 +31,19 @@ be nonzero, which one support index lists in ascending order
 nothing, so each step inserts the same nonzero vectors, in the same
 order, as multiplying every pair would.
 
-The sampler plans each candidate's draws before any arithmetic.  It builds
-rows only for a candidate with enough members to generate, and only its
-chosen ones, unscaled: scaling by units changes no span, so the chain runs
-on them as they are.  That chain is screened: after step 1 it inserts
-F*I + J^2 into a copy of L_1 and goes on only when the copy fills A.
-Only ``sample_generating_systems`` applies the units and forms matrices.
+The sampler plans each candidate's draws before any arithmetic, in O(d)
+calls to its rng and with no refusal by member count; accepted
+candidates follow the law of a dense draw (``_Plan`` says why).  It
+builds only the chosen rows, unscaled: scaling by units changes no span,
+so the chain runs on them as they are.  That chain is screened: after
+step 1 it inserts F*I + J^2 into a copy of L_1 and goes on only when the
+copy fills A.  Only ``sample_generating_systems`` draws units, from a
+stream seeded by (seed, sample index), and forms matrices.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import namedtuple
 from dataclasses import dataclass
@@ -267,44 +270,68 @@ def _word_steps(system: GeneratingSystem, max_len: int, budget: int):
         yield _words(identity, mats, i) if i or system.admit_empty_word else []
 
 
-def _unit_draw(rng: random.Random, field):
+def _unit_draw(rng: random.Random, f):
     # A handful of invertible scalars; over GF(p) any nonzero residue.
-    units = ("1", "-1", "2", "-2", "1/2")
-    return rng.randrange(1, field.p) if hasattr(field, "p") else rng.choice(units)
+    if hasattr(f, "p"):
+        return f.from_int(rng.randrange(1, f.p))
+    return f.parse(rng.choice(("1", "-1", "2", "-2", "1/2")))
 
 
-# Every draw of one candidate, a random invertible mix of the d unit
-# coordinate vectors and its members: row i of the mix gains rows first[i]
-# (all above it) in an ascending unit-triangular pass, then rows second[i]
-# (all below it) in a descending one, and is scaled by the unit drawn as
-# units[i].  The mix's k-th row is row perm[k]; chosen lists the members.
-_Plan = namedtuple("_Plan", "first second units perm chosen")
+def _kept(rng: random.Random, rows: list, density: float) -> list:
+    """For each range in rows, its elements kept by independent trials of
+    probability ``density``.  They are drawn by geometric skips over the
+    ranges laid end to end (Batagelj and Brandes, Phys. Rev. E 71, 036113,
+    2005): one ``rng.random`` call per kept element, plus one."""
+    if density >= 1.0:
+        return [list(r) for r in rows]
+    log, draw, log_miss = math.log, rng.random, math.log(1.0 - density)
+    kept = []
+    pos = int(log(1.0 - draw()) / log_miss)
+    for r in rows:
+        row = []
+        while pos < len(r):
+            row.append(r[pos])
+            pos += 1 + int(log(1.0 - draw()) / log_miss)
+        pos -= len(r)
+        kept.append(row)
+    return kept
 
 
-def _plan(rng: random.Random, field, d: int) -> _Plan:
-    """Draws one candidate of d coordinates, with no arithmetic."""
-    draw = rng.random
+# Every draw of one candidate: a random invertible mix of the d unit
+# coordinate vectors, and its members.  Row i of the mix gains rows
+# first[i] (all above it) in an ascending unit-triangular pass, then rows
+# second[i] (all below it) in a descending one; chosen lists the member
+# rows in order.  Accepted candidates follow the law of a dense draw with
+# one trial per pair, a count uniform on [ceil(d/2), d] and a shuffled
+# basis read at sorted random positions: geometric skips make the same
+# independent trials at density min(1, 3/(d-1)); a count uniform on
+# [max(r, ceil(d/2)), d] is that count given that it reaches the rank r
+# modulo F*I + J^2, below which no candidate generates; and rng.sample's
+# ordered subset is uniform, as the read-off one is.  Units scale the
+# members only where they become matrices.
+_Plan = namedtuple("_Plan", "first second chosen")
+
+
+def _plan(rng: random.Random, d: int, rank: int) -> _Plan:
+    """Draws one candidate of d coordinates with at least ``rank`` members,
+    with no arithmetic; about 5d calls to the rng, not d*d."""
     density = min(1.0, 3.0 / max(d - 1, 1))
-    first = [[j for j in range(i + 1, d) if draw() < density] for i in range(d)]
-    second = [[j for j in range(i) if draw() < density] for i in range(d - 1, -1, -1)]
-    units = [_unit_draw(rng, field) for _ in range(d)]
-    perm, order = list(range(d)), list(range(d))
-    rng.shuffle(perm)
-    rng.shuffle(order)
-    size = rng.randint((d + 1) // 2, d)
-    return _Plan(first, second[::-1], units, perm, sorted(order[:size]))
+    first = _kept(rng, [range(i + 1, d) for i in range(d)], density)
+    second = _kept(rng, [range(i) for i in range(d)], density)
+    size = rng.randint(max(rank, (d + 1) // 2), d)
+    return _Plan(first, second, rng.sample(range(d), size))
 
 
-def _plan_row(plan: _Plan, k: int, f, scaled: bool = False) -> dict:
-    """The k-th row of the plan's mix, unscaled unless ``scaled``.  It is
-    built alone: when the ascending pass reaches row i, the rows above it
-    are still unit vectors, and when the descending pass does, the rows
-    below it hold their ascending sums."""
-    one, first, i = f.one(), plan.first, plan.perm[k]
+def _plan_row(plan: _Plan, i: int, f) -> dict:
+    """Row i of the plan's mix, unscaled.  It is built alone: when the
+    ascending pass reaches row i, the rows above it are still unit vectors,
+    and when the descending pass does, the rows below it hold their
+    ascending sums."""
+    one, first = f.one(), plan.first
     row = dict.fromkeys([i, *first[i]], one)
     for j in plan.second[i]:
         f.axpy(row, one, dict.fromkeys([j, *first[j]], one))
-    return f.scale(row, f.parse(str(plan.units[i]))) if scaled else row
+    return row
 
 
 def _sample_reports(
@@ -314,12 +341,11 @@ def _sample_reports(
     of the local algebra A, with no matrix formed.
 
     A candidate generates A exactly when it spans A modulo F*I + J^2
-    (``alg.modulus``; Nakayama's lemma).  One with fewer members than that
-    rank is refused before any row is built; otherwise only its chosen rows
-    are built, unscaled: scaling members by units changes no span.  Each
-    built candidate runs one screened chain (``_coord_chain``), which stops
-    after step 1 unless the candidate generates A.
-    Refusals are capped at ``max_rejections`` per sample.
+    (``alg.modulus``; Nakayama's lemma), so every plan has at least that
+    rank of members.  Only its chosen rows are built, unscaled: scaling
+    members by units changes no span.  Each candidate runs one screened
+    chain (``_coord_chain``), which stops after step 1 unless it generates
+    A.  Refusals by the screen are capped at ``max_rejections`` per sample.
     """
     rng = random.Random(seed)
     f, d = alg.field, alg.d
@@ -327,10 +353,8 @@ def _sample_reports(
     out = []
     for _ in range(count):
         for _ in range(max(max_rejections, 1)):
-            plan = _plan(rng, f, d)
-            if len(plan.chosen) < rank:
-                continue
-            members = [_plan_row(plan, k, f) for k in plan.chosen]
+            plan = _plan(rng, d, rank)
+            members = [_plan_row(plan, i, f) for i in plan.chosen]
             report = _coord_chain(alg, members, True, screen=True)
             if report is not None:
                 break
@@ -353,7 +377,8 @@ def sample_generating_systems(
     """Deterministic random generating systems of the local target algebra.
 
     Each sample of ``_sample_reports``, a random subset of a random mix of
-    the target's basis, becomes matrices with its units applied.  Returns
+    the target's basis, becomes matrices with its members scaled by units
+    drawn from a stream of its own, seeded by (seed, sample index).  Returns
     (system, LengthReport) pairs, the report giving its length.
 
     Raises NotASubalgebra when the target is not closed or lacks the
@@ -365,8 +390,13 @@ def sample_generating_systems(
     if alg.identity is None:
         raise NotASubalgebra("target must contain the identity")
     f, out = target.field, []
-    for plan, report in _sample_reports(alg, count, seed, max_rejections):
-        rows = [_plan_row(plan, k, f, scaled=True) for k in plan.chosen]
+    pairs = _sample_reports(alg, count, seed, max_rejections)
+    for index, (plan, report) in enumerate(pairs):
+        units = random.Random(f"{seed}:{index}")
+        rows = [
+            f.scale(_plan_row(plan, i, f), _unit_draw(units, f))
+            for i in plan.chosen
+        ]
         labelled = tuple((f"g{i + 1}", alg.matrix(x)) for i, x in enumerate(rows))
         out.append((GeneratingSystem(labelled, admit_empty_word=True), report))
     return out

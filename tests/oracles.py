@@ -6,11 +6,13 @@ field-independence of the structures under test is checked separately.
 ``reference_maximality`` is the maximality verdict the slow way, from the
 package's whole centralizer, and ``DenseRef`` a textbook dense
 Gauss-Jordan over every test field.  ``reference_samples`` is the
-sampler as it was before it planned its draws: it recombines the whole
-basis of every candidate and turns each sample into matrices.
-``_spans_modulo`` is its rank test modulo F*I + J^2, in an echelon of its
-own, and ``full_walk_constraint_rows`` the centralizer constraints from a
-walk over every output position.  ``all_pairs_power_rows`` is the
+sampler with dense passes: it draws the same partner pairs, member count
+and ordered members, recombines the whole basis of every candidate by
+row operations, accepts by a rank test, and scales each sample's members
+by units from the stream seeded by (seed, sample index).
+``_spans_modulo`` is that rank test modulo F*I + J^2, in an echelon of
+its own, and ``full_walk_constraint_rows`` the centralizer constraints
+from a walk over every output position.  ``all_pairs_power_rows`` is the
 radical's power chain from every product of a power's basis with J's
 basis, on J's rows in an algebra's coordinates (``coordinate_rows``).
 ``all_pairs_chain``, ``all_pairs_coord_chain`` and ``all_pairs_table``
@@ -28,7 +30,7 @@ tests use.
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt, log
 
 import sympy
 from hypothesis import strategies as st
@@ -457,25 +459,42 @@ def _random_unit(rng: random.Random, field):
     return field.parse(rng.choice(("1", "-1", "2", "-2", "1/2")))
 
 
+def _skip_pattern(rng: random.Random, pairs: list, density: float) -> set:
+    """The pairs kept by independent trials of probability ``density``,
+    drawn as geometric gaps between kept positions along the list."""
+    if density >= 1.0:
+        return set(pairs)
+    kept, pos = set(), -1
+    while True:
+        pos += 1 + floor(log(1.0 - rng.random()) / log(1.0 - density))
+        if pos >= len(pairs):
+            return kept
+        kept.add(pairs[pos])
+
+
 def _recombined_basis(rng: random.Random, f, d: int) -> list:
     """Random invertible mix of the d unit coordinate vectors.
 
-    Built as sparse unit-triangular passes, a row scaling by units, and a
-    shuffle, so the mix is invertible over every field by construction.
+    Built as two dense unit-triangular passes, so the mix is invertible over
+    every field by construction: row i adds row j > i for each drawn pair
+    (i, j) in ascending order of i, then row j < i for each pair of the
+    second draw in descending order of i.  The pairs of each pass are drawn
+    row by row, each row's partners in ascending order.
     """
     one = f.one()
     rows = [{i: one} for i in range(d)]
     density = min(1.0, 3.0 / max(d - 1, 1))
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    up = _skip_pattern(rng, pairs, density)
+    down = _skip_pattern(rng, [(i, j) for i in range(d) for j in range(i)], density)
     for i in range(d):
         for j in range(i + 1, d):
-            if rng.random() < density:
+            if (i, j) in up:
                 f.axpy(rows[i], one, rows[j])
     for i in range(d - 1, -1, -1):
         for j in range(i):
-            if rng.random() < density:
+            if (i, j) in down:
                 f.axpy(rows[i], one, rows[j])
-    rows = [f.scale(row, _random_unit(rng, f)) for row in rows]
-    rng.shuffle(rows)
     return rows
 
 
@@ -524,19 +543,18 @@ def reference_samples(target, count: int, seed: int) -> list:
     modulus = coords.modulus
     rng = random.Random(seed)
     f, d = target.field, target.dim
+    rank = d - len(modulus)
     out = []
     while len(out) < count:
         gens = _recombined_basis(rng, f, d)
-        order = list(range(d))
-        rng.shuffle(order)
-        size = rng.randint((d + 1) // 2, d)
-        chosen = sorted(order[:size])
-        members = [gens[idx] for idx in chosen]
-        if len(members) >= d - len(modulus) and _spans_modulo(modulus, members, f, d):
+        size = rng.randint(max(rank, (d + 1) // 2), d)
+        members = [gens[idx] for idx in rng.sample(range(d), size)]
+        if _spans_modulo(modulus, members, f, d):
+            units = random.Random(f"{seed}:{len(out)}")
             system = GeneratingSystem(
                 tuple(
-                    (f"g{pos + 1}", coords.matrix(gens[idx]))
-                    for pos, idx in enumerate(chosen)
+                    (f"g{pos + 1}", coords.matrix(f.scale(x, _random_unit(units, f))))
+                    for pos, x in enumerate(members)
                 ),
                 admit_empty_word=True,
             )

@@ -35,7 +35,7 @@ from subalg import (
     vectorize,
     witness_system,
 )
-from subalg import exact_linalg
+from subalg import exact_linalg, lengths
 from subalg.lengths import (
     _coord_chain,
     _plan,
@@ -197,11 +197,20 @@ def test_samples_generate_the_target(full_8152):
         assert sys.labels == tuple(f"g{i + 1}" for i in range(len(sys.members)))
 
 
+def _first_candidate_passes(alg: Algebra, seed: int, rank: int) -> bool:
+    """Whether the first candidate drawn from the seed passes A's screen."""
+    plan = _plan(random.Random(seed), alg.d, rank)
+    members = [_plan_row(plan, i, alg.field) for i in plan.chosen]
+    return _coord_chain(alg, members, True, screen=True) is not None
+
+
 def test_sampling_exhaustion_is_reported(full_8152):
-    # seed 8 draws a non-generating subset on its first try
+    # seed 5 draws a non-generating subset on its first try
     target = algebra_closure(full_8152)
+    alg = Algebra(target)
+    assert not _first_candidate_passes(alg, 5, alg.d - len(alg.modulus))
     with pytest.raises(SamplingExhausted):
-        sample_generating_systems(target, 1, seed=8, max_rejections=1)
+        sample_generating_systems(target, 1, seed=5, max_rejections=1)
 
 
 def test_sampling_requires_unital_subalgebra():
@@ -275,12 +284,13 @@ def test_rank_test_modulo_unit_plus_square_decides_generation(
 
 def test_sampler_checks_each_accepted_chain(full_8152):
     # with all of A as the modulus every candidate passes the rank test;
-    # seed 8 draws a non-generating one first, and its chain must say so
+    # seed 5 draws a non-generating one first, and its chain must say so
     target = algebra_closure(full_8152)
+    assert not _first_candidate_passes(Algebra(target), 5, 0)
     coords = Algebra(target)
     coords.modulus = {i: {i: QQ.one()} for i in range(coords.d)}
     with pytest.raises(NotGenerating):
-        _sample_reports(coords, 1, seed=8)
+        _sample_reports(coords, 1, seed=5)
 
 
 def test_witness_chain_forms_each_commuting_pair_once():
@@ -338,19 +348,127 @@ def test_refused_screened_chain_forms_no_product():
 
 
 @pytest.mark.parametrize("field", CRITERION_FIELDS, ids=lambda f: f.name)
-@given(d=st.integers(min_value=1, max_value=30), seed=st.integers(0, 2**32))
-def test_plan_draws_the_recombined_basis(field, d, seed):
-    """The plan makes every draw of the whole recombination, in order, and
-    its scaled rows are the recombined rows."""
+@given(
+    d=st.integers(min_value=1, max_value=30),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_plan_draws_the_recombined_basis(field, d, seed, data):
+    """The plan makes every draw of the recombination, in order: the
+    partners of the ascending pass, then of the descending one, the member
+    count on [max(rank, ceil(d/2)), d], then the members as one ordered
+    sample; and its rows are the recombined rows."""
+    rank = data.draw(st.integers(min_value=0, max_value=d))
     rng, ref = random.Random(seed), random.Random(seed)
-    plan = _plan(rng, field, d)
+    plan = _plan(rng, d, rank)
     rows = _recombined_basis(ref, field, d)
-    order = list(range(d))
-    ref.shuffle(order)
-    size = ref.randint((d + 1) // 2, d)
-    assert [_plan_row(plan, k, field, scaled=True) for k in range(d)] == rows
-    assert plan.chosen == sorted(order[:size])
+    size = ref.randint(max(rank, (d + 1) // 2), d)
+    assert [_plan_row(plan, i, field) for i in range(d)] == rows
+    assert plan.chosen == ref.sample(range(d), size)
     assert rng.getstate() == ref.getstate()
+
+
+class _CountingRandom(random.Random):
+    """``random.Random`` counting calls to its two primitives, every other
+    method's source of randomness; its stream is unchanged."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+# a stated bound on the rng calls of one candidate: about 3d partners, one
+# end of each pass, the count and the ordered sample of at most d members
+CALLS_PER_COORDINATE = 8
+
+
+def test_a_candidate_draws_linearly_many_times(monkeypatch):
+    """A deterministic work count in place of a wall-clock gate.  Each
+    candidate for bkm (24,6,5) over GF(32003), d = 84, makes at most 8d rng
+    calls, where a dense trial per pair made d(d - 1) = 6 972; every draw
+    of the sampler is a plan's."""
+    _, alg, modulus = _local_target(BkmParams(24, 6, 5), PrimeField(32003))
+    d = alg.d
+    assert d == 84
+    rng = _CountingRandom(3)
+    monkeypatch.setattr(lengths.random, "Random", lambda seed: rng)
+    per_plan = []
+
+    def counted(r, *args):
+        before = r.calls
+        plan = _plan(r, *args)
+        per_plan.append(r.calls - before)
+        return plan
+
+    monkeypatch.setattr(lengths, "_plan", counted)
+    assert len(_sample_reports(alg, 25, seed=3)) == 25
+    assert len(per_plan) >= 25
+    assert max(per_plan) <= CALLS_PER_COORDINATE * d < d * (d - 1)
+    assert sum(per_plan) == rng.calls
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_plans_with_density_one_take_every_partner_without_a_draw(d):
+    # 3/(d-1) >= 1: every pair is a partner, and only the count and the
+    # members are drawn
+    rng, ref = _CountingRandom(0), random.Random(0)
+    plan = _plan(rng, d, 0)
+    assert plan.first == [list(range(i + 1, d)) for i in range(d)]
+    assert plan.second == [list(range(i)) for i in range(d)]
+    size = ref.randint((d + 1) // 2, d)
+    assert plan.chosen == ref.sample(range(d), size)
+    assert rng.getstate() == ref.getstate()
+
+
+def test_partner_frequencies_match_the_density():
+    """Fixed seed: over 2 000 plans at d = 12, every pair's partner frequency
+    in either pass lies within 5 sigma of the density 3/11."""
+    d, trials = 12, 2000
+    density = 3 / (d - 1)
+    rng = random.Random(12)
+    up, down = {}, {}
+    for _ in range(trials):
+        plan = _plan(rng, d, 0)
+        for i in range(d):
+            for j in plan.first[i]:
+                up[i, j] = up.get((i, j), 0) + 1
+            for j in plan.second[i]:
+                down[i, j] = down.get((i, j), 0) + 1
+    sigma = (density * (1 - density) / trials) ** 0.5
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    for counts, keys in ((up, pairs), (down, [(j, i) for i, j in pairs])):
+        assert set(counts) <= set(keys)
+        for key in keys:
+            assert abs(counts.get(key, 0) / trials - density) <= 5 * sigma, key
+
+
+def test_scalar_algebra_samples_have_rank_zero_and_length_zero():
+    """A = F*I has d = 1 and F*I + J^2 = A, so the rank is 0; each sample
+    is one nonzero multiple of I, and L_0 is already A."""
+    target = span_of([Matrix.identity(3, QQ)])
+    alg = Algebra(target)
+    assert (alg.d, len(alg.modulus)) == (1, 1)
+    for system, report in sample_generating_systems(target, 3, seed=0):
+        assert system.labels == ("g1",)
+        assert report == li_chain(system, target)
+        assert (report.dims, report.length) == ((1, 1), 0)
+
+
+def test_max_rejections_zero_allows_no_refusal(full_8152):
+    target = algebra_closure(full_8152)
+    alg = Algebra(target)
+    rank = alg.d - len(alg.modulus)
+    assert _first_candidate_passes(alg, 0, rank)
+    assert len(_sample_reports(alg, 1, seed=0, max_rejections=0)) == 1
+    assert not _first_candidate_passes(alg, 5, rank)
+    with pytest.raises(SamplingExhausted):
+        _sample_reports(alg, 1, seed=5, max_rejections=0)
 
 
 @pytest.mark.parametrize("params", CRITERION_TUPLES, ids=str)
