@@ -806,6 +806,7 @@ def test_verify_runs_one_coordinate_chain_per_sample(capsys, monkeypatch):
         ("bkml", "--n", "8", "--m", "1", "--l", "5", "--k", "2"),
         ("bkm", "--n", "8", "--m", "2", "--k", "2"),
     ],
+    ids=["bkml", "bkm"],
 )
 def test_verify_samples_build_no_matrix_and_no_row_refused_by_count(
     capsys, monkeypatch, family

@@ -393,7 +393,7 @@ def test_a_candidate_draws_linearly_many_times(monkeypatch):
     candidate for bkm (24,6,5) over GF(32003), d = 84, makes at most 8d rng
     calls, where a dense trial per pair made d(d - 1) = 6 972; every draw
     of the sampler is a plan's."""
-    _, alg, modulus = _local_target(BkmParams(24, 6, 5), PrimeField(32003))
+    _, alg, _ = _local_target(BkmParams(24, 6, 5), PrimeField(32003))
     d = alg.d
     assert d == 84
     rng = _CountingRandom(3)
@@ -417,7 +417,7 @@ def test_a_candidate_draws_linearly_many_times(monkeypatch):
 def test_plans_with_density_one_take_every_partner_without_a_draw(d):
     # 3/(d-1) >= 1: every pair is a partner, and only the count and the
     # members are drawn
-    rng, ref = _CountingRandom(0), random.Random(0)
+    rng, ref = random.Random(0), random.Random(0)
     plan = _plan(rng, d, 0)
     assert plan.first == [list(range(i + 1, d)) for i in range(d)]
     assert plan.second == [list(range(i)) for i in range(d)]
@@ -450,7 +450,7 @@ def test_partner_frequencies_match_the_density():
 
 def test_scalar_algebra_samples_have_rank_zero_and_length_zero():
     """A = F*I has d = 1 and F*I + J^2 = A, so the rank is 0; each sample
-    is one nonzero multiple of I, and L_0 is already A."""
+    has one member, and L_0 is already A."""
     target = span_of([Matrix.identity(3, QQ)])
     alg = Algebra(target)
     assert (alg.d, len(alg.modulus)) == (1, 1)
