@@ -18,6 +18,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple
+from functools import cache
 
 from .commute import centralizer
 from .constructions import (
@@ -379,6 +380,7 @@ def _add_family_args(parser) -> None:
     )
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subalg",

@@ -35,8 +35,8 @@ its rows into RREF for the callers that read canonical rows.
 Dense views are built on demand for callers that want them:
 ``Matrix.rows`` (a tuple of row tuples) and ``Subspace.basis`` (a tuple of
 length-n*n tuples).  ``Matrix.from_rows``, ``kernel`` and ``unvectorize``
-take dense sequences as well as sparse maps.  The package itself never
-reads the dense views.
+take dense sequences as well as sparse maps.  Apart from ``Matrix.__repr__``,
+which prints ``.rows``, the package itself never reads the dense views.
 """
 
 from __future__ import annotations
@@ -261,7 +261,8 @@ QQ = RationalField()
 
 
 def field_from_name(name: str) -> Field:
-    """Parse a field descriptor: "rational" or "gf:<p>"."""
+    """Parse a field descriptor: "rational" or "gf:<p>", with p written as
+    ``str(p)`` writes it: "gf: 7", "gf:+7", "gf:07" and "gf:1_9" are bad."""
     if name == "rational":
         return QQ
     if name.startswith("gf:"):
@@ -269,7 +270,8 @@ def field_from_name(name: str) -> Field:
             p = int(name[3:])
         except ValueError:
             raise InvalidParams(f"bad field descriptor {name!r}") from None
-        return PrimeField(p)
+        if name == f"gf:{p}":
+            return PrimeField(p)
     raise InvalidParams(f"bad field descriptor {name!r}")
 
 

@@ -7,25 +7,26 @@ bilinear form on coordinates.  Only the nonzero basis products are stored,
 and a pair of basis rows whose supports cannot meet is never visited: a
 support index (``exact_linalg._support_index``) lists, for each row, the
 rows whose nonempty rows meet its columns.  So building the table,
-products, symmetry and the trace form visit only nonzero constants.
+products and symmetry visit only nonzero constants.
 The radical J of A, the powers J, J^2, ... and the subspace F*I + J^2 are
 read off that table once each, when first asked for.  A basis row x of a
 power is multiplied only by the rows y of J for which the table stores a
 product of basis rows in the supports of x and y, listed by the same
 index: every other product is zero.
 
-J is found as the kernel of one linear map on A, written in A's own
-coordinates, so it does not depend on the basis A is given in:
+In a local algebra A = F*I + J every x is chi(x)*I plus a nilpotent, so J
+is the kernel of the one linear character chi.  ``_character`` reads chi
+on A's basis, up to one common nonzero factor, the same way for every A:
 
-- over Q, J = {x : tr(xy) = 0 for all y in A} (Dickson's trace-form
-  criterion);
-- over GF(p), for commutative A, J is the kernel of x -> x^(p^e) with
-  p^e >= n, which is GF(p)-linear there, and whose kernel is the set of
-  nilpotent elements.
+- over Q, as the trace, which is n*chi;
+- over GF(p), as the coefficient of I in x^(p^e) with p^e >= n, which is
+  chi(x)^(p^e) = chi(x), commutative or not.
 
-Non-commutative algebras over GF(p) are not supported.  A is local, of
-the form scalars plus J, when it holds the identity and dim A - dim J = 1;
-only then does the nilpotency index N of J bound lengths by N - 1.
+Conversely that one-row kernel K is J exactly when K is a nilpotent
+subalgebra: then K misses I, A = F*I + K, and K is an ideal.  Forming the
+powers of K checks both, so it decides whether A is local; only then does
+the nilpotency index N of J bound lengths by N - 1.  Written in A's own
+coordinates, J does not depend on the basis A is given in.
 """
 
 from __future__ import annotations
@@ -94,28 +95,22 @@ class Algebra:
 
     @cached_property
     def radical(self) -> dict:
-        """RREF rows of the radical J of A, in A's coordinates.
-
-        Raises NotLocalForm when A lacks the identity, when dim A - dim J is
-        not 1, or over GF(p) when A is not commutative.
-        """
-        if self.identity is None:
-            raise NotLocalForm("the identity is not in the algebra")
-        f = self.field
-        constraints = _frobenius if isinstance(f, PrimeField) else _trace_form
-        j_coords = _nullspace(constraints(self), self.d, f)
-        if self.d - j_coords.dim != 1:
-            raise NotLocalForm(
-                f"the algebra modulo its radical has dimension "
-                f"{self.d - j_coords.dim}, not 1"
-            )
-        return j_coords.canonical()
+        """RREF rows of the radical J of A, in A's coordinates; raises
+        NotLocalForm when A is not scalars plus J."""
+        return self.powers[0]
 
     @cached_property
     def powers(self) -> list:
         """RREF rows of J, J^2, ..., 0 for the local algebra A, in A's
-        coordinates; raises NotLocalForm when A is not scalars plus J."""
-        return _power_rows(self.radical, self)
+        coordinates: the powers of the kernel of chi, which raise
+        NotLocalForm unless that kernel is a nilpotent subalgebra."""
+        if self.identity is None:
+            raise NotLocalForm("the identity is not in the algebra")
+        kernel = _nullspace([_character(self)], self.d, self.field).canonical()
+        try:
+            return _power_rows(kernel, self)
+        except (NotASubalgebra, NotNilpotent) as exc:
+            raise NotLocalForm(f"not scalars plus a nilpotent ideal: {exc}") from None
 
     @cached_property
     def modulus(self) -> dict:
@@ -178,41 +173,25 @@ class Algebra:
         return unvectorize(self.vector(x), self.space.n, self.field)
 
 
-def _trace_form(alg: Algebra) -> list:
-    """Rows of the Gram matrix tr(row_p * row_q) on A, over Q; it is
-    symmetric, so its rows are the constraints of its kernel."""
+def _character(alg: Algebra) -> dict:
+    """chi on A's basis rows, up to one common nonzero factor, as a sparse
+    row: the traces over Q, and over GF(p) each row_p^(p^e), p^e >= n,
+    read at one coordinate of the identity."""
     f, n = alg.field, alg.space.n
-    zero = f.zero()
-    # the diagonal of an n-by-n matrix sits at the coordinates c = i*(n+1)
-    traces = [
-        reduce(f.add, (v for c, v in row.items() if c % (n + 1) == 0), zero)
-        for row in alg.space.pivot_rows.values()
-    ]
-
-    def trace(x: dict):
-        """The trace of the element of A with coordinates x."""
-        return reduce(f.add, (f.mul(v, traces[r]) for r, v in x.items()), zero)
-
-    gram: list = [{} for _ in range(alg.d)]
-    for (p, q), prod in alg.table.items():
-        t = trace(prod)
-        if t:
-            gram[p][q] = t
-    return gram
-
-
-def _frobenius(alg: Algebra) -> list:
-    """Constraint rows of ker(x -> x^(p^e)), p^e >= n, on commutative A."""
-    f, d = alg.field, alg.d
-    if not alg.commutative:
-        raise NotLocalForm(
-            f"the radical over {f.name} is found only for commutative algebras"
-        )
+    chi = {}
+    if not isinstance(f, PrimeField):
+        for p, row in enumerate(alg.space.pivot_rows.values()):
+            # the diagonal of an n-by-n matrix sits at the coordinates i*(n+1)
+            diagonal = (v for c, v in row.items() if c % (n + 1) == 0)
+            trace = reduce(f.add, diagonal, f.zero())
+            if trace:
+                chi[p] = trace
+        return chi
     exponent = f.p
-    while exponent < alg.space.n:
+    while exponent < n:
         exponent *= f.p
-    rows: list = [{} for _ in range(d)]
-    for p in range(d):
+    at = next(iter(alg.identity))
+    for p in range(alg.d):
         power, base, e = alg.identity, {p: f.one()}, exponent
         # once the power or a square of the base is zero, so is the result
         while e and power:
@@ -223,17 +202,14 @@ def _frobenius(alg: Algebra) -> list:
                 base = alg.mul(base, base)
                 if not base:
                     power = {}
-        for r, v in power.items():
-            rows[r][p] = v
-    return rows
+        if power.get(at):
+            chi[p] = power[at]
+    return chi
 
 
 def radical_span(algebra: Subspace) -> Subspace:
-    """The radical J of A, which must be scalars plus J.
-
-    Raises NotLocalForm when A lacks the identity, when dim A - dim J is
-    not 1, or over GF(p) when A is not commutative.
-    """
+    """The radical J of A, which must be scalars plus J; raises
+    NotLocalForm otherwise."""
     alg = Algebra(algebra, "input span")
     ech = _Echelon(alg.field)
     for x in alg.radical.values():

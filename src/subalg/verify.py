@@ -27,8 +27,7 @@ class VerificationReport:
 
     ``own`` is the system's chain report; ``measured`` is the chain whose
     length is certified and bounded: the witness's, else ``own``.
-    ``radical`` is None when the closure is not scalars plus its radical,
-    or its radical cannot be found (a non-commutative algebra over GF(p));
+    ``radical`` is None when the closure is not scalars plus its radical;
     the bound is then unchecked, and an unchecked bound fails.
     ``sample_lengths`` is None unless samples were drawn.
     """

@@ -579,6 +579,50 @@ def test_verify_refuses_prime_field_literal_outside_the_grammar(capsys, tmp_path
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize(
+    "field", ["gf: 7", "gf:+7", "gf:7 ", "gf:0007", "gf:\u0667", "gf:1_9"]
+)
+def test_field_descriptor_outside_its_canonical_spelling_is_refused(
+    capsys, tmp_path, source, field
+):
+    # int() reads every one of these as 7 (or 19), yet only "gf:7" names GF(7)
+    if source == "flag":
+        argv = ["--family", "bkm", "--n", "4", "--m", "1", "--k", "1"]
+        argv += ["--field", field, "--samples", "0"]
+    else:
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({
+            "n": 2, "field": field, "admit_empty_word": True,
+            "generators": [{"label": "a", "entries": [[1, 2, "1"]]}],
+        }))
+        argv = ["--in", str(path)]
+    rc, out, err = run_cli(capsys, "verify", *argv)
+    assert (rc, out) == (2, "")
+    assert f"bad field descriptor {field!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["rational", "gf:2", "gf:3", "gf:32003"])
+def test_verify_file_of_noncommutative_local_algebra(capsys, tmp_path, field):
+    """span{I, E12, E23} in M_3 is local with radical span{E12, E13, E23},
+    whose cube is zero, on every field; over GF(3) the trace, being
+    3 * chi, would find no radical."""
+    f = exact_linalg.field_from_name(field)
+    system = GeneratingSystem((
+        ("I", Matrix.identity(3, f)),
+        ("E12", matrix_unit(3, 1, 2, f)),
+        ("E23", matrix_unit(3, 2, 3, f)),
+    ))
+    path = tmp_path / "upper.json"
+    path.write_text(dumps(system_to_dict(system)), encoding="utf-8")
+    rc, out, _ = run_cli(capsys, "verify", "--in", str(path), "--samples", "0")
+    doc = json.loads(out)
+    assert (doc["field"], doc["commutative"]) == (field, False)
+    assert (doc["radical_nilpotency"], doc["bound_holds"]) == (3, True)
+    assert (rc, doc["pass"]) == (1, False)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -741,8 +785,8 @@ def test_verify_family_builds_its_system_once(capsys, monkeypatch, family, args)
 def test_verify_builds_one_table_and_samples_without_matrices(
     capsys, monkeypatch, full_8152
 ):
-    # one Algebra per verify call, whose radical (over Q, one trace form)
-    # is found once for the bound and the samples together
+    # one Algebra per verify call, whose radical (one character) is found
+    # once for the bound and the samples together
     tables = []
     real_init = Algebra.__init__
     monkeypatch.setattr(
@@ -750,7 +794,7 @@ def test_verify_builds_one_table_and_samples_without_matrices(
         "__init__",
         lambda self, *a, **k: tables.append(a[0]) or real_init(self, *a, **k),
     )
-    radicals = _count_calls(monkeypatch, radical._trace_form)
+    radicals = _count_calls(monkeypatch, radical._character)
     rc, _, _ = run_cli(
         capsys, "verify", "--family", "bkml",
         "--n", "8", "--m", "1", "--l", "5", "--k", "2", "--samples", "5",

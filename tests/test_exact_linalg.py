@@ -25,7 +25,7 @@ from subalg import (
     verify_system,
 )
 
-from subalg.radical import Algebra, _trace_form
+from subalg.radical import Algebra, _character
 
 from oracles import (
     as_fraction_rows,
@@ -157,15 +157,14 @@ def test_pipeline_keeps_integral_rationals_as_ints(monkeypatch):
         assert_canonical(value)
 
 
-def test_trace_form_keeps_integral_rationals_as_ints():
+def test_character_keeps_integral_rationals_as_ints():
     # tr(x) = 1/2 + 1/2 is integral although neither of its terms is.
     half = QQ.parse("1/2")
     x = Matrix.from_rows([[0, 1, 0], [0, half, 0], [0, 0, half]])
-    gram = _trace_form(Algebra(span_of([Matrix.identity(3), x])))
-    assert gram == [{0: 3, 1: 1}, {0: 1, 1: half}]
-    for row in gram:
-        for value in row.values():
-            assert_canonical(value)
+    chi = _character(Algebra(span_of([Matrix.identity(3), x])))
+    assert chi == {0: 3, 1: 1}
+    for value in chi.values():
+        assert_canonical(value)
 
 
 def test_rational_backend_is_recorded_by_module():
