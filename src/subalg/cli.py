@@ -44,12 +44,19 @@ def _field_arg(s: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _int(s: str) -> int:
+    """s as an int only when ``str`` writes it so: "1_0", "+8" and "08" are not."""
+    try:
+        if s == str(int(s)):
+            return int(s)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not an integer: {s!r}")
+
+
 def _int_in(lo: int, hi: int | None = None):
     def parse(s: str) -> int:
-        try:
-            v = int(s)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {s!r}") from None
+        v = _int(s)
         if v < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}: {s}")
         if hi is not None and v > hi:
@@ -78,7 +85,7 @@ _family_n = _int_in(1, MAX_N)
 
 
 def _range_arg(s: str) -> tuple:
-    """Accepts "8", "6..10", or "1,3,5"; returns a sorted tuple of ints.
+    """Accepts "8", "6..10", or "1,3,5" (see ``_int``); returns a sorted tuple.
 
     No parameter of a valid tuple exceeds its n or is below 1, so a range
     reaching above ``MAX_N``, or holding more than ``MAX_N`` values, is
@@ -86,15 +93,14 @@ def _range_arg(s: str) -> tuple:
     """
     try:
         if ".." in s:
-            lo, hi = s.split("..", 1)
-            lo, hi = int(lo), int(hi)
+            lo, hi = map(_int, s.split("..", 1))
             if hi < lo:
                 raise ValueError
             values = range(lo, hi + 1)
         elif "," in s:
-            values = sorted({int(part) for part in s.split(",")})
+            values = sorted({_int(part) for part in s.split(",")})
         else:
-            values = [int(s)]
+            values = [_int(s)]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad range {s!r}: use N, LO..HI, or A,B,C"
@@ -400,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", help="generator-set file")
     _add_family_args(p)
     p.add_argument("--samples", type=_samples, default=25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
@@ -431,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--field", type=_field_arg, default=field_from_name("rational")
     )
     p.add_argument("--samples", type=_samples, default=25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)

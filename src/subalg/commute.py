@@ -8,10 +8,10 @@ equal exactly when the centralizer's constraints have rank n*n - d.
 
 Most constraints of a sparse generator have one entry and only say that a
 coordinate of X is zero.  They are read off the generator's sparsity
-pattern as a set of zero coordinates, with no row built.  The rank is the
-size of that set plus the rank of the other rows with those coordinates
-removed, read off the accumulator's row-echelon form with no canonical row
-built; the constraints are brought to RREF only for a centralizer basis.
+pattern as a set of zero coordinates, with no row built.  Their unit rows
+seed the rank's accumulator, already in row-echelon form, and the other
+rows are inserted as built; the rank is read off with no canonical row
+built.  The constraints are brought to RREF only for a centralizer basis.
 A constraint row is copied from a column and a negated row of a
 generator, so building it needs no field multiply.
 """
@@ -109,24 +109,13 @@ def _constraints(mats):
     return zero, rows
 
 
-def _stripped(zero, rows):
-    """Fresh copies of the constraint rows with the ``zero`` coordinates
-    removed, the empty ones dropped.  Modulo the unit vectors of ``zero``
-    they span what the rows span."""
-    for row in rows:
-        row = {c: v for c, v in row.items() if c not in zero}
-        if row:
-            yield row
-
-
 def centralizer(mats) -> Subspace:
     """All X with X*G = G*X for every given G, as a canonical subspace: the
-    kernel of a unit row per zero coordinate and of the stripped rows."""
+    kernel of a unit row per zero coordinate and of the other rows."""
     mats = list(mats)
     zero, rows = _constraints(mats)
     n, field = mats[0].n, mats[0].field
-    units = [{c: field.one()} for c in zero]
-    return kernel(units + list(_stripped(zero, rows)), n, field)
+    return kernel([{c: field.one()} for c in zero] + rows, n, field)
 
 
 @dataclass(frozen=True)
@@ -156,24 +145,24 @@ def _maximality(mats, alg: Algebra) -> MaximalityVerdict:
 
     A is commutative exactly when its table is symmetric; only when it is
     not are member pairs multiplied, to name the first pair that does not
-    commute.  The rank of the centralizer constraints is the number of
-    zero coordinates plus the rank of the other rows with those
-    coordinates removed, so only those rows are inserted.  A commutative A
-    lies in the centralizer C(S), so C(S) = A once the rank reaches
-    n*n - d, and the rest are skipped.  Ranks build no canonical row; only
-    when the full rank falls short are the constraints brought to RREF,
-    for the kernel basis and its first element outside A.
+    commute.  The rank of the centralizer constraints starts from the unit
+    rows of the zero coordinates, seeded with no insert, and only the
+    other rows are inserted.  A commutative A lies in the centralizer
+    C(S), so C(S) = A once the rank reaches n*n - d, and the rest are
+    skipped.  Ranks build no canonical row; only when the full rank falls
+    short are the constraints brought to RREF, for the kernel basis and
+    its first element outside A.
     """
     closure, d = alg.space, alg.d
     n, field = closure.n, closure.field
     commutes, pair = (True, None) if alg.commutative else is_commutative(mats)
     zero, rows = _constraints(mats)
-    rank, full = _Echelon(field), n * n - d - len(zero)
-    for row in _stripped(zero, rows):
+    rank, full = _Echelon(field, {c: {c: field.one()} for c in zero}), n * n - d
+    for row in rows:
         if commutes and rank.dim == full:
             break
         rank.insert(row)
-    cent_dim = n * n - len(zero) - rank.dim
+    cent_dim = n * n - rank.dim
     if not commutes:
         return MaximalityVerdict(d, cent_dim, False, False, pair)
     if cent_dim == d:

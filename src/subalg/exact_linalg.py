@@ -13,10 +13,10 @@ objects hold equal maps.  Every product is formed by one kernel,
 ``_vec_mul``, on its factors' nonempty rows ``{i: {j: value}}``: it costs
 one axpy per nonzero a_ik whose row k of B is nonempty and writes A B
 straight into vectorized coordinates (``mat_mul`` wraps it for matrices).
-Callers that multiply many pairs skip those that cannot meet through one
-support index, ``_support_index``, which maps each key to an int bitmask
-of the operands holding it; ``_meeting`` lists, in ascending order, the
-operands that hold some key of another operand.
+Callers that multiply many pairs skip those whose product is zero by its
+supports: ``_lefts_meeting`` (``radical.Algebra.lefts_meeting`` on a
+table) lists the left factors that can meet a right one, from an int
+bitmask per key of the operands holding it (``_support_index``).
 Matrices are immutable and 1-indexed at the API surface.  A matrix is
 vectorized row-major: entry (i, j) lands at coordinate (i-1)*n + (j-1) of
 the n*n coordinate space.
@@ -432,6 +432,15 @@ def _meeting(index: dict, keys) -> list:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _lefts_meeting(lefts: list):
+    """For left factors given by their nonempty rows (``_by_row``), the
+    function that lists, ascending, the positions of those g for which
+    g * x can be nonzero, for x given the same way: g * x is zero unless a
+    column of g is a nonempty row of x."""
+    index = _support_index([j for row in g.values() for j in row] for g in lefts)
+    return lambda x: _meeting(index, x)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -26,10 +26,10 @@ product builds a ``Matrix``.  Each nonzero table product is reduced
 against A.
 
 A chain multiplies a vector x only by the members g for which g * x can
-be nonzero, which one support index lists in ascending order
-(``exact_linalg._meeting``).  A skipped product is zero and would insert
-nothing, so each step inserts the same nonzero vectors, in the same
-order, as multiplying every pair would.
+be nonzero, listed in ascending order by one rule per coordinate system
+(``exact_linalg._lefts_meeting``, ``Algebra.lefts_meeting``).  A skipped
+product is zero and would insert nothing, so each step inserts the same
+nonzero vectors, in the same order, as multiplying every pair would.
 
 The sampler plans each candidate's draws before any arithmetic, in O(d)
 calls to its rng and with no refusal by member count; accepted
@@ -62,8 +62,7 @@ from .exact_linalg import (
     _check_compatible,
     _by_row,
     _Echelon,
-    _meeting,
-    _support_index,
+    _lefts_meeting,
     _vec_mul,
     mat_mul,
     vectorize,
@@ -111,18 +110,13 @@ def _chain(system: GeneratingSystem):
     spans = [ech.to_subspace(n)]
     vecs = [vectorize(m) for m in system.matrices]
     members = [_by_row(vec, n) for vec in vecs]
-    # g * x is zero unless a column of g is a nonempty row of x
-    holders = _support_index([j for row in g.values() for j in row] for g in members)
+    lefts = _lefts_meeting(members)
     while True:
         frontier = [_by_row(x, n) for x in _grow(ech, vecs)]
         spans.append(ech.to_subspace(n))
         if spans[-1].dim == spans[-2].dim:
             break
-        vecs = (
-            _vec_mul(members[i], x, n, f)
-            for x in frontier
-            for i in _meeting(holders, x)
-        )
+        vecs = (_vec_mul(members[i], x, n, f) for x in frontier for i in lefts(x))
     dims = tuple(s.dim for s in spans)
     stabilization = len(spans) - 1
     return LengthReport(dims, stabilization, stabilization - 1, dims[-1]), spans
@@ -186,20 +180,13 @@ def _coord_chain(
             probe.insert(dict(row))
         if probe.dim < d:
             return None
-    caches = [{} for _ in members]
-    mul, right = alg.mul, alg.right
-    holders = _support_index(members)
-
-    def left_of(x: dict) -> list:
-        # g * x is zero unless g holds a p with right[q][p] for q in x
-        return _meeting(holders, (p for q in x for p in right[q]))
-
+    mul, lefts = alg.mul, alg.lefts_meeting(members)
     # step 2 on a commutative table: g_i * g_j for grown i <= j only
     firsts = set(grown) if alg.commutative else None
     vecs = (
-        mul(members[i], members[j], caches[i])
+        mul(members[i], members[j])
         for j in grown
-        for i in left_of(members[j])
+        for i in lefts(members[j])
         if firsts is None or (i <= j and i in firsts)
     )
     while dims[-1] != dims[-2]:
@@ -208,7 +195,7 @@ def _coord_chain(
             break
         frontier = _grow(ech, vecs, full=d)
         dims.append(ech.dim)
-        vecs = (mul(members[i], x, caches[i]) for x in frontier for i in left_of(x))
+        vecs = (mul(members[i], x) for x in frontier for i in lefts(x))
     length = dims.index(d) if d in dims else None
     return LengthReport(tuple(dims), len(dims) - 1, length, d)
 
@@ -337,8 +324,9 @@ def _plan_row(plan: _Plan, i: int, f) -> dict:
 def _sample_reports(
     alg: Algebra, count: int, seed: int, max_rejections: int = 1000
 ) -> list:
-    """(plan, LengthReport) of ``count`` seeded random generating systems
-    of the local algebra A, with no matrix formed.
+    """(rows, LengthReport) of ``count`` seeded random generating systems
+    of the local algebra A, each member an unscaled row, with no matrix
+    formed.
 
     A candidate generates A exactly when it spans A modulo F*I + J^2
     (``alg.modulus``; Nakayama's lemma), so every plan has at least that
@@ -367,7 +355,7 @@ def _sample_reports(
                 f"a candidate spanning the target modulo F*I + J^2 "
                 f"generates only dimension {report.dims[-1]} of {d}"
             )
-        out.append((plan, report))
+        out.append((members, report))
     return out
 
 
@@ -376,9 +364,10 @@ def sample_generating_systems(
 ) -> list:
     """Deterministic random generating systems of the local target algebra.
 
-    Each sample of ``_sample_reports``, a random subset of a random mix of
-    the target's basis, becomes matrices with its members scaled by units
-    drawn from a stream of its own, seeded by (seed, sample index).  Returns
+    Each sample of ``_sample_reports``, the rows of a random subset of a
+    random mix of the target's basis, becomes matrices with its members
+    scaled by units drawn from a stream of its own, seeded by (seed, sample
+    index).  Its chain copied the rows, so they are as built.  Returns
     (system, LengthReport) pairs, the report giving its length.
 
     Raises NotASubalgebra when the target is not closed or lacks the
@@ -391,12 +380,9 @@ def sample_generating_systems(
         raise NotASubalgebra("target must contain the identity")
     f, out = target.field, []
     pairs = _sample_reports(alg, count, seed, max_rejections)
-    for index, (plan, report) in enumerate(pairs):
+    for index, (rows, report) in enumerate(pairs):
         units = random.Random(f"{seed}:{index}")
-        rows = [
-            f.scale(_plan_row(plan, i, f), _unit_draw(units, f))
-            for i in plan.chosen
-        ]
+        rows = [f.scale(row, _unit_draw(units, f)) for row in rows]
         labelled = tuple((f"g{i + 1}", alg.matrix(x)) for i, x in enumerate(rows))
         out.append((GeneratingSystem(labelled, admit_empty_word=True), report))
     return out

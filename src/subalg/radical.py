@@ -3,16 +3,14 @@
 An algebra A of matrices of dimension d is held as ``Algebra``: its RREF
 basis, the coordinates of a vector of A (its entries at the d pivots),
 and the structure constants that turn every product inside A into a
-bilinear form on coordinates.  Only the nonzero basis products are stored,
-and a pair of basis rows whose supports cannot meet is never visited: a
-support index (``exact_linalg._support_index``) lists, for each row, the
-rows whose nonempty rows meet its columns.  So building the table,
-products and symmetry visit only nonzero constants.
+bilinear form on coordinates.  They are stored once, by right factor, and
+only where nonzero; a pair of basis rows whose product is zero by its
+supports is never visited (``exact_linalg._lefts_meeting``).  So building
+the table, products and symmetry visit only nonzero constants.
 The radical J of A, the powers J, J^2, ... and the subspace F*I + J^2 are
 read off that table once each, when first asked for.  A basis row x of a
-power is multiplied only by the rows y of J for which the table stores a
-product of basis rows in the supports of x and y, listed by the same
-index: every other product is zero.
+power is multiplied only by the rows y of J for which y * x can be
+nonzero (``Algebra.lefts_meeting``): every other product is zero.
 
 In a local algebra A = F*I + J every x is chi(x)*I plus a nilpotent, so J
 is the kernel of the one linear character chi.  ``_character`` reads chi
@@ -41,6 +39,7 @@ from .exact_linalg import (
     Subspace,
     _by_row,
     _Echelon,
+    _lefts_meeting,
     _meeting,
     _nullspace,
     _reduce,
@@ -56,11 +55,11 @@ class Algebra:
 
     The coordinates of a vector of A are its entries at A's pivots, in
     ascending pivot order: each RREF row is 1 at its own pivot and 0 at the
-    others.  ``table[(p, q)]`` holds the coordinates of row_p * row_q when
-    that product is nonzero, and no entry when it is zero; ``right[q]``
-    maps each p with a stored ``table[(p, q)]`` to it.  ``identity`` holds
-    the coordinates of the identity matrix (None when A lacks it).
-    Building the table is the check that A is multiplicatively closed.
+    others.  ``right[q]`` maps each p, ascending, to the coordinates of
+    row_p * row_q when that product is nonzero, and holds no entry when it
+    is zero.  ``identity`` holds the coordinates of the identity matrix
+    (None when A lacks it).  Building the table is the check that A is
+    multiplicatively closed.
     """
 
     def __init__(self, space: Subspace, what: str = "target"):
@@ -70,28 +69,29 @@ class Algebra:
         self.index = {p: i for i, p in enumerate(space.pivot_rows)}
         n = space.n
         rows = [_by_row(row, n) for row in space.pivot_rows.values()]
-        # row_p * row_q is zero unless a column of row_p is a nonempty row
-        # of row_q: ``_vec_mul`` would find no term, so the pair is skipped
-        holders = _support_index(rows)
-        self.table = {}
+        lefts = _lefts_meeting(rows)
         self.right = [{} for _ in range(d)]
-        for p, x in enumerate(rows):
-            for q in _meeting(holders, {j for grow in x.values() for j in grow}):
-                prod = self.coordinates(_vec_mul(x, rows[q], n, f))
+        for q, y in enumerate(rows):
+            for p in lefts(y):
+                prod = self.coordinates(_vec_mul(rows[p], y, n, f))
                 if prod is None:
                     raise NotASubalgebra(
                         f"{what} is not multiplicatively closed: "
                         "some basis product leaves it"
                     )
                 if prod:
-                    self.table[p, q] = self.right[q][p] = prod
+                    self.right[q][p] = prod
         self.identity = self.coordinates(vectorize(Matrix.identity(n, f)))
 
     @cached_property
     def commutative(self) -> bool:
         """True when A is commutative, that is when its table is symmetric."""
-        table = self.table
-        return all(table.get((q, p)) == prod for (p, q), prod in table.items())
+        right = self.right
+        return all(
+            right[p].get(q) == prod
+            for q, col in enumerate(right)
+            for p, prod in col.items()
+        )
 
     @cached_property
     def radical(self) -> dict:
@@ -133,31 +133,32 @@ class Algebra:
             return None
         return coords
 
-    def mul(self, x: dict, y: dict, cache: dict | None = None) -> dict:
-        """Coordinates of x * y.  ``cache`` keeps x times each basis row,
-        for a caller that multiplies x by many vectors."""
+    def mul(self, x: dict, y: dict) -> dict:
+        """Coordinates of x * y; each column ``right[q]`` of y's support is
+        walked from the shorter of it and x."""
         f, right = self.field, self.right
-        cache = {} if cache is None else cache
         out: dict = {}
         for q, yv in y.items():
-            col = cache.get(q)
-            if col is None:
-                col = {}
-                column = right[q]
-                if len(x) <= len(column):
-                    for p, xv in x.items():
-                        prod = column.get(p)
-                        if prod is not None:
-                            f.axpy(col, xv, prod)
-                else:
-                    for p, prod in column.items():
-                        xv = x.get(p)
-                        if xv is not None:
-                            f.axpy(col, xv, prod)
-                cache[q] = col
-            if col:
-                f.axpy(out, yv, col)
+            column = right[q]
+            if len(x) <= len(column):
+                for p, xv in x.items():
+                    prod = column.get(p)
+                    if prod is not None:
+                        f.axpy(out, f.mul(xv, yv), prod)
+            else:
+                for p, prod in column.items():
+                    xv = x.get(p)
+                    if xv is not None:
+                        f.axpy(out, f.mul(xv, yv), prod)
         return out
+
+    def lefts_meeting(self, lefts: list):
+        """For left factors given by coordinates, the function that lists,
+        ascending, the positions of those g for which g * x can be nonzero:
+        g * x is zero unless g holds a p with a stored row_p * row_q for
+        some q in x."""
+        index, right = _support_index(lefts), self.right
+        return lambda x: _meeting(index, (p for q in x for p in right[q]))
 
     def vector(self, x: dict) -> dict:
         """The vectorized matrix with coordinates x."""
@@ -221,26 +222,24 @@ def _power_rows(j_rows: dict, alg: Algebra) -> list:
     """RREF rows of J, J^2, ... down to the first zero power, in coordinates.
 
     J is given by its RREF rows in the coordinates of an algebra that
-    contains it.  Each next power spans the products of the current
-    power's basis with the basis of J itself.  x * y can be nonzero only
-    when the table stores some product row_p * row_q with p in supp(x) and
-    q in supp(y), so only those pairs are multiplied, each x by the rows y
-    in ascending order; every other product is zero.  Raises
-    NotASubalgebra when J is not closed under products, and NotNilpotent
-    when the dimensions stop strictly decreasing before reaching zero.
+    contains it.  Each next power spans the products y * x of the basis of
+    J itself with the current power's basis, as J * J^i = J^(i+1).  Each x
+    is multiplied only by the rows y, ascending, for which y * x can be
+    nonzero (``Algebra.lefts_meeting``); every other product is zero.
+    Raises NotASubalgebra when J is not closed under products, and
+    NotNilpotent when the dimensions stop strictly decreasing before
+    reaching zero.
     """
-    f, right = alg.field, alg.right
+    f = alg.field
     j_basis = list(j_rows.values())
-    # the rows of J at key p: those holding a q with a stored table[(p, q)]
-    holders = _support_index([p for q in y for p in right[q]] for y in j_basis)
+    lefts = alg.lefts_meeting(j_basis)
     powers = [j_rows]
     current = j_basis
     while powers[-1]:
         nxt = _Echelon(f)
         for x in current:
-            cache: dict = {}
-            for r in _meeting(holders, x):
-                prod = alg.mul(x, j_basis[r], cache)
+            for r in lefts(x):
+                prod = alg.mul(j_basis[r], x)
                 # a product never formed is zero, so it lies in J
                 if current is j_basis and _reduce(dict(prod), j_rows, f):
                     raise NotASubalgebra(

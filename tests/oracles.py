@@ -17,7 +17,8 @@ radical's power chain from every product of a power's basis with J's
 basis, on J's rows in an algebra's coordinates (``coordinate_rows``).
 ``all_pairs_chain``, ``all_pairs_coord_chain`` and ``all_pairs_table``
 are the span chains and the structure-constant table from every product
-of members, frontier vectors or basis rows, with no support index.
+of members, frontier vectors or basis rows, with no support index;
+``table_of`` rebuilds an algebra's p-major table from its columns.
 ``draw_conjugator`` draws a similarity P with its inverse.
 ``reference_witness_system`` and ``reference_witness_system_bkm`` build
 the witness systems by enumerating their unit pairs, not by filtering the
@@ -219,9 +220,8 @@ def all_pairs_power_rows(j_rows: dict, alg: Algebra) -> list:
     while powers[-1]:
         nxt = _Echelon(f)
         for x in current:
-            cache: dict = {}
             for y in j_basis:
-                prod = alg.mul(x, y, cache)
+                prod = alg.mul(x, y)
                 if current is j_basis and _reduce(dict(prod), j_rows, f):
                     raise NotASubalgebra(
                         "radical candidate is not multiplicatively closed: "
@@ -272,23 +272,22 @@ def all_pairs_coord_chain(alg: Algebra, members: list, admit_empty_word: bool):
     dims = [ech.dim]
     grown = [i for i, g in enumerate(members) if ech.dim < d and ech.insert(dict(g))]
     dims.append(ech.dim)
-    caches = [{} for _ in members]
     mul = alg.mul
     if alg.commutative:
         vecs = (
-            mul(members[i], members[j], caches[i])
+            mul(members[i], members[j])
             for k, j in enumerate(grown)
             for i in grown[: k + 1]
         )
     else:
-        vecs = (mul(g, members[j], c) for j in grown for g, c in zip(members, caches))
+        vecs = (mul(g, members[j]) for j in grown for g in members)
     while dims[-1] != dims[-2]:
         if dims[-1] == d:
             dims.append(d)
             break
         frontier = _grow(ech, vecs, full=d)
         dims.append(ech.dim)
-        vecs = (mul(g, x, c) for x in frontier for g, c in zip(members, caches))
+        vecs = (mul(g, x) for x in frontier for g in members)
     length = dims.index(d) if d in dims else None
     return LengthReport(tuple(dims), len(dims) - 1, length, d)
 
@@ -307,6 +306,17 @@ def all_pairs_table(space: Subspace, alg: Algebra) -> tuple:
             if prod:
                 table[p, q] = right[q][p] = prod
     return table, right
+
+
+def table_of(alg: Algebra) -> dict:
+    """The nonzero products {(p, q): row_p * row_q} of ``alg``, p-major,
+    rebuilt from its columns ``alg.right``."""
+    return {
+        (p, q): alg.right[q][p]
+        for p in range(alg.d)
+        for q in range(alg.d)
+        if p in alg.right[q]
+    }
 
 
 def coordinate_rows(space: Subspace, alg: Algebra) -> dict:

@@ -33,6 +33,8 @@ from subalg import (
     witness_system,
     witness_system_bkm,
 )
+from subalg.lengths import _sample_reports
+from subalg.radical import Algebra
 
 from oracles import enumerate_words, mat_pow, mat_power_of_chain
 
@@ -174,8 +176,9 @@ def sampled_bound_ok(family: str, params, field) -> bool:
     if key in _SAMPLED:
         return _SAMPLED[key]
     summary = summarize(family, params, field)
-    closure = summary["closure"]
-    pairs = sample_generating_systems(closure, SAMPLE_COUNT, SAMPLE_SEED)
+    # the lengths alone: the samples of sample_generating_systems, with no
+    # matrix formed
+    pairs = _sample_reports(Algebra(summary["closure"]), SAMPLE_COUNT, SAMPLE_SEED)
     lengths = [report.length for _, report in pairs]
     ok = all(v <= summary["nilpotency"] - 1 for v in lengths)
     _SAMPLED[key] = ok

@@ -163,9 +163,9 @@ def test_verdict_matches_the_reference_beyond_family_members(field, data):
 
 def test_maximality_inserts_no_one_entry_constraint(monkeypatch):
     """A work count: at bkm (24,1,8) over Q the one-entry constraints are
-    the zero set, so the rank inserts none of them, and at most one
-    stripped copy of each other row.  Inserting the walk's own rows until
-    the rank reaches n*n - d would take 1 033 inserts."""
+    the zero set, whose unit rows seed the rank, so it inserts none of
+    them, and at most each other row once.  Inserting the walk's own rows
+    until the rank reaches n*n - d would take 1 033 inserts."""
     system = build_bkm(BkmParams(24, 1, 8), QQ)
     alg = Algebra(algebra_closure(system))
     zero, rows = _constraints(system.matrices)
@@ -178,7 +178,7 @@ def test_maximality_inserts_no_one_entry_constraint(monkeypatch):
     )
     assert _maximality(system.matrices, alg).is_maximal
     assert 0 < len(inserted) <= len(rows) == 96
-    assert all(zero.isdisjoint(vec) for vec in inserted)
+    assert all(len(vec) >= 2 for vec in inserted)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)

@@ -26,6 +26,7 @@ from subalg import (
 from subalg.cli import main
 from subalg.jsonio import dumps, system_to_dict
 from subalg.radical import Algebra
+from subalg.verify import verify_system
 
 
 def run_cli(capsys, *argv):
@@ -621,6 +622,59 @@ def test_verify_file_of_noncommutative_local_algebra(capsys, tmp_path, field):
     assert (doc["field"], doc["commutative"]) == (field, False)
     assert (doc["radical_nilpotency"], doc["bound_holds"]) == (3, True)
     assert (rc, doc["pass"]) == (1, False)
+
+
+@pytest.mark.parametrize("field", ["rational", "gf:2", "gf:3", "gf:32003"])
+def test_verify_file_of_exterior_algebra_compares_products_by_value(
+    capsys, tmp_path, field
+):
+    """The exterior algebra of F^2 as its left multiplications in M_4, on
+    the basis 1, e1, e2, e12: e1 * e2 = e12 and e2 * e1 = -e12 are both
+    nonzero, so only their values show that it commutes over GF(2) alone.
+    Its radical span{e1, e2, e12} has powers of dims (3, 1, 0) on every
+    field."""
+    f = exact_linalg.field_from_name(field)
+    # L_e1: 1 -> e1, e2 -> e12; L_e2: 1 -> e2, e1 -> -e12
+    l_e1 = Matrix.from_rows([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]], f)
+    l_e2 = Matrix.from_rows([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0]], f)
+    system = GeneratingSystem((("L_e1", l_e1), ("L_e2", l_e2)))
+    assert verify_system(system).radical.power_dims == (3, 1, 0)
+    path = tmp_path / "exterior.json"
+    path.write_text(dumps(system_to_dict(system)), encoding="utf-8")
+    rc, out, _ = run_cli(capsys, "verify", "--in", str(path))
+    doc = json.loads(out)
+    assert (doc["algebra_dimension"], doc["radical_nilpotency"]) == (4, 3)
+    if field == "gf:2":
+        assert (doc["commutative"], doc["maximal"], doc["witness_length"]) == (
+            True, True, 2,
+        )
+        assert (rc, doc["pass"]) == (0, True)
+    else:
+        assert (doc["commutative"], doc["maximal"]) == (False, False)
+        assert (rc, doc["pass"]) == (1, False)
+
+
+@pytest.mark.parametrize("spelling", ["1_0", "+8", " 8", "08", "\u0668"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--family", "bkm", "--n", "{}", "--m", "1", "--k", "1"),
+        ("construct", "--family", "bkm", "--n", "10", "--m", "{}", "--k", "1"),
+        ("verify", "--family", "bkm", "--n", "8", "--m", "1", "--k", "2", "--samples", "{}"),
+        ("verify", "--family", "bkm", "--n", "8", "--m", "1", "--k", "2", "--seed", "{}"),
+        ("sweep", "--family", "bkm", "--n", "4", "--samples", "0", "--seed", "{}"),
+        ("sweep", "--family", "bkm", "--n", "4", "--samples", "0", "--jobs", "{}"),
+        ("sweep", "--family", "bkm", "--n", "4..{}", "--samples", "0"),
+        ("sweep", "--family", "bkm", "--n", "4,{}", "--samples", "0"),
+        ("length", "--in", "system.json", "--word-budget", "{}"),
+    ],
+)
+def test_integer_flags_take_only_canonical_spellings(capsys, argv, spelling):
+    """int() would take each spelling as 8 or 10; a flag takes an integer
+    only as str() writes it."""
+    rc, out, err = run_cli(capsys, *(a.format(spelling) for a in argv))
+    assert (rc, out) == (2, "")
+    assert f"not an integer: {spelling!r}" in err
 
 
 @pytest.mark.parametrize(

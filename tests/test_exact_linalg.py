@@ -37,6 +37,7 @@ from oracles import (
     subspace_sum,
     sympy_rank_of_matrices,
     sympy_rref_rows,
+    table_of,
     to_sympy,
 )
 
@@ -150,7 +151,7 @@ def test_pipeline_keeps_integral_rationals_as_ints(monkeypatch):
     [coords] = seen
     powers = coords.powers
     values = [v for row in report.closure.pivot_rows.values() for v in row.values()]
-    values += [v for x in coords.table.values() for v in x.values()]
+    values += [v for x in table_of(coords).values() for v in x.values()]
     values += [v for rows in powers for row in rows.values() for v in row.values()]
     assert values
     for value in values:
