@@ -33,12 +33,16 @@ nonzero vectors, in the same order, as multiplying every pair would.
 
 The sampler plans each candidate's draws before any arithmetic, in O(d)
 calls to its rng and with no refusal by member count; accepted
-candidates follow the law of a dense draw (``_Plan`` says why).  It
-builds only the chosen rows, unscaled: scaling by units changes no span,
-so the chain runs on them as they are.  That chain is screened: after
-step 1 it inserts F*I + J^2 into a copy of L_1 and goes on only when the
-copy fills A.  Only ``sample_generating_systems`` draws units, from a
-stream seeded by (seed, sample index), and forms matrices.
+candidates follow the law of a dense draw (``_Plan`` says why).  The
+chosen rows are rows of the plan's invertible mix, so its chain runs on
+the annihilator of L_i, not on an echelon of it: L_1 is known from two
+triangular solves per unchosen row, with no elimination, and a product
+grows the span exactly when one of the few functionals left is nonzero
+on it.  The chain is screened: it inserts F*I + J^2 into a copy of L_1
+and goes on only when the copy fills A.  The chosen rows are built,
+unscaled, only where a product needs them: scaling by units changes no
+span.  Only ``sample_generating_systems`` draws units, from a stream
+seeded by (seed, sample index), and forms matrices.
 """
 
 from __future__ import annotations
@@ -85,15 +89,16 @@ class LengthReport:
     target_dim: int
 
 
-def _grow(ech: _Echelon, vecs, full: int | None = None) -> list:
-    """Insert vecs into ech, which consumes them, until it reaches
-    dimension ``full``; returns a copy of each vector that grew the span."""
+def _grow(acc, vecs, full: int | None = None) -> list:
+    """Insert vecs into the accumulator until it reaches dimension
+    ``full``; returns a copy, taken before its insert, of each vector that
+    grew the span.  Only an ``_Echelon`` consumes what it inserts."""
     grown = []
     for vec in vecs:
         kept = dict(vec)
-        if ech.insert(vec):
+        if acc.insert(vec):
             grown.append(kept)
-            if ech.dim == full:
+            if acc.dim == full:
                 break
     return grown
 
@@ -146,24 +151,12 @@ def algebra_closure(system: GeneratingSystem) -> Subspace:
     return spans[-1]
 
 
-def _coord_chain(
-    alg: Algebra, members: list, admit_empty_word: bool, screen: bool = False
-) -> LengthReport | None:
+def _coord_chain(alg: Algebra, members: list, admit_empty_word: bool) -> LengthReport:
     """The span chain of members of A, given by coordinates, against A.
 
-    Step 1 inserts copies of the members and stops as soon as the span
-    fills A.  With ``screen`` the chain stops there, returning None, unless
-    L_1 spans A together with F*I + J^2 (``alg.modulus``): by Nakayama's
-    lemma, members with the identity admitted generate the local A exactly
-    then.  The rows of F*I + J^2 go into a copy of L_1's accumulator.
-
-    Each later step multiplies the members by the vectors that grew the span
-    at the step before, each vector x only by the members g for which the
-    table stores some product in the supports of g and x.  At step 2 those
-    vectors are the grown members, so in a commutative A each unordered
-    pair of them is multiplied once.  A step stops as soon as the span
-    fills A; the step after it, which can only repeat A, is recorded
-    without being run.
+    Step 1 inserts copies of the members into an echelon and stops as soon
+    as the span fills A; the members that grew it go on to step 2, and the
+    echelon serves the later steps (``_later_steps``).
     """
     d = alg.d
     ech = _Echelon(alg.field)
@@ -172,14 +165,23 @@ def _coord_chain(
     dims = [ech.dim]
     grown = [i for i, g in enumerate(members) if ech.dim < d and ech.insert(dict(g))]
     dims.append(ech.dim)
-    if screen:
-        probe = _Echelon(alg.field, ech.rows)
-        for row in alg.modulus.values():
-            if probe.dim == d:
-                break
-            probe.insert(dict(row))
-        if probe.dim < d:
-            return None
+    return _later_steps(alg, members, ech, grown, dims)
+
+
+def _later_steps(alg: Algebra, members: list, acc, grown, dims: list) -> LengthReport:
+    """Steps 2 on of the chain of members of A, from the accumulator ``acc``
+    of L_1 (an ``_Echelon`` or an ``_Annihilator``), the positions of the
+    members that go on to step 2, and dims [dim L_0, dim L_1].
+
+    Each step multiplies the members by the vectors that grew the span at
+    the step before, each vector x only by the members g for which the
+    table stores some product in the supports of g and x.  At step 2 those
+    vectors are the members in ``grown``, so in a commutative A each
+    unordered pair of them is multiplied once.  A step stops as soon as the
+    span fills A; the step after it, which can only repeat A, is recorded
+    without being run.
+    """
+    d = alg.d
     mul, lefts = alg.mul, alg.lefts_meeting(members)
     # step 2 on a commutative table: g_i * g_j for grown i <= j only
     firsts = set(grown) if alg.commutative else None
@@ -193,8 +195,8 @@ def _coord_chain(
         if dims[-1] == d:
             dims.append(d)
             break
-        frontier = _grow(ech, vecs, full=d)
-        dims.append(ech.dim)
+        frontier = _grow(acc, vecs, full=d)
+        dims.append(acc.dim)
         vecs = (mul(members[i], x) for x in frontier for i in lefts(x))
     length = dims.index(d) if d in dims else None
     return LengthReport(tuple(dims), len(dims) - 1, length, d)
@@ -321,29 +323,140 @@ def _plan_row(plan: _Plan, i: int, f) -> dict:
     return row
 
 
+class _Annihilator:
+    """A span in F^d held by its annihilator: ``functionals``, independent
+    sparse maps vanishing on it, d - dim of them; it serves as an
+    ``exact_linalg._Echelon`` does.  A functional matters up to a nonzero
+    factor, so no inverse is taken, and it is replaced, never changed in
+    place, so a copy shares them."""
+
+    def __init__(self, field, d: int, functionals):
+        self.field = field
+        self.d = d
+        self.functionals = list(functionals)
+
+    @property
+    def dim(self) -> int:
+        return self.d - len(self.functionals)
+
+    def _at(self, phi: dict, vec: dict):
+        """phi(vec) as a canonical scalar."""
+        if len(vec) < len(phi):
+            phi, vec = vec, phi
+        get = vec.get
+        return self.field.coerce(
+            sum(v * w for k, v in phi.items() if (w := get(k)) is not None)
+        )
+
+    def insert(self, vec: dict) -> bool:
+        """Add vec, left as it is; True when the dimension grew.  The first
+        functional phi with v = phi(vec) != 0 is dropped and each later psi
+        with w = psi(vec) != 0 becomes v*psi - w*phi, divided by the gcd of
+        its entries when they are ints: a nonzero factor on every field
+        (residues below p have a gcd below p) that keeps Q's primitive."""
+        f, phis = self.field, self.functionals
+        for k, phi in enumerate(phis):
+            v = self._at(phi, vec)
+            if v:
+                break
+        else:
+            return False
+        del phis[k]
+        for j in range(k, len(phis)):
+            w = self._at(phis[j], vec)
+            if w:
+                psi = f.scale(phis[j], v)
+                f.axpy(psi, f.neg(w), phi)
+                values = psi.values()
+                if all(type(c) is int for c in values) and (g := math.gcd(*values)) > 1:
+                    psi = {i: c // g for i, c in psi.items()}
+                phis[j] = psi
+        return True
+
+    def copy(self) -> "_Annihilator":
+        return _Annihilator(self.field, self.d, self.functionals)
+
+
+def _plan_annihilator(plan: _Plan, d: int, f) -> list:
+    """The d - |chosen| independent functionals vanishing on the plan's
+    chosen rows: the columns of M^-1 at the unchosen indices, for the mix
+    M = (I + S)(I + F) with S strictly lower (``plan.second``) and F
+    strictly upper (``plan.first``).  Each is a forward solve of
+    (I + S) z = e_u from u on, then a backward solve of (I + F) y = z
+    (sparse triangular solves, after Gilbert and Peierls, SIAM J. Sci.
+    Stat. Comput. 9(5), 1988); both factors are unit triangular, so no
+    division is made and over Q the entries are ints."""
+    first, second, chosen = plan.first, plan.second, set(plan.chosen)
+    reduce, out = f.from_int, []
+    for u in range(d):
+        if u in chosen:
+            continue
+        z = [0] * d
+        z[u] = 1
+        for i in range(u + 1, d):
+            s = 0
+            for j in second[i]:
+                s += z[j]
+            if s:
+                z[i] = reduce(-s)
+        for i in range(d - 1, -1, -1):
+            s = z[i]
+            for j in first[i]:
+                s -= z[j]
+            z[i] = reduce(s) if s else 0
+        out.append({j: v for j, v in enumerate(z) if v})
+    return out
+
+
+def _plan_chain(alg: Algebra, plan: _Plan) -> LengthReport | None:
+    """The LengthReport of the plan's candidate, identity admitted, or None
+    when it does not generate the local A.
+
+    Its chain runs on an ``_Annihilator`` from ``_plan_annihilator``, so no
+    chosen row is eliminated; the identity gives L_1.  By Nakayama's lemma
+    the candidate generates A exactly when L_1 and F*I + J^2
+    (``alg.modulus``) span A, which a copy of the accumulator screens.  The
+    rows are built only when a product is formed, when L_1 is not A.
+    Every member goes on to step 2: the chosen rows are independent, so at
+    most one lies in the span of I and those before it, and its products
+    lie in L_2 already.
+    """
+    f, d = alg.field, alg.d
+    ann = _Annihilator(f, d, _plan_annihilator(plan, d, f))
+    ann.insert(alg.identity)
+    probe = ann.copy()
+    for row in alg.modulus.values():
+        if probe.dim == d:
+            break
+        probe.insert(row)
+    if probe.dim < d:
+        return None
+    rows = [_plan_row(plan, i, f) for i in plan.chosen] if ann.dim < d else []
+    return _later_steps(alg, rows, ann, range(len(rows)), [1, ann.dim])
+
+
 def _sample_reports(
     alg: Algebra, count: int, seed: int, max_rejections: int = 1000
 ) -> list:
-    """(rows, LengthReport) of ``count`` seeded random generating systems
-    of the local algebra A, each member an unscaled row, with no matrix
-    formed.
+    """(plan, LengthReport) of ``count`` seeded random generating systems
+    of the local algebra A, with no matrix formed; a plan's members are its
+    chosen rows (``_plan_row``), unscaled, since scaling by units changes
+    no span.
 
     A candidate generates A exactly when it spans A modulo F*I + J^2
     (``alg.modulus``; Nakayama's lemma), so every plan has at least that
-    rank of members.  Only its chosen rows are built, unscaled: scaling
-    members by units changes no span.  Each candidate runs one screened
-    chain (``_coord_chain``), which stops after step 1 unless it generates
-    A.  Refusals by the screen are capped at ``max_rejections`` per sample.
+    rank of members.  Each plan is screened, and an accepted one chained,
+    by ``_plan_chain``.  Refusals by the screen are capped at
+    ``max_rejections`` per sample.
     """
     rng = random.Random(seed)
-    f, d = alg.field, alg.d
+    d = alg.d
     rank = d - len(alg.modulus)
     out = []
     for _ in range(count):
         for _ in range(max(max_rejections, 1)):
             plan = _plan(rng, d, rank)
-            members = [_plan_row(plan, i, f) for i in plan.chosen]
-            report = _coord_chain(alg, members, True, screen=True)
+            report = _plan_chain(alg, plan)
             if report is not None:
                 break
         else:
@@ -355,7 +468,7 @@ def _sample_reports(
                 f"a candidate spanning the target modulo F*I + J^2 "
                 f"generates only dimension {report.dims[-1]} of {d}"
             )
-        out.append((members, report))
+        out.append((plan, report))
     return out
 
 
@@ -367,8 +480,8 @@ def sample_generating_systems(
     Each sample of ``_sample_reports``, the rows of a random subset of a
     random mix of the target's basis, becomes matrices with its members
     scaled by units drawn from a stream of its own, seeded by (seed, sample
-    index).  Its chain copied the rows, so they are as built.  Returns
-    (system, LengthReport) pairs, the report giving its length.
+    index).  Returns (system, LengthReport) pairs, the report giving its
+    length.
 
     Raises NotASubalgebra when the target is not closed or lacks the
     identity, and then NotLocalForm when it is not local.
@@ -380,9 +493,11 @@ def sample_generating_systems(
         raise NotASubalgebra("target must contain the identity")
     f, out = target.field, []
     pairs = _sample_reports(alg, count, seed, max_rejections)
-    for index, (rows, report) in enumerate(pairs):
+    for index, (plan, report) in enumerate(pairs):
         units = random.Random(f"{seed}:{index}")
-        rows = [f.scale(row, _unit_draw(units, f)) for row in rows]
+        rows = [
+            f.scale(_plan_row(plan, i, f), _unit_draw(units, f)) for i in plan.chosen
+        ]
         labelled = tuple((f"g{i + 1}", alg.matrix(x)) for i, x in enumerate(rows))
         out.append((GeneratingSystem(labelled, admit_empty_word=True), report))
     return out

@@ -778,17 +778,17 @@ def _count_calls(monkeypatch, real):
     return calls
 
 
-def _coord_chain_runs(monkeypatch):
-    """Records (algebra, screen, report) of each coordinate chain run."""
+def _plan_chain_runs(monkeypatch):
+    """Records (algebra, plan, result) of each plan the sampler screens."""
     runs = []
-    real = lengths._coord_chain
+    real = lengths._plan_chain
 
-    def recording(alg, members, admit_empty_word, screen=False):
-        report = real(alg, members, admit_empty_word, screen=screen)
-        runs.append((alg, screen, report))
+    def recording(alg, plan):
+        report = real(alg, plan)
+        runs.append((alg, plan, report))
         return report
 
-    monkeypatch.setattr(lengths, "_coord_chain", recording)
+    monkeypatch.setattr(lengths, "_plan_chain", recording)
     return runs
 
 
@@ -860,15 +860,16 @@ def test_verify_builds_one_table_and_samples_without_matrices(
     coords = Algebra(closure)
     products = _count_calls(monkeypatch, lengths._vec_mul)
     chains = _count_calls(monkeypatch, lengths._chain)
+    coord_chains = _count_calls(monkeypatch, lengths._coord_chain)
     candidates = _count_calls(monkeypatch, lengths._plan)
-    coord_chains = _coord_chain_runs(monkeypatch)
+    screened = _plan_chain_runs(monkeypatch)
     pairs = lengths._sample_reports(coords, 5, seed=5)
     assert len(pairs) == 5
     assert len(candidates) > 5
-    # every chain is screened, and only the 5 accepted ones go past step 1
-    assert all(screen for _, screen, _ in coord_chains)
-    assert sum(1 for *_, report in coord_chains if report is not None) == 5
-    assert (len(products), len(chains)) == (0, 0)
+    # every candidate is screened once, and only the 5 accepted ones chained
+    assert len(screened) == len(candidates)
+    assert sum(1 for *_, report in screened if report is not None) == 5
+    assert (len(products), len(chains), len(coord_chains)) == (0, 0, 0)
     lengths.sample_generating_systems(closure, 5, seed=5)
     # the table forms row_p * row_q only when a column of row_p is a
     # nonempty row of row_q; every other basis product is zero
@@ -882,20 +883,20 @@ def test_verify_builds_one_table_and_samples_without_matrices(
 
 
 def test_verify_runs_one_coordinate_chain_per_sample(capsys, monkeypatch):
-    """Each built candidate runs one screened coordinate chain, and a
-    rejected one stops after step 1; the chains that go past step 1 are
-    the 25 samples' and the witness's, which alone is not screened."""
+    """Each candidate is screened once and 25 of them are chained, on the
+    annihilator of L_i; the witness alone runs ``_coord_chain``."""
     candidates = _count_calls(monkeypatch, lengths._plan)
-    coord_chains = _coord_chain_runs(monkeypatch)
+    coord_chains = _count_calls(monkeypatch, lengths._coord_chain)
+    screened = _plan_chain_runs(monkeypatch)
     rc, out, _ = run_cli(
         capsys, "verify", "--family", "bkml", "--n", "8", "--m", "1", "--l", "5",
         "--k", "2", "--field", "gf:7", "--samples", "25", "--seed", "2",
     )
     assert rc == 0
     assert json.loads(out)["samples"]["count"] == 25
-    finished = [screen for _, screen, report in coord_chains if report is not None]
-    assert sorted(finished) == [False] + [True] * 25
-    assert len(candidates) > 25
+    assert sum(1 for *_, report in screened if report is not None) == 25
+    assert len(screened) == len(candidates) > 25
+    assert len(coord_chains) == 1
 
 
 @pytest.mark.parametrize(
@@ -911,8 +912,9 @@ def test_verify_samples_build_no_matrix_and_no_row_refused_by_count(
 ):
     """A deterministic work count in place of a wall-clock gate: verify's
     samples become no matrix, no plan has fewer members than the rank
-    modulo F*I + J^2, and each plan's rows are built and screened once, on
-    step 1 of its one chain.  At bkm (8,2,2) that rank is above ceil(d/2)."""
+    modulo F*I + J^2, each plan is screened once, and rows are built once
+    each, only for the accepted plans whose chain forms a product, those
+    whose L_1 is not yet A.  At bkm (8,2,2) that rank is above ceil(d/2)."""
     matrices = []
     real_matrix = Algebra.matrix
     monkeypatch.setattr(
@@ -926,18 +928,23 @@ def test_verify_samples_build_no_matrix_and_no_row_refused_by_count(
         lengths, "_plan", lambda *a: plans.append(real_plan(*a)) or plans[-1]
     )
     rows = _count_calls(monkeypatch, lengths._plan_row)
-    coord_chains = _coord_chain_runs(monkeypatch)
+    screened = _plan_chain_runs(monkeypatch)
     rc, out, _ = run_cli(
         capsys, "verify", "--family", *family, "--field", "gf:7", "--samples", "25",
     )
     assert rc == 0
     assert json.loads(out)["samples"]["count"] == 25
     assert matrices == []
-    screens = [alg for alg, screen, _ in coord_chains if screen]
-    rank = screens[0].d - len(screens[0].modulus)
+    alg = screened[0][0]
+    rank = alg.d - len(alg.modulus)
     assert min(len(p.chosen) for p in plans) >= rank
-    assert len(rows) == sum(len(p.chosen) for p in plans)
-    assert len(screens) == len(plans)
+    assert [plan for _, plan, _ in screened] == plans
+    accepted = [(p, report) for _, p, report in screened if report is not None]
+    assert len(accepted) == 25
+    # rows only where a product needs them: L_1 is not yet A
+    chained = [p for p, report in accepted if report.dims[1] < alg.d]
+    assert 0 < len(chained) < 25
+    assert len(rows) == sum(len(p.chosen) for p in chained)
 
 
 @pytest.mark.parametrize("command", ["verify", "sweep"])

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,15 @@ import subalg.exact_linalg as exact_linalg
 import subalg.verify as verify
 from subalg import (
     QQ,
+    BkmParams,
     ConstructionParams,
     FieldMismatch,
     IndexOutOfRange,
     InvalidParams,
     Matrix,
     PrimeField,
+    algebra_closure,
+    build_bkm,
     build_bkml,
     field_from_name,
     kernel,
@@ -25,6 +29,8 @@ from subalg import (
     verify_system,
 )
 
+from subalg import lengths
+from subalg.lengths import _sample_reports
 from subalg.radical import Algebra, _character
 
 from oracles import (
@@ -140,6 +146,33 @@ def test_rational_scale_and_axpy_match_fraction_arithmetic(y, c, x):
         assert_canonical(value)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=lambda f: f.name)
+@given(data=st.data())
+def test_annihilator_grows_where_the_echelon_grows(field, data):
+    """From the unit functionals of F^7, the annihilator of the zero span,
+    each vector grows the annihilator's span exactly when it grows an
+    echelon's; every functional stays canonical and vanishes on every
+    vector inserted, and a copy leaves its source as it was."""
+    if field == QQ:
+        vecs = data.draw(st.lists(sparse_maps, max_size=8))
+    else:
+        residues = st.dictionaries(st.integers(0, 6), st.integers(1, 6), max_size=6)
+        vecs = data.draw(st.lists(residues, max_size=8))
+    ech = exact_linalg._Echelon(field)
+    ann = lengths._Annihilator(field, 7, [{i: field.one()} for i in range(7)])
+    for count, vec in enumerate(vecs, 1):
+        before = list(ann.functionals)
+        ann.copy().insert(dict(vec))
+        assert ann.functionals == before
+        assert ann.insert(vec) == ech.insert(dict(vec))
+        assert ann.dim == ech.dim
+        for phi in ann.functionals:
+            for value in phi.values():
+                assert value
+                assert_canonical(value)
+            assert not any(ann._at(phi, x) for x in vecs[:count])
+
+
 def test_pipeline_keeps_integral_rationals_as_ints(monkeypatch):
     seen = []
     monkeypatch.setattr(
@@ -166,6 +199,32 @@ def test_character_keeps_integral_rationals_as_ints():
     assert chi == {0: 3, 1: 1}
     for value in chi.values():
         assert_canonical(value)
+
+
+def test_sampler_functionals_stay_primitive_int_vectors(monkeypatch):
+    """Over Q on the integral family tables every functional a sampled chain
+    keeps, after each insert, holds canonical ints with gcd 1; inserts that
+    replace functionals by v*psi - w*phi occur."""
+    real = lengths._Annihilator.insert
+    replaced = []
+
+    def checked(self, vec):
+        before = list(self.functionals)
+        grew = real(self, vec)
+        for phi in self.functionals:
+            assert all(type(v) is int for v in phi.values())
+            assert math.gcd(*phi.values()) == 1
+        replaced.append(len(set(map(id, self.functionals)) - set(map(id, before))))
+        return grew
+
+    monkeypatch.setattr(lengths._Annihilator, "insert", checked)
+    for system in (
+        build_bkml(ConstructionParams(8, 1, 5, 2), QQ),
+        build_bkml(ConstructionParams(16, 2, 8, 4), QQ),
+        build_bkm(BkmParams(12, 2, 4), QQ),
+    ):
+        assert len(_sample_reports(Algebra(algebra_closure(system)), 5, seed=3)) == 5
+    assert max(replaced) > 0
 
 
 def test_rational_backend_is_recorded_by_module():

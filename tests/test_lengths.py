@@ -39,14 +39,18 @@ from subalg import exact_linalg, lengths
 from subalg.lengths import (
     _coord_chain,
     _plan,
+    _plan_annihilator,
+    _plan_chain,
     _plan_row,
     _sample_reports,
 )
 from subalg.radical import Algebra
 
+from test_coords import FIELDS, _system, matrices
 from oracles import (
     _recombined_basis,
     _spans_modulo,
+    all_pairs_coord_chain,
     contains_vector,
     enumerate_words,
     reference_samples,
@@ -200,9 +204,7 @@ def test_samples_generate_the_target(full_8152):
 
 def _first_candidate_passes(alg: Algebra, seed: int, rank: int) -> bool:
     """Whether the first candidate drawn from the seed passes A's screen."""
-    plan = _plan(random.Random(seed), alg.d, rank)
-    members = [_plan_row(plan, i, alg.field) for i in plan.chosen]
-    return _coord_chain(alg, members, True, screen=True) is not None
+    return _plan_chain(alg, _plan(random.Random(seed), alg.d, rank)) is not None
 
 
 def test_sampling_exhaustion_is_reported(full_8152):
@@ -265,7 +267,8 @@ def test_rank_test_modulo_unit_plus_square_decides_generation(
     field, params, seed, data
 ):
     """Nakayama's lemma: a subset of a recombined basis generates the local
-    target exactly when it spans the target modulo F*I + J^2."""
+    target exactly when it spans the target modulo F*I + J^2, which the
+    sampler's screen decides for the plan drawing the same subset."""
     target, coords, modulus = _local_target(params, field)
     d = coords.d
     gens = _recombined_basis(random.Random(seed), field, d)
@@ -276,11 +279,66 @@ def test_rank_test_modulo_unit_plus_square_decides_generation(
     verdict = _spans_modulo(modulus, members, field, d)
     event(f"generates: {verdict}")
     assert verdict == (_coord_chain(coords, members, True).length is not None)
-    assert verdict == (_coord_chain(coords, members, True, screen=True) is not None)
+    plan = _plan(random.Random(seed), d, 0)._replace(chosen=chosen)
+    assert [_plan_row(plan, i, field) for i in chosen] == members
+    assert verdict == (_plan_chain(coords, plan) is not None)
     system = GeneratingSystem(
         tuple((f"g{i + 1}", coords.matrix(x)) for i, x in enumerate(members))
     )
     assert verdict == (algebra_closure(system) == target)
+
+
+def _fixed_local_algebra(name, field):
+    """A family closure, the non-commutative F*I + J with J the strictly
+    upper triangular 3-by-3 matrices, or the scalars (d = 1)."""
+    if name == "bkml":
+        return _local_target(ConstructionParams(8, 1, 5, 2), field)[1]
+    if name == "upper":
+        units = [matrix_unit(3, i, j, field) for i, j in ((1, 2), (1, 3), (2, 3))]
+        return Algebra(span_of([Matrix.identity(3, field), *units]))
+    return Algebra(span_of([Matrix.identity(3, field)]))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@given(
+    gens=matrices(4, 2),
+    fixed=st.sampled_from([None, None, "bkml", "upper", "scalar"]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    data=st.data(),
+)
+def test_annihilator_chain_equals_the_echelon_chains(field, gens, fixed, seed, data):
+    """On plans over local algebras (closures of strictly upper triangular
+    draws with the identity, as the coordinate tests draw, and fixed ones),
+    with members any ordered subset of the plan's rows: the plan's
+    functionals are d - |chosen| independent maps vanishing on every
+    chosen row, the screen's verdict is Nakayama's rank test on the built
+    rows, and an accepted plan's report is that of the echelon chain and
+    of the all-pairs chain."""
+    if fixed is None:
+        alg = Algebra(algebra_closure(_system(field, 4, gens, strict_upper=True)))
+    else:
+        alg = _fixed_local_algebra(fixed, field)
+    d = alg.d
+    # any ordered subset, below the rank too, so that refusals are common
+    size = data.draw(st.integers(0, d))
+    chosen = data.draw(st.permutations(range(d)))[:size]
+    plan = _plan(random.Random(seed), d, 0)._replace(chosen=chosen)
+    rows = [_plan_row(plan, i, field) for i in plan.chosen]
+    functionals = _plan_annihilator(plan, d, field)
+    assert len(functionals) == d - len(plan.chosen)
+    for phi in functionals:
+        for row in rows:
+            terms = [field.mul(v, row[k]) for k, v in phi.items() if k in row]
+            assert functools.reduce(field.add, terms, field.zero()) == 0
+    ech = exact_linalg._Echelon(field)
+    assert all(ech.insert(dict(phi)) for phi in functionals)
+    verdict = _spans_modulo(alg.modulus, rows, field, d)
+    event(f"d = {d}, commutative: {alg.commutative}, generates: {verdict}")
+    report = _plan_chain(alg, plan)
+    assert (report is not None) == verdict
+    if report is not None:
+        assert report == _coord_chain(alg, rows, True)
+        assert report == all_pairs_coord_chain(alg, rows, True)
 
 
 def test_sampler_checks_each_accepted_chain(full_8152):
@@ -324,23 +382,21 @@ def test_witness_chain_forms_each_commuting_pair_once():
     assert len(right) == 2 + 2
 
 
-def test_refused_screened_chain_forms_no_product():
-    """The witness of bkml (8,1,5,2) without B1 does not generate its
-    closure, so its screened chain stops after step 1 with no product; run
-    unscreened, the same chain goes on to multiply."""
-    params = ConstructionParams(8, 1, 5, 2)
-    _, coords, _ = _local_target(params, QQ)
-    witness = witness_system(params, QQ)
-    members = [
-        coords.coordinates(vectorize(m))
-        for label, m in witness.members
-        if label != "B1"
-    ]
-    products = []
+def test_refused_screened_chain_forms_no_product(monkeypatch):
+    """The first plan of seed 5 does not generate the closure of bkml
+    (8,1,5,2), so the screen refuses it with no product formed and no row
+    built; its rows, chained without the screen, go on to multiply."""
+    _, coords, modulus = _local_target(ConstructionParams(8, 1, 5, 2), QQ)
+    plan = _plan(random.Random(5), coords.d, coords.d - len(modulus))
+    products, rows = [], []
     coords = copy.copy(coords)
     coords.mul = lambda x, y: products.append(y) or Algebra.mul(coords, x, y)
-    assert _coord_chain(coords, members, True, screen=True) is None
-    assert products == []
+    monkeypatch.setattr(
+        lengths, "_plan_row", lambda *a: rows.append(a) or _plan_row(*a)
+    )
+    assert _plan_chain(coords, plan) is None
+    assert (products, rows) == ([], [])
+    members = [_plan_row(plan, i, QQ) for i in plan.chosen]
     assert _coord_chain(coords, members, True).length is None
     assert products != []
 
