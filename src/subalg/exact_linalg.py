@@ -9,10 +9,13 @@ matrices and subspaces never branch on the scalar kind themselves.
 
 Storage is sparse.  A matrix holds one ``{col: value}`` map per row and a
 vector is a ``{coord: value}`` map.  No map ever stores a zero, so equal
-objects hold equal maps.  Every product is formed by one kernel,
-``_vec_mul``, on its factors' nonempty rows ``{i: {j: value}}``: it costs
-one axpy per nonzero a_ik whose row k of B is nonempty and writes A B
-straight into vectorized coordinates (``mat_mul`` wraps it for matrices).
+objects hold equal maps.  Maps are values: only ``Field.axpy`` writes into
+a map it is handed, and its callers hand it maps they made, so an
+accumulator may keep a vector it is given and no caller copies one.
+Every product is formed by one kernel, ``_vec_mul``, on its factors'
+nonempty rows ``{i: {j: value}}``: it costs one axpy per nonzero a_ik
+whose row k of B is nonempty and writes A B straight into vectorized
+coordinates (``mat_mul`` wraps it for matrices).
 Callers that multiply many pairs skip those whose product is zero by its
 supports: ``_lefts_meeting`` (``radical.Algebra.lefts_meeting`` on a
 table) lists the left factors that can meet a right one, from an int
@@ -173,16 +176,6 @@ class RationalField(Field):
         if not a:
             raise ZeroDivisionError("inverse of zero")
         return _int_if_integral(_RAT(1) / a)
-
-    def scale(self, x: dict, c) -> dict:
-        """c * x for a sparse map x."""
-        if not c:
-            return {}
-        out = {k: c * v for k, v in x.items()}
-        for k, v in out.items():
-            if type(v) is not int and v.denominator == 1:
-                out[k] = int(v)
-        return out
 
     def axpy(self, y: dict, c, x: dict) -> None:
         """y += c * x in place on sparse maps; cancelled entries are dropped."""
@@ -468,13 +461,17 @@ def unvectorize(vec, n: int, field: Field) -> Matrix:
 
 
 def _reduce(vec: dict, index: dict, field: Field) -> dict:
-    """Eliminate vec in place against RREF rows given as pivot -> row.
+    """vec eliminated against RREF rows given as pivot -> row: a reduced
+    copy when vec holds a pivot coordinate, else vec itself.
 
     Each row is zero at every other pivot, so one axpy per pivot coordinate
     present in vec clears all of them.
     """
-    for c in [c for c in vec if c in index]:
-        field.axpy(vec, field.neg(vec[c]), index[c])
+    hits = [c for c in vec if c in index]
+    if hits:
+        vec = dict(vec)
+        for c in hits:
+            field.axpy(vec, field.neg(vec[c]), index[c])
     return vec
 
 
@@ -483,8 +480,9 @@ class _Echelon:
 
     Each stored row is 1 at its lead, its least coordinate.  Rows are never
     back-eliminated, and a stored row is never changed in place, so seed
-    rows and the rows of ``canonical`` can be shared.  ``canonical`` builds
-    the unique RREF rows of the span, for the callers that read them.
+    rows, inserted vectors and the rows of ``canonical`` can be shared.
+    ``canonical`` builds the unique RREF rows of the span, for the callers
+    that read them.
     """
 
     def __init__(self, field: Field, rows: dict | None = None):
@@ -496,13 +494,14 @@ class _Echelon:
         return len(self.rows)
 
     def insert(self, vec: dict) -> bool:
-        """Add one vector, which is consumed; True when the dimension grew.
+        """Add one vector, left as it is; True when the dimension grew.
 
-        The vector is reduced only until its least coordinate is no lead:
-        a nonzero combination of the rows has its least coordinate at the
-        least lead it uses, so the vector is then independent of them.
+        The vector is reduced, in a copy made at its first axpy, only until
+        its least coordinate is no lead: a nonzero combination of the rows
+        has its least coordinate at the least lead it uses, so the vector is
+        then independent of them.  One whose lead is free is stored as given.
         """
-        f, rows = self.field, self.rows
+        f, rows, given = self.field, self.rows, vec
         while vec:
             lead = min(vec)
             row = rows.get(lead)
@@ -510,6 +509,8 @@ class _Echelon:
                 lv = vec[lead]
                 rows[lead] = vec if lv == f.one() else f.scale(vec, f.inv(lv))
                 return True
+            if vec is given:
+                vec = dict(vec)
             f.axpy(vec, f.neg(vec[lead]), row)
         return False
 
@@ -522,10 +523,7 @@ class _Echelon:
         """
         f, out = self.field, {}
         for lead in sorted(self.rows, reverse=True):
-            row = self.rows[lead]
-            if any(c in out for c in row):
-                row = _reduce(dict(row), out, f)
-            out[lead] = row
+            out[lead] = _reduce(self.rows[lead], out, f)
         return dict(reversed(out.items()))
 
     def to_subspace(self, n: int) -> "Subspace":

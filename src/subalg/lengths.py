@@ -91,13 +91,11 @@ class LengthReport:
 
 def _grow(acc, vecs, full: int | None = None) -> list:
     """Insert vecs into the accumulator until it reaches dimension
-    ``full``; returns a copy, taken before its insert, of each vector that
-    grew the span.  Only an ``_Echelon`` consumes what it inserts."""
+    ``full``; returns the vectors that grew the span."""
     grown = []
     for vec in vecs:
-        kept = dict(vec)
         if acc.insert(vec):
-            grown.append(kept)
+            grown.append(vec)
             if acc.dim == full:
                 break
     return grown
@@ -154,16 +152,16 @@ def algebra_closure(system: GeneratingSystem) -> Subspace:
 def _coord_chain(alg: Algebra, members: list, admit_empty_word: bool) -> LengthReport:
     """The span chain of members of A, given by coordinates, against A.
 
-    Step 1 inserts copies of the members into an echelon and stops as soon
-    as the span fills A; the members that grew it go on to step 2, and the
+    Step 1 inserts the members into an echelon and stops as soon as the
+    span fills A; the members that grew it go on to step 2, and the
     echelon serves the later steps (``_later_steps``).
     """
     d = alg.d
     ech = _Echelon(alg.field)
     if admit_empty_word:
-        ech.insert(dict(alg.identity))
+        ech.insert(alg.identity)
     dims = [ech.dim]
-    grown = [i for i, g in enumerate(members) if ech.dim < d and ech.insert(dict(g))]
+    grown = [i for i, g in enumerate(members) if ech.dim < d and ech.insert(g)]
     dims.append(ech.dim)
     return _later_steps(alg, members, ech, grown, dims)
 
@@ -435,9 +433,13 @@ def _plan_chain(alg: Algebra, plan: _Plan) -> LengthReport | None:
     return _later_steps(alg, rows, ann, range(len(rows)), [1, ann.dim])
 
 
-def _sample_reports(
-    alg: Algebra, count: int, seed: int, max_rejections: int = 1000
-) -> list:
+# Plans screened per sample before SamplingExhausted.  Every plan has at
+# least the rank of A modulo F*I + J^2 in members and most pass, so the
+# cap only turns an endless run of refusals into an error.
+MAX_REJECTIONS = 1000
+
+
+def _sample_reports(alg: Algebra, count: int, seed: int) -> list:
     """(plan, LengthReport) of ``count`` seeded random generating systems
     of the local algebra A, with no matrix formed; a plan's members are its
     chosen rows (``_plan_row``), unscaled, since scaling by units changes
@@ -447,21 +449,21 @@ def _sample_reports(
     (``alg.modulus``; Nakayama's lemma), so every plan has at least that
     rank of members.  Each plan is screened, and an accepted one chained,
     by ``_plan_chain``.  Refusals by the screen are capped at
-    ``max_rejections`` per sample.
+    ``MAX_REJECTIONS`` per sample.
     """
     rng = random.Random(seed)
     d = alg.d
     rank = d - len(alg.modulus)
     out = []
     for _ in range(count):
-        for _ in range(max(max_rejections, 1)):
+        for _ in range(MAX_REJECTIONS):
             plan = _plan(rng, d, rank)
             report = _plan_chain(alg, plan)
             if report is not None:
                 break
         else:
             raise SamplingExhausted(
-                f"no generating subset found within {max_rejections} rejections"
+                f"no generating subset found within {MAX_REJECTIONS} rejections"
             )
         if report.length is None:
             raise NotGenerating(
@@ -472,9 +474,7 @@ def _sample_reports(
     return out
 
 
-def sample_generating_systems(
-    target: Subspace, count: int, seed: int, max_rejections: int = 1000
-) -> list:
+def sample_generating_systems(target: Subspace, count: int, seed: int) -> list:
     """Deterministic random generating systems of the local target algebra.
 
     Each sample of ``_sample_reports``, the rows of a random subset of a
@@ -492,7 +492,7 @@ def sample_generating_systems(
     if alg.identity is None:
         raise NotASubalgebra("target must contain the identity")
     f, out = target.field, []
-    pairs = _sample_reports(alg, count, seed, max_rejections)
+    pairs = _sample_reports(alg, count, seed)
     for index, (plan, report) in enumerate(pairs):
         units = random.Random(f"{seed}:{index}")
         rows = [

@@ -121,12 +121,12 @@ class Algebra:
         """
         powers = self.powers
         ech = _Echelon(self.field, powers[1] if len(powers) > 1 else None)
-        ech.insert(dict(self.identity))
+        ech.insert(self.identity)
         return ech.canonical()
 
     def coordinates(self, vec: dict) -> dict | None:
-        """Coordinates of a vectorized matrix, which is consumed; None when
-        it lies outside A."""
+        """Coordinates of a vectorized matrix, left as it is; None when it
+        lies outside A."""
         index = self.index
         coords = {index[c]: v for c, v in vec.items() if c in index}
         if _reduce(vec, self.space.pivot_rows, self.field):
@@ -241,7 +241,7 @@ def _power_rows(j_rows: dict, alg: Algebra) -> list:
             for r in lefts(x):
                 prod = alg.mul(j_basis[r], x)
                 # a product never formed is zero, so it lies in J
-                if current is j_basis and _reduce(dict(prod), j_rows, f):
+                if current is j_basis and _reduce(prod, j_rows, f):
                     raise NotASubalgebra(
                         "radical candidate is not multiplicatively closed: "
                         "some basis product leaves it"

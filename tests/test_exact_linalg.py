@@ -1,8 +1,9 @@
+import copy
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 import subalg.exact_linalg as exact_linalg
@@ -30,9 +31,10 @@ from subalg import (
 )
 
 from subalg import lengths
-from subalg.lengths import _sample_reports
+from subalg.lengths import _coord_chain, _sample_reports
 from subalg.radical import Algebra, _character
 
+from test_coords import FIELDS, _system, matrices, small_int
 from oracles import (
     as_fraction_rows,
     commutator,
@@ -171,6 +173,51 @@ def test_annihilator_grows_where_the_echelon_grows(field, data):
                 assert value
                 assert_canonical(value)
             assert not any(ann._at(phi, x) for x in vecs[:count])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+@given(gens=matrices(3, 2), drawn=st.lists(st.dictionaries(st.integers(0, 8), small_int)))
+def test_no_accumulator_or_reduction_writes_into_its_input(field, gens, drawn):
+    """Sparse maps are values: each accumulator, reduction and product
+    leaves every argument equal to a snapshot taken before the call, and a
+    chain in an algebra's coordinates leaves its identity and members as
+    they were."""
+
+    def unchanged(call, *args):
+        before = copy.deepcopy(args)
+        out = call(*args)
+        assert args == before, call.__qualname__
+        return out
+
+    algebra = algebra_closure(_system(field, 3, gens))
+    alg = Algebra(algebra)
+    one = field.one()
+    rows = list(algebra.pivot_rows.values())
+    vecs = [{c: x for c, v in m.items() if (x := field.from_int(v))} for m in drawn]
+    vecs += rows
+    ech = exact_linalg._Echelon(field)
+    ann = lengths._Annihilator(field, 9, [{i: one} for i in range(9)])
+    for vec in vecs:
+        unchanged(ech.insert, vec)
+        unchanged(ann.insert, vec)
+    # each lead is now taken, so these are reduced before they are refused
+    for vec in vecs:
+        assert not unchanged(ech.insert, field.scale(vec, field.neg(one)))
+    for vec in [*vecs, *({c: one} for c in range(9))]:
+        out = unchanged(exact_linalg._reduce, vec, algebra.pivot_rows, field)
+        assert not any(c in algebra.pivot_rows for c in out)
+        inside = unchanged(alg.coordinates, vec)
+        event(f"outside A: {inside is None}")
+        for c in (field.zero(), one, field.from_int(-2)):
+            unchanged(field.scale, vec, c)
+    members = [unchanged(alg.coordinates, row) for row in rows]
+    members += [{p: x for p, x in vec.items() if p < alg.d} for vec in vecs]
+    for x in members:
+        for y in members:
+            unchanged(alg.mul, x, y)
+    before = copy.deepcopy((alg.identity, members))
+    _coord_chain(alg, members, True)
+    assert (alg.identity, members) == before
 
 
 def test_pipeline_keeps_integral_rationals_as_ints(monkeypatch):

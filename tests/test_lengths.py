@@ -207,13 +207,14 @@ def _first_candidate_passes(alg: Algebra, seed: int, rank: int) -> bool:
     return _plan_chain(alg, _plan(random.Random(seed), alg.d, rank)) is not None
 
 
-def test_sampling_exhaustion_is_reported(full_8152):
+def test_sampling_exhaustion_is_reported(full_8152, monkeypatch):
     # seed 5 draws a non-generating subset on its first try
     target = algebra_closure(full_8152)
     alg = Algebra(target)
     assert not _first_candidate_passes(alg, 5, alg.d - len(alg.modulus))
+    monkeypatch.setattr(lengths, "MAX_REJECTIONS", 1)
     with pytest.raises(SamplingExhausted):
-        sample_generating_systems(target, 1, seed=5, max_rejections=1)
+        sample_generating_systems(target, 1, seed=5)
 
 
 def test_sampling_requires_unital_subalgebra():
@@ -514,15 +515,18 @@ def test_scalar_algebra_samples_have_rank_zero_and_length_zero():
         assert (report.dims, report.length) == ((1, 1), 0)
 
 
-def test_max_rejections_zero_allows_no_refusal(full_8152):
+def test_max_rejections_zero_allows_no_refusal(full_8152, monkeypatch):
+    """With the cap at one plan per sample no refusal is allowed: seed 0's
+    first plan passes and gives a report, seed 5's is refused and raises."""
     target = algebra_closure(full_8152)
     alg = Algebra(target)
     rank = alg.d - len(alg.modulus)
+    monkeypatch.setattr(lengths, "MAX_REJECTIONS", 1)
     assert _first_candidate_passes(alg, 0, rank)
-    assert len(_sample_reports(alg, 1, seed=0, max_rejections=0)) == 1
+    assert len(_sample_reports(alg, 1, seed=0)) == 1
     assert not _first_candidate_passes(alg, 5, rank)
     with pytest.raises(SamplingExhausted):
-        _sample_reports(alg, 1, seed=5, max_rejections=0)
+        _sample_reports(alg, 1, seed=5)
 
 
 @pytest.mark.parametrize("params", CRITERION_TUPLES, ids=str)
