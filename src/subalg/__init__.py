@@ -53,7 +53,6 @@ from .exact_linalg import (
     kernel,
     mat_mul,
     matrix_unit,
-    span_of,
     unvectorize,
     vectorize,
 )

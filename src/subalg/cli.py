@@ -74,12 +74,11 @@ MAX_SAMPLES = 10_000
 # try; a sweep walking more is refused before any tuple is enumerated.
 MAX_SWEEP_COMBINATIONS = 100_000
 # `length --check-words` forms up to this many words at its top step, one
-# at a time; a larger --word-budget is refused at parsing.
+# at a time; a system needing more is refused before any word is formed.
 MAX_WORD_BUDGET = 1_000_000
 
 _positive_int = _int_in(1)
 _samples = _int_in(0, MAX_SAMPLES)
-_word_budget = _int_in(0, MAX_WORD_BUDGET)
 # a matrix size, bounded like the n of a generator-set file
 _family_n = _int_in(1, MAX_N)
 
@@ -238,7 +237,7 @@ def cmd_length(args) -> int:
     if args.check_words:
         # the words of each step join one echelon as they are formed, which
         # then holds the span of all words up to that step
-        steps = _word_steps(system, report.stabilization_step, args.word_budget)
+        steps = _word_steps(system, report.stabilization_step, MAX_WORD_BUDGET)
         ech = _Echelon(system.field)
         for i, (span, words) in enumerate(zip(spans, steps)):
             for word in words:
@@ -417,7 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check every chain step against brute-force word spans",
     )
-    p.add_argument("--word-budget", type=_word_budget, default=MAX_WORD_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=cmd_length)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    DimensionMismatch,
     EmptySystem,
     IndexOutOfRange,
     InvalidParams,
@@ -98,7 +97,8 @@ def shift_matrix(n: int, start: int, k: int, field: Field = QQ) -> Matrix:
 
 @dataclass(frozen=True)
 class GeneratingSystem:
-    """Labeled matrices over one field, with an empty-word convention.
+    """At least one labeled matrix over one field, with an empty-word
+    convention; ``n`` and ``field`` are the first member's.
 
     When ``admit_empty_word`` is true the span chain starts from the
     identity, matching the usual convention for unital algebras.
@@ -106,31 +106,24 @@ class GeneratingSystem:
 
     members: tuple
     admit_empty_word: bool = True
-    explicit_n: int | None = None
-    explicit_field: Field | None = None
 
     def __post_init__(self):
+        if not self.members:
+            raise EmptySystem("a generating system needs at least one member")
         labels = [label for label, _ in self.members]
         if len(set(labels)) != len(labels):
             raise InvalidParams(f"duplicate generator labels: {sorted(labels)}")
-        if self.members:
-            first = self.members[0][1]
-            for _, m in self.members[1:]:
-                _check_compatible(first, m)
-            if self.explicit_n is not None and self.explicit_n != first.n:
-                raise DimensionMismatch(
-                    f"explicit n={self.explicit_n} vs member size {first.n}"
-                )
-        elif self.explicit_n is None or self.explicit_field is None:
-            raise EmptySystem("a system with no members needs explicit n and field")
+        first = self.members[0][1]
+        for _, m in self.members[1:]:
+            _check_compatible(first, m)
 
     @property
     def n(self) -> int:
-        return self.members[0][1].n if self.members else self.explicit_n
+        return self.members[0][1].n
 
     @property
     def field(self) -> Field:
-        return self.members[0][1].field if self.members else self.explicit_field
+        return self.members[0][1].field
 
     @property
     def labels(self) -> tuple:

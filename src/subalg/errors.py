@@ -26,7 +26,7 @@ class UnknownCoefficientKey(SubalgError):
 
 
 class EmptySystem(SubalgError):
-    """A generating system has no members and does not admit the empty word."""
+    """A generating system has no members."""
 
 
 class NotGenerating(SubalgError):

@@ -28,12 +28,12 @@ Subspaces of that space are stored in reduced row-echelon form, indexed
 by pivot.  Every basis row is zero at every other row's pivot, so a vector
 is reduced by one axpy per coordinate of it that is a pivot.  The RREF
 basis of a span is unique, so two subspaces are equal exactly when their
-bases are, and the result of ``span_of`` never depends on the order of its
-inputs.  Vectors are collected by one accumulator, ``_Echelon``, which
-keeps plain row-echelon form: each row is 1 at its lead and is never
-back-eliminated, so an insert changes no stored row and a step that reads
-only a dimension pays for no more.  ``_Echelon.canonical`` back-substitutes
-its rows into RREF for the callers that read canonical rows.
+bases are, whatever order their vectors came in.  Vectors are collected
+by one accumulator, ``_Echelon``, which keeps plain row-echelon form:
+each row is 1 at its lead and is never back-eliminated, so an insert
+changes no stored row and a step that reads only a dimension pays for no
+more.  ``_Echelon.canonical`` back-substitutes its rows into RREF for the
+callers that read canonical rows.
 
 Dense views are built on demand for callers that want them:
 ``Matrix.rows`` (a tuple of row tuples) and ``Subspace.basis`` (a tuple of
@@ -562,26 +562,6 @@ class Subspace:
     def __hash__(self) -> int:
         rows = frozenset((p, frozenset(r.items())) for p, r in self.pivot_rows.items())
         return hash((self.n, self.field, rows))
-
-
-def span_of(mats, n: int | None = None, field: Field | None = None) -> Subspace:
-    """RREF span of the vectorizations of the given matrices."""
-    mats = list(mats)
-    if not mats:
-        if n is None or field is None:
-            raise DimensionMismatch("empty span needs explicit n and field")
-        return Subspace(n, field, {})
-    first = mats[0]
-    for m in mats[1:]:
-        _check_compatible(first, m)
-    if n is not None and n != first.n:
-        raise DimensionMismatch(f"matrix size {first.n} vs requested {n}")
-    if field is not None and field != first.field:
-        raise FieldMismatch(f"fields differ: {first.field.name} vs {field.name}")
-    ech = _Echelon(first.field)
-    for m in mats:
-        ech.insert(vectorize(m))
-    return ech.to_subspace(first.n)
 
 
 def kernel(rows, n: int, field: Field) -> Subspace:

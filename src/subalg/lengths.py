@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from .constructions import GeneratingSystem
 from .errors import (
     BudgetExceeded,
-    EmptySystem,
     NotASubalgebra,
     NotGenerating,
     SamplingExhausted,
@@ -102,10 +101,9 @@ def _grow(acc, vecs, full: int | None = None) -> list:
 
 
 def _chain(system: GeneratingSystem):
-    """Run the span chain to stabilization; returns (report, per-step spans),
-    the report's length measured against the span it stabilizes at."""
-    if not system.members and not system.admit_empty_word:
-        raise EmptySystem("no members and the empty word is not admitted")
+    """Run the span chain of a system, which has at least one member, to
+    stabilization; returns (report, per-step spans), the report's length
+    measured against the span it stabilizes at."""
     n, f = system.n, system.field
     ech = _Echelon(f)
     if system.admit_empty_word:
@@ -203,17 +201,13 @@ def _later_steps(alg: Algebra, members: list, acc, grown, dims: list) -> LengthR
 def _target_chain(system: GeneratingSystem, alg: Algebra) -> LengthReport:
     """``li_chain(system, target=A)`` for the algebra A of ``alg``.
 
-    It runs on A's table when every member lies in A, and the identity too
-    when the empty word is admitted; otherwise in n*n coordinates.
+    It runs on A's table, from at least one member, when every member lies
+    in A, and the identity too when the empty word is admitted; otherwise
+    in n*n coordinates.
     """
     _check_compatible(system, alg.space)
     members = [alg.coordinates(vectorize(m)) for m in system.matrices]
-    if system.admit_empty_word:
-        on_table = alg.identity is not None
-    else:
-        # with neither members nor the empty word, li_chain raises EmptySystem
-        on_table = bool(members)
-    if not on_table or None in members:
+    if None in members or (system.admit_empty_word and alg.identity is None):
         return li_chain(system, target=alg.space)
     return _coord_chain(alg, members, system.admit_empty_word)
 

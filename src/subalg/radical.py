@@ -94,12 +94,6 @@ class Algebra:
         )
 
     @cached_property
-    def radical(self) -> dict:
-        """RREF rows of the radical J of A, in A's coordinates; raises
-        NotLocalForm when A is not scalars plus J."""
-        return self.powers[0]
-
-    @cached_property
     def powers(self) -> list:
         """RREF rows of J, J^2, ..., 0 for the local algebra A, in A's
         coordinates: the powers of the kernel of chi, which raise
@@ -213,7 +207,7 @@ def radical_span(algebra: Subspace) -> Subspace:
     NotLocalForm otherwise."""
     alg = Algebra(algebra, "input span")
     ech = _Echelon(alg.field)
-    for x in alg.radical.values():
+    for x in alg.powers[0].values():
         ech.insert(alg.vector(x))
     return ech.to_subspace(algebra.n)
 

@@ -23,10 +23,10 @@ of members, frontier vectors or basis rows, with no support index;
 ``reference_witness_system`` and ``reference_witness_system_bkm`` build
 the witness systems by enumerating their unit pairs, not by filtering the
 family's full system.  ``enumerate_words`` lists every word of at most a given length,
-the word-enumeration oracle for span chains.  ``rref``, ``commutator``,
-``subspace_contains``, ``subspace_sum``, ``contains_vector`` and
-``pivots`` are conveniences on top of the package's sparse core that only
-tests use.
+the word-enumeration oracle for span chains.  ``rref``, ``span_of``,
+``commutator``, ``subspace_contains``, ``subspace_sum``,
+``contains_vector`` and ``pivots`` are conveniences on top of the
+package's sparse core that only tests use.
 """
 
 import random
@@ -43,6 +43,7 @@ from subalg import (
     DimensionMismatch,
     EmptySystem,
     Field,
+    FieldMismatch,
     GeneratingSystem,
     MaximalityVerdict,
     Matrix,
@@ -56,7 +57,6 @@ from subalg import (
     mat_mul,
     matrix_unit,
     shift_matrix,
-    span_of,
 )
 from subalg.exact_linalg import (
     _as_sparse,
@@ -643,6 +643,26 @@ def rref(rows, field: Field, n: int | None = None) -> Subspace:
     for row in rows:
         ech.insert(_as_sparse(row, n * n, field))
     return ech.to_subspace(n)
+
+
+def span_of(mats, n: int | None = None, field: Field | None = None) -> Subspace:
+    """RREF span of the vectorizations of the given matrices."""
+    mats = list(mats)
+    if not mats:
+        if n is None or field is None:
+            raise DimensionMismatch("empty span needs explicit n and field")
+        return Subspace(n, field, {})
+    first = mats[0]
+    for m in mats[1:]:
+        _check_compatible(first, m)
+    if n is not None and n != first.n:
+        raise DimensionMismatch(f"matrix size {first.n} vs requested {n}")
+    if field is not None and field != first.field:
+        raise FieldMismatch(f"fields differ: {first.field.name} vs {field.name}")
+    ech = _Echelon(first.field)
+    for m in mats:
+        ech.insert(vectorize(m))
+    return ech.to_subspace(first.n)
 
 
 def subspace_contains(space: Subspace, item) -> bool:

@@ -27,7 +27,6 @@ from subalg import (
     radical_power_dims,
     radical_span,
     sample_generating_systems,
-    span_of,
     valid_bkm_params,
     valid_bkml_params,
     witness_system,
@@ -36,7 +35,7 @@ from subalg import (
 from subalg.lengths import _sample_reports
 from subalg.radical import Algebra
 
-from oracles import enumerate_words, mat_pow, mat_power_of_chain
+from oracles import enumerate_words, mat_pow, mat_power_of_chain, span_of
 
 GF2 = PrimeField(2)
 GF7 = PrimeField(7)

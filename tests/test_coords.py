@@ -20,13 +20,12 @@ from subalg import (
     matrix_unit,
     radical_power_dims,
     radical_span,
-    span_of,
 )
 from subalg.exact_linalg import _by_row, _Echelon, _vec_mul
 from subalg.lengths import _coord_chain
 from subalg.radical import Algebra, _power_rows
 
-from oracles import coordinate_rows, matrix_power_dims, table_of
+from oracles import coordinate_rows, matrix_power_dims, span_of, table_of
 
 FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
 

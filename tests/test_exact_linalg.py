@@ -24,7 +24,6 @@ from subalg import (
     kernel,
     mat_mul,
     matrix_unit,
-    span_of,
     unvectorize,
     vectorize,
     verify_system,
@@ -41,6 +40,7 @@ from oracles import (
     mat_pow,
     pivots,
     rref,
+    span_of,
     subspace_contains,
     subspace_sum,
     sympy_rank_of_matrices,

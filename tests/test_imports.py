@@ -1,6 +1,7 @@
 """The package's import structure: every module imports its siblings at
 the top, so the import graph has no cycle that a deferred import hides.
-The names that the benchmark's tracer and self-tests patch still exist."""
+The names that the benchmark's tracer and self-tests patch still exist,
+and no module is large enough to make its compile cost a step more memory."""
 
 import ast
 import importlib
@@ -8,6 +9,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -29,6 +31,24 @@ def test_no_function_imports_a_package_module():
                     if isinstance(node, ast.ImportFrom) and node.level > 0
                 ]
     assert found == []
+
+
+# CPython 3.11's compile of a module past about this many parser tokens
+# peaks about 0.2 MiB higher (tracemalloc on ``compile()``: exact_linalg.py
+# padded to 4 092 tokens peaks at 1 439 KiB, at 4 100 tokens at 1 671 KiB).
+# Without bytecode caching every process compiles the package from source,
+# so that step shows in the import's peak memory.
+TOKEN_CLIFF = 4096
+NOT_PARSER_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+
+
+def test_no_module_reaches_the_parser_token_cliff():
+    counts = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        with path.open("rb") as fh:
+            tokens = tokenize.tokenize(fh.readline)
+            counts[path.name] = sum(t.type not in NOT_PARSER_TOKENS for t in tokens)
+    assert {name: c for name, c in counts.items() if c >= TOKEN_CLIFF} == {}
 
 
 @pytest.mark.parametrize(

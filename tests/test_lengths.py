@@ -31,7 +31,6 @@ from subalg import (
     li_chain_spans,
     matrix_unit,
     sample_generating_systems,
-    span_of,
     vectorize,
     witness_system,
 )
@@ -54,6 +53,7 @@ from oracles import (
     contains_vector,
     enumerate_words,
     reference_samples,
+    span_of,
     sympy_word_span_dims,
     table_of,
 )
@@ -100,14 +100,14 @@ def test_single_nilpotent_generator():
     assert rep2.length == 1
 
 
-def test_empty_system_conventions():
-    with_identity = GeneratingSystem((), explicit_n=3, explicit_field=QQ)
-    rep = li_chain(with_identity)
-    assert rep.dims == (1, 1)
-    assert rep.length == 0
-    bare = GeneratingSystem((), admit_empty_word=False, explicit_n=3, explicit_field=QQ)
-    with pytest.raises(EmptySystem):
-        li_chain(bare)
+def test_a_system_needs_a_member():
+    """n and the field are read from the first member; no size or field can
+    be given in its place."""
+    for admit_empty_word in (True, False):
+        with pytest.raises(EmptySystem, match="at least one member"):
+            GeneratingSystem((), admit_empty_word=admit_empty_word)
+    with pytest.raises(TypeError):
+        GeneratingSystem((), explicit_n=3, explicit_field=QQ)
 
 
 def test_chain_spans_are_nested(witness_8152):

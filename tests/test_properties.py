@@ -23,7 +23,6 @@ from subalg import (
     li_chain_spans,
     mat_mul,
     sample_generating_systems,
-    span_of,
     valid_bkm_params,
     valid_bkml_params,
     verify_system,
@@ -35,6 +34,7 @@ from oracles import (
     enumerate_words,
     pivots,
     rref,
+    span_of,
     sympy_word_span_dims,
 )
 

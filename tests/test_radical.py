@@ -20,14 +20,13 @@ from subalg import (
     nilpotency_index,
     radical_power_dims,
     radical_span,
-    span_of,
     valid_bkm_params,
     valid_bkml_params,
 )
 
 from subalg.radical import Algebra, _power_rows
 
-from oracles import all_pairs_power_rows, coordinate_rows, to_sympy
+from oracles import all_pairs_power_rows, coordinate_rows, span_of, to_sympy
 
 FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
 
@@ -141,7 +140,9 @@ def test_pruned_powers_equal_all_pairs_on_family_tuples(field):
     systems.append(build_bkm(BkmParams(24, 1, 8), field))
     for system in systems:
         alg = Algebra(algebra_closure(system))
-        assert _power_rows(alg.radical, alg) == all_pairs_power_rows(alg.radical, alg)
+        assert _power_rows(alg.powers[0], alg) == all_pairs_power_rows(
+            alg.powers[0], alg
+        )
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -184,7 +185,9 @@ def test_pruned_powers_equal_all_pairs_on_random_local_algebras(field, data):
         tuple((f"g{i}", p * m * p_inv) for i, m in enumerate(members))
     )
     alg = Algebra(algebra_closure(system))
-    assert _power_rows(alg.radical, alg) == all_pairs_power_rows(alg.radical, alg)
+    assert _power_rows(alg.powers[0], alg) == all_pairs_power_rows(
+        alg.powers[0], alg
+    )
 
 
 def _scalar_free_closure(mats):
@@ -242,7 +245,7 @@ def test_powers_multiply_only_pairs_that_meet_the_table():
     products than the d_J^2 = 529 of multiplying every pair at that step
     alone."""
     alg = Algebra(algebra_closure(build_bkm(BkmParams(24, 1, 8), QQ)))
-    j_rows = alg.radical
+    j_rows = alg.powers[0]
     assert len(j_rows) == 23
     j_basis = {id(x) for x in j_rows.values()}
     calls = []

@@ -17,13 +17,12 @@ from subalg import (
     centralizer,
     kernel,
     mat_mul,
-    span_of,
     unvectorize,
     vectorize,
 )
 from subalg.exact_linalg import _as_sparse, _by_row, _Echelon, _vec_mul
 
-from oracles import DenseRef, pivots, rref
+from oracles import DenseRef, pivots, rref, span_of
 
 FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
 
