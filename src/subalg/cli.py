@@ -33,7 +33,7 @@ from .constructions import (
 from .errors import InvalidParams, SubalgError
 from .exact_linalg import _Echelon, field_from_name, vectorize
 from .jsonio import MAX_N, dumps, load_system, matrix_entries, system_to_dict
-from .lengths import _chain, _word_steps
+from .lengths import _chain, _grow, _word_steps
 from .verify import verify_system
 
 
@@ -162,18 +162,14 @@ def _report_doc(rep, family, params, field_name, seed, t0) -> dict:
     }
 
 
-def _family_report(
-    family: str, params_dict: dict, field_name: str, samples: int, seed: int
-) -> dict:
+def _family_report(family: str, params, field, samples: int, seed: int) -> dict:
     """Full verification report for one construction; pure and picklable."""
-    field = field_from_name(field_name)
-    params = _PARAMS[family](**params_dict)
     t0 = time.perf_counter()
     gens, witness = _build_family(family, params, field)
     rep = verify_system(
         gens, witness=witness, certified=params.k + 1, samples=samples, seed=seed
     )
-    return _report_doc(rep, family, dict(params_dict), field_name, seed, t0)
+    return _report_doc(rep, family, asdict(params), field.name, seed, t0)
 
 
 def _file_report(path: str, samples: int, seed: int) -> dict:
@@ -211,11 +207,7 @@ def cmd_verify(args) -> int:
             raise InvalidParams("verify needs either --in or family parameters")
         params = _require_family_args(args)
         report = _family_report(
-            args.family,
-            asdict(params),
-            args.field.name,
-            args.samples,
-            args.seed,
+            args.family, params, args.field, args.samples, args.seed
         )
     _emit(dumps(report), args.out)
     return 0 if report["pass"] else 1
@@ -240,8 +232,7 @@ def cmd_length(args) -> int:
         steps = _word_steps(system, report.stabilization_step, MAX_WORD_BUDGET)
         ech = _Echelon(system.field)
         for i, (span, words) in enumerate(zip(spans, steps)):
-            for word in words:
-                ech.insert(vectorize(word))
+            _grow(ech, map(vectorize, words))
             if ech.to_subspace(system.n) != span:
                 doc["word_oracle"] = f"mismatch at step {i}"
                 _emit(dumps(doc), args.out)
@@ -278,14 +269,14 @@ def cmd_centralizer(args) -> int:
 
 def _sweep_task(task) -> dict:
     """One sweep report; a tuple that raises gets a failing report instead."""
-    family, params_dict, field_name, samples, seed = task
+    family, params, field, samples, seed = task
     try:
-        return _family_report(family, params_dict, field_name, samples, seed)
+        return _family_report(family, params, field, samples, seed)
     except SubalgError as exc:
         return {
             "family": family,
-            "params": dict(params_dict),
-            "field": field_name,
+            "params": asdict(params),
+            "field": field.name,
             "error": f"{type(exc).__name__}: {exc}",
             "pass": False,
         }
@@ -319,14 +310,10 @@ def cmd_sweep(args) -> int:
                 except InvalidParams as exc:
                     skipped.append({"params": params, "reason": str(exc)})
         else:
-            for params in valid_bkml_params(n) if bkml else valid_bkm_params(n):
-                if args.m is not None and params.m not in args.m:
-                    continue
-                if args.k is not None and params.k not in args.k:
-                    continue
-                if bkml and args.l is not None and params.l not in args.l:
-                    continue
-                selected.append(params)
+            for p in valid_bkml_params(n) if bkml else valid_bkm_params(n):
+                given = zip(names[1:], ranges)
+                if all(r is None or getattr(p, x) in r for x, r in given):
+                    selected.append(p)
     if not selected:
         message = "sweep selected no valid parameter tuples"
         if skipped:
@@ -335,10 +322,7 @@ def cmd_sweep(args) -> int:
             message += f"; first skipped ({params}): {first['reason']}"
         return _fail2(message)
     selected.sort(key=astuple)
-    tasks = [
-        (args.family, asdict(p), args.field.name, args.samples, args.seed)
-        for p in selected
-    ]
+    tasks = [(args.family, p, args.field, args.samples, args.seed) for p in selected]
     jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
         # one call per worker, on a strided share of the size-sorted tasks

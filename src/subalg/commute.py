@@ -9,11 +9,11 @@ equal exactly when the centralizer's constraints have rank n*n - d.
 Most constraints of a sparse generator have one entry and only say that a
 coordinate of X is zero.  They are read off the generator's sparsity
 pattern as a set of zero coordinates, with no row built.  Their unit rows
-seed the rank's accumulator, already in row-echelon form, and the other
-rows are inserted as built; the rank is read off with no canonical row
-built.  The constraints are brought to RREF only for a centralizer basis.
-A constraint row is copied from a column and a negated row of a
-generator, so building it needs no field multiply.
+seed the rank's accumulator, already in row-echelon form, and
+``lengths._grow`` fills it with the other rows as built; the rank is read
+off with no canonical row built.  The constraints are brought to RREF
+only for a centralizer basis.  A constraint row is copied from a column
+and a negated row of a generator, so building it needs no field multiply.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .constructions import GeneratingSystem
 from .errors import DimensionMismatch
 from .exact_linalg import Subspace, _check_compatible, _Echelon, kernel, mat_mul
-from .lengths import algebra_closure
+from .lengths import _grow, algebra_closure
 from .radical import Algebra
 
 
@@ -146,10 +146,10 @@ def _maximality(mats, alg: Algebra) -> MaximalityVerdict:
     A is commutative exactly when its table is symmetric; only when it is
     not are member pairs multiplied, to name the first pair that does not
     commute.  The rank of the centralizer constraints starts from the unit
-    rows of the zero coordinates, seeded with no insert, and only the
-    other rows are inserted.  A commutative A lies in the centralizer
-    C(S), so C(S) = A once the rank reaches n*n - d, and the rest are
-    skipped.  Ranks build no canonical row; only when the full rank falls
+    rows of the zero coordinates, seeded with no insert, and ``_grow``
+    inserts the other rows.  A commutative A lies in the centralizer
+    C(S), so C(S) = A once the rank reaches n*n - d, and ``_grow`` stops
+    there.  Ranks build no canonical row; only when the full rank falls
     short are the constraints brought to RREF, for the kernel basis and
     its first element outside A.
     """
@@ -158,10 +158,7 @@ def _maximality(mats, alg: Algebra) -> MaximalityVerdict:
     commutes, pair = (True, None) if alg.commutative else is_commutative(mats)
     zero, rows = _constraints(mats)
     rank, full = _Echelon(field, {c: {c: field.one()} for c in zero}), n * n - d
-    for row in rows:
-        if commutes and rank.dim == full:
-            break
-        rank.insert(row)
+    _grow(rank, rows, full=full if commutes else None)
     cent_dim = n * n - rank.dim
     if not commutes:
         return MaximalityVerdict(d, cent_dim, False, False, pair)

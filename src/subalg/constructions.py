@@ -274,22 +274,3 @@ def valid_bkm_params(n: int) -> list:
                 out.append(BkmParams(n, m, k))
     return out
 
-
-__all__ = [
-    "ConstructionParams",
-    "BkmParams",
-    "IndexSets",
-    "GeneratingSystem",
-    "index_sets",
-    "shift_matrix",
-    "build_bkml",
-    "build_bkm",
-    "witness_system",
-    "witness_system_bkm",
-    "coefficient_template",
-    "assemble_element",
-    "dimension_formula",
-    "dimension_formula_bkm",
-    "valid_bkml_params",
-    "valid_bkm_params",
-]

@@ -89,10 +89,13 @@ class LengthReport:
 
 
 def _grow(acc, vecs, full: int | None = None) -> list:
-    """Insert vecs into the accumulator until it reaches dimension
-    ``full``; returns the vectors that grew the span."""
+    """Insert vecs into an accumulator (``_Echelon``, ``_Annihilator``)
+    until it reaches dimension ``full``, drawing none when it is full on
+    entry or after the insert that fills it; returns the vectors that grew
+    the span.  It is the package's only loop that fills an accumulator up
+    to a dimension."""
     grown = []
-    for vec in vecs:
+    for vec in () if acc.dim == full else vecs:
         if acc.insert(vec):
             grown.append(vec)
             if acc.dim == full:
@@ -174,8 +177,8 @@ def _later_steps(alg: Algebra, members: list, acc, grown, dims: list) -> LengthR
     table stores some product in the supports of g and x.  At step 2 those
     vectors are the members in ``grown``, so in a commutative A each
     unordered pair of them is multiplied once.  A step stops as soon as the
-    span fills A; the step after it, which can only repeat A, is recorded
-    without being run.
+    span fills A; the step after it, which can only repeat A, forms no
+    product, since ``_grow`` draws nothing once the span is full.
     """
     d = alg.d
     mul, lefts = alg.mul, alg.lefts_meeting(members)
@@ -188,9 +191,6 @@ def _later_steps(alg: Algebra, members: list, acc, grown, dims: list) -> LengthR
         if firsts is None or (i <= j and i in firsts)
     )
     while dims[-1] != dims[-2]:
-        if dims[-1] == d:
-            dims.append(d)
-            break
         frontier = _grow(acc, vecs, full=d)
         dims.append(acc.dim)
         vecs = (mul(members[i], x) for x in frontier for i in lefts(x))
@@ -407,8 +407,8 @@ def _plan_chain(alg: Algebra, plan: _Plan) -> LengthReport | None:
     Its chain runs on an ``_Annihilator`` from ``_plan_annihilator``, so no
     chosen row is eliminated; the identity gives L_1.  By Nakayama's lemma
     the candidate generates A exactly when L_1 and F*I + J^2
-    (``alg.modulus``) span A, which a copy of the accumulator screens.  The
-    rows are built only when a product is formed, when L_1 is not A.
+    (``alg.modulus``) span A, which ``_grow`` screens on a copy of the
+    accumulator.  Rows are built only for a product, when L_1 is not A.
     Every member goes on to step 2: the chosen rows are independent, so at
     most one lies in the span of I and those before it, and its products
     lie in L_2 already.
@@ -417,10 +417,7 @@ def _plan_chain(alg: Algebra, plan: _Plan) -> LengthReport | None:
     ann = _Annihilator(f, d, _plan_annihilator(plan, d, f))
     ann.insert(alg.identity)
     probe = ann.copy()
-    for row in alg.modulus.values():
-        if probe.dim == d:
-            break
-        probe.insert(row)
+    _grow(probe, alg.modulus.values(), full=d)
     if probe.dim < d:
         return None
     rows = [_plan_row(plan, i, f) for i in plan.chosen] if ann.dim < d else []

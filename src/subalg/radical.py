@@ -62,7 +62,7 @@ class Algebra:
     multiplicatively closed.
     """
 
-    def __init__(self, space: Subspace, what: str = "target"):
+    def __init__(self, space: Subspace):
         self.space = space
         f = self.field = space.field
         d = self.d = space.dim
@@ -76,7 +76,7 @@ class Algebra:
                 prod = self.coordinates(_vec_mul(rows[p], y, n, f))
                 if prod is None:
                     raise NotASubalgebra(
-                        f"{what} is not multiplicatively closed: "
+                        "span is not multiplicatively closed: "
                         "some basis product leaves it"
                     )
                 if prod:
@@ -205,7 +205,7 @@ def _character(alg: Algebra) -> dict:
 def radical_span(algebra: Subspace) -> Subspace:
     """The radical J of A, which must be scalars plus J; raises
     NotLocalForm otherwise."""
-    alg = Algebra(algebra, "input span")
+    alg = Algebra(algebra)
     ech = _Echelon(alg.field)
     for x in alg.powers[0].values():
         ech.insert(alg.vector(x))
@@ -257,7 +257,7 @@ def radical_power_dims(radical: Subspace) -> tuple:
     NotNilpotent when the dimensions stop strictly decreasing before
     reaching zero.
     """
-    alg = Algebra(radical, "radical candidate")
+    alg = Algebra(radical)
     units = {p: {p: alg.field.one()} for p in range(alg.d)}
     return tuple(len(rows) for rows in _power_rows(units, alg))
 
@@ -290,10 +290,3 @@ def _bound(powers: list, length: int | None) -> RadicalReport:
         length=length,
     )
 
-
-__all__ = [
-    "radical_span",
-    "radical_power_dims",
-    "nilpotency_index",
-    "RadicalReport",
-]

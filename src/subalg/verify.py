@@ -96,4 +96,4 @@ def verify_system(
 def bound_check(system: GeneratingSystem) -> RadicalReport:
     """Check length(S) <= N - 1 where N is the radical's nilpotency index."""
     report, spans = _chain(system)
-    return _bound(Algebra(spans[-1], "input span").powers, report.length)
+    return _bound(Algebra(spans[-1]).powers, report.length)

@@ -20,6 +20,8 @@ are the span chains and the structure-constant table from every product
 of members, frontier vectors or basis rows, with no support index;
 ``table_of`` rebuilds an algebra's p-major table from its columns.
 ``draw_conjugator`` draws a similarity P with its inverse.
+``open_bracket_system`` is a local algebra whose length stays below its
+radical bound.
 ``reference_witness_system`` and ``reference_witness_system_bkm`` build
 the witness systems by enumerating their unit pairs, not by filtering the
 family's full system.  ``enumerate_words`` lists every word of at most a given length,
@@ -41,7 +43,6 @@ from subalg import (
     BkmParams,
     ConstructionParams,
     DimensionMismatch,
-    EmptySystem,
     Field,
     FieldMismatch,
     GeneratingSystem,
@@ -240,8 +241,6 @@ def all_pairs_chain(system):
     """The span chain in n*n coordinates with every product of a member and
     a frontier row formed: (LengthReport, per-step spans), each frontier
     row multiplied by every member in order."""
-    if not system.members and not system.admit_empty_word:
-        raise EmptySystem("no members and the empty word is not admitted")
     n, f = system.n, system.field
     ech = _Echelon(f)
     if system.admit_empty_word:
@@ -363,6 +362,21 @@ def reference_witness_system_bkm(p: BkmParams, field: Field = QQ):
         p.n, pairs, field
     )
     return GeneratingSystem(tuple(members), admit_empty_word=True)
+
+
+def open_bracket_system(field: Field = QQ) -> GeneratingSystem:
+    """{x, y} as their left multiplications on A = F[x,y]/(x^2 - y^3, xy,
+    y^4), in M_5 on the basis (1, y, y^2, y^3, x): column c is the image
+    of basis vector c.  With the identity they span A's regular
+    representation, a maximal commutative subalgebra of M_5, since the
+    left multiplications of a commutative algebra are their own
+    centralizer.  J = (x, y) has J^4 = 0 and J^3 = (y^3) != 0, so the
+    bound is N - 1 = 3, while {x, y} has length 2."""
+    one = field.one()
+    # y: 1 -> y -> y^2 -> y^3 -> 0 and x -> 0; x: 1 -> x -> y^3 and y^i -> 0
+    y = Matrix(5, field, ({}, {0: one}, {1: one}, {2: one}, {}))
+    x = Matrix(5, field, ({}, {}, {}, {4: one}, {0: one}))
+    return GeneratingSystem((("x", x), ("y", y)), admit_empty_word=True)
 
 
 def reference_maximality(mats, closure) -> MaximalityVerdict:

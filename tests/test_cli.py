@@ -389,10 +389,10 @@ def test_sweep_turns_a_raising_tuple_into_a_failing_report(
 ):
     real = cli._family_report
 
-    def flaky(family, params_dict, field_name, samples, seed):
-        if params_dict == {"n": 5, "m": 1, "k": 2}:
+    def flaky(family, params, field, samples, seed):
+        if params == constructions.BkmParams(5, 1, 2):
             raise NotLocalForm("no local form")
-        return real(family, params_dict, field_name, samples, seed)
+        return real(family, params, field, samples, seed)
 
     monkeypatch.setattr(cli, "_family_report", flaky)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
@@ -445,7 +445,7 @@ def test_sweep_hands_each_worker_one_strided_batch(
     assert rc == 0
     tasks = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
     assert serial_pool.workers == [jobs]
-    assert [[(t[1]["m"], t[1]["k"]) for t in call] for call in serial_pool.calls] == [
+    assert [[(t[1].m, t[1].k) for t in call] for call in serial_pool.calls] == [
         tasks[w::jobs] for w in range(jobs)
     ]
     _, serial, _ = run_cli(capsys, *argv, "--jobs", "1")

@@ -33,6 +33,24 @@ def test_no_function_imports_a_package_module():
     assert found == []
 
 
+def test_public_api_is_declared_once():
+    """``subalg/__init__.py`` is the public API; no submodule declares a
+    second one in an ``__all__`` of its own."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name)
+            and node.id == "__all__"
+            and isinstance(node.ctx, ast.Store)
+        ]
+    assert found == []
+
+
 # CPython 3.11's compile of a module past about this many parser tokens
 # peaks about 0.2 MiB higher (tracemalloc on ``compile()``: exact_linalg.py
 # padded to 4 092 tokens peaks at 1 439 KiB, at 4 100 tokens at 1 671 KiB).

@@ -342,6 +342,39 @@ def test_annihilator_chain_equals_the_echelon_chains(field, gens, fixed, seed, d
         assert report == all_pairs_coord_chain(alg, rows, True)
 
 
+def _counted(vecs, drawn: list):
+    for vec in vecs:
+        drawn.append(vec)
+        yield vec
+
+
+@pytest.mark.parametrize("kind", ["echelon", "annihilator"])
+def test_grow_stops_at_the_vector_that_fills_the_accumulator(kind):
+    """``_grow`` draws nothing from an accumulator already at ``full`` and
+    nothing after the insert that fills it, so a lazy stream of products
+    forms none past that point; without ``full`` it draws every vector."""
+
+    def empty():
+        if kind == "echelon":
+            return exact_linalg._Echelon(QQ)
+        return lengths._Annihilator(QQ, 3, [{i: 1} for i in range(3)])
+
+    vecs = [{0: 1}, {0: 2}, {1: 1}, {0: 1, 1: 1}, {2: 1}, {1: 5}, {2: 3}]
+    grown = [{0: 1}, {1: 1}, {2: 1}]
+    acc, drawn = empty(), []
+    assert lengths._grow(acc, _counted(vecs, drawn), full=3) == grown
+    assert (acc.dim, drawn) == (3, vecs[:5])
+    drawn = []
+    assert lengths._grow(acc, _counted(vecs, drawn), full=3) == []
+    assert drawn == []
+    acc, drawn = empty(), []
+    assert lengths._grow(acc, _counted(vecs, drawn), full=2) == grown[:2]
+    assert (acc.dim, drawn) == (2, vecs[:3])
+    acc, drawn = empty(), []
+    assert lengths._grow(acc, _counted(vecs, drawn)) == grown
+    assert (acc.dim, drawn) == (3, vecs)
+
+
 def test_sampler_checks_each_accepted_chain(full_8152):
     # with all of A as the modulus every candidate passes the rank test;
     # seed 5 draws a non-generating one first, and its chain must say so
