@@ -16,9 +16,9 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple
 from functools import cache
+from multiprocessing import Pipe, Process
 
 from .commute import centralizer
 from .constructions import (
@@ -282,6 +282,11 @@ def _sweep_task(task) -> dict:
         }
 
 
+def _sweep_share(share, conn) -> None:
+    """A sweep worker: sends the reports of its share of the tasks as one list."""
+    conn.send([_sweep_task(t) for t in share])
+
+
 def cmd_sweep(args) -> int:
     bkml = args.family == "bkml"
     if not bkml and args.l is not None:
@@ -325,17 +330,27 @@ def cmd_sweep(args) -> int:
     tasks = [(args.family, p, args.field, args.samples, args.seed) for p in selected]
     jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
-        # one call per worker, on a strided share of the size-sorted tasks
-        order = [i for w in range(jobs) for i in range(w, len(tasks), jobs)]
-        reports = [None] * len(tasks)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = pool.map(
-                _sweep_task,
-                [tasks[i] for i in order],
-                chunksize=-(-len(tasks) // jobs),
-            )
-            for i, report in zip(order, done):
-                reports[i] = report
+        # worker w verifies the size-sorted tasks w, w + jobs, ... and sends
+        # their reports over its pipe; a worker that sends none is stopped
+        reports, workers = [None] * len(tasks), []
+        try:
+            for w in range(jobs):
+                recv, send = Pipe(duplex=False)
+                proc = Process(target=_sweep_share, args=(tasks[w::jobs], send))
+                proc.start()
+                workers.append((proc, recv))
+                send.close()
+            for w, (_, recv) in enumerate(workers):
+                try:
+                    reports[w::jobs] = recv.recv()
+                except EOFError:
+                    raise RuntimeError(f"sweep worker {w} sent no reports") from None
+                recv.close()
+        finally:
+            for proc, recv in workers:
+                if not recv.closed:
+                    proc.terminate()
+                proc.join()
     else:
         reports = [_sweep_task(t) for t in tasks]
     passed = sum(1 for r in reports if r["pass"])
@@ -420,7 +435,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=_samples, default=25)
     p.add_argument("--seed", type=_int, default=0)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1,
+        help="worker processes, each verifying a strided share of the "
+        "size-sorted tuples; the document is byte-identical to --jobs 1",
+    )
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 

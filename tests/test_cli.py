@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -351,41 +352,60 @@ def test_console_script_entry_point(tmp_path):
     assert {g["label"] for g in doc["generators"]} >= {"I", "B"}
 
 
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and the tasks
-    of each call a worker would get, maps in-process."""
+class _InlineProcess:
+    """Stands in for multiprocessing.Process in ``cli``: runs its target
+    in-process at start() and records the share of tasks each worker gets."""
 
-    workers: list = []
-    calls: list = []
+    shares: list = []
 
-    def __init__(self, max_workers):
-        _SerialPool.workers.append(max_workers)
+    def __init__(self, target, args):
+        self.target, self.args = target, args
 
-    def __enter__(self):
-        return self
+    def start(self):
+        _InlineProcess.shares.append(list(self.args[0]))
+        self.target(*self.args)
 
-    def __exit__(self, *exc):
-        return False
+    def terminate(self):
+        pass
 
-    def map(self, fn, tasks, chunksize=1):
-        tasks = list(tasks)
-        _SerialPool.calls = [
-            tasks[i : i + chunksize] for i in range(0, len(tasks), chunksize)
-        ]
-        return map(fn, tasks)
+    def join(self):
+        pass
+
+
+class _InlineEnd:
+    """One end of an in-process pipe: what one end sends, the other receives."""
+
+    def __init__(self, queue):
+        self.queue, self.closed = queue, False
+
+    def send(self, obj):
+        self.queue.append(obj)
+
+    def recv(self):
+        if not self.queue:
+            raise EOFError
+        return self.queue.pop(0)
+
+    def close(self):
+        self.closed = True
+
+
+def _inline_pipe(duplex=True):
+    queue = []
+    return _InlineEnd(queue), _InlineEnd(queue)
 
 
 @pytest.fixture
-def serial_pool(monkeypatch):
-    _SerialPool.workers = []
-    _SerialPool.calls = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
-    return _SerialPool
+def inline_workers(monkeypatch):
+    _InlineProcess.shares = []
+    monkeypatch.setattr(cli, "Process", _InlineProcess)
+    monkeypatch.setattr(cli, "Pipe", _inline_pipe)
+    return _InlineProcess
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_turns_a_raising_tuple_into_a_failing_report(
-    capsys, monkeypatch, serial_pool, jobs
+    capsys, monkeypatch, inline_workers, jobs
 ):
     real = cli._family_report
 
@@ -413,43 +433,110 @@ def test_sweep_turns_a_raising_tuple_into_a_failing_report(
         "pass": False,
     }
     assert "sweep: pass 5 fail 1 skipped 0" in err
-    assert serial_pool.workers == ([] if jobs == "1" else [2])
+    assert len(inline_workers.shares) == (0 if jobs == "1" else 2)
 
 
-def test_sweep_caps_jobs_at_tasks_and_cpus(capsys, monkeypatch, serial_pool):
+def test_sweep_caps_jobs_at_tasks_and_cpus(capsys, monkeypatch, inline_workers):
     three = ("sweep", "--family", "bkm", "--n", "4", "--samples", "0")  # 3 tuples
     for cpus, argv, want in (
-        (2, three + ("--jobs", "64"), [2]),
-        (8, three + ("--jobs", "64"), [3]),
-        (8, three + ("--jobs", "2"), [2]),
-        (None, three + ("--jobs", "64"), []),
-        (8, ("sweep", "--family", "bkm", "--n", "3", "--samples", "0", "--jobs", "8"), []),
+        (2, three + ("--jobs", "64"), 2),
+        (8, three + ("--jobs", "64"), 3),
+        (8, three + ("--jobs", "2"), 2),
+        (None, three + ("--jobs", "64"), 0),
+        (8, ("sweep", "--family", "bkm", "--n", "3", "--samples", "0", "--jobs", "8"), 0),
     ):
-        serial_pool.workers = []
+        inline_workers.shares = []
         monkeypatch.setattr(cli.os, "cpu_count", lambda c=cpus: c)
         rc, _, _ = run_cli(capsys, *argv)
         assert rc == 0
-        assert serial_pool.workers == want, (cpus, argv)
+        assert len(inline_workers.shares) == want, (cpus, argv)
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_sweep_hands_each_worker_one_strided_batch(
-    capsys, monkeypatch, serial_pool, jobs
+    capsys, monkeypatch, inline_workers, jobs
 ):
-    """A deterministic count in place of a timing: the pool gets one call
-    per worker, worker w the size-sorted tasks w, w + jobs, ..., and the
-    reports come back in input order, as a serial sweep writes them."""
+    """A deterministic count in place of a timing: one process per worker,
+    worker w gets the size-sorted tasks w, w + jobs, ..., and the reports
+    come back in input order, as a serial sweep writes them."""
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     argv = ("sweep", "--family", "bkm", "--n", "5", "--samples", "1")  # 6 tuples
     rc, out, _ = run_cli(capsys, *argv, "--jobs", str(jobs))
     assert rc == 0
     tasks = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
-    assert serial_pool.workers == [jobs]
-    assert [[(t[1].m, t[1].k) for t in call] for call in serial_pool.calls] == [
+    assert [[(t[1].m, t[1].k) for t in share] for share in inline_workers.shares] == [
         tasks[w::jobs] for w in range(jobs)
     ]
     _, serial, _ = run_cli(capsys, *argv, "--jobs", "1")
     assert without_timing(json.loads(out)) == without_timing(json.loads(serial))
+
+
+def test_a_parallel_sweep_leaves_no_child_running(capsys, monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    argv = ("sweep", "--family", "bkm", "--n", "5", "--samples", "0", "--jobs", "2")
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert json.loads(out)["summary"] == {"pass": 6, "fail": 0, "skipped": 0}
+    assert multiprocessing.active_children() == []
+
+
+# Long enough that a parent waiting for the sleeping worker fails the test.
+SLEEP_S = 30
+
+
+@pytest.mark.parametrize("fault", ["raise", "exit"])
+def test_a_failed_sweep_worker_is_an_error_and_stops_the_other(
+    capsys, monkeypatch, fault
+):
+    """Worker 0 fails on its first tuple, by a non-SubalgError or by exiting
+    abruptly, while worker 1 sleeps on its own first tuple.  The parent
+    raises at once, stops worker 1, joins both and writes no document.  The
+    workers are forked so that the patched report reaches them."""
+    real = cli._family_report
+
+    def faulty(family, params, field, samples, seed):
+        if params == constructions.BkmParams(5, 1, 1):  # worker 0's first task
+            if fault == "raise":
+                raise ZeroDivisionError("not a SubalgError")
+            os._exit(3)
+        if params == constructions.BkmParams(5, 1, 2):  # worker 1's first task
+            time.sleep(SLEEP_S)
+        return real(family, params, field, samples, seed)
+
+    monkeypatch.setattr(cli, "_family_report", faulty)
+    monkeypatch.setattr(cli, "Process", multiprocessing.get_context("fork").Process)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="sweep worker 0 sent no reports"):
+        main(["sweep", "--family", "bkm", "--n", "5", "--samples", "0", "--jobs", "2"])
+    assert time.monotonic() - t0 < SLEEP_S / 2
+    assert multiprocessing.active_children() == []
+    assert capsys.readouterr().out == ""
+
+
+def test_sweep_under_the_spawn_start_method_matches_serial(capsys):
+    """Spawned workers (and forkserver ones, Linux's default from Python
+    3.14) import the package afresh and get the worker function and their
+    tasks pickled.  Two CPUs are reported so that two workers start."""
+    script = (
+        "import multiprocessing, os, sys\n"
+        "from subalg.cli import main\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method('spawn')\n"
+        "    os.cpu_count = lambda: 2\n"
+        "    sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["sweep", "--family", "bkm", "--n", "5", "--samples", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--jobs", "2"],
+        capture_output=True,
+        text=True,
+        env=_cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, serial, _ = run_cli(capsys, *argv, "--jobs", "1")
+    assert rc == 0
+    assert without_timing(json.loads(proc.stdout)) == without_timing(json.loads(serial))
 
 
 def test_verify_file_with_unchecked_bound_fails(capsys, tmp_path):

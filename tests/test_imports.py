@@ -89,7 +89,6 @@ BENCH_PATCHED = [
     ("subalg.exact_linalg", "mat_mul"),
     ("subalg.lengths", "_chain"),
     ("subalg.cli", "_sweep_task"),
-    ("subalg.cli", "ProcessPoolExecutor"),
     ("subalg.exact_linalg", "_Echelon.insert"),
 ]
 
