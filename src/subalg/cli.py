@@ -24,7 +24,6 @@ from .commute import centralizer
 from .constructions import (
     BkmParams,
     ConstructionParams,
-    _witness_of,
     build_bkm,
     build_bkml,
     valid_bkm_params,
@@ -129,10 +128,8 @@ def _fail2(message: str) -> int:
 _PARAMS = {"bkml": ConstructionParams, "bkm": BkmParams}
 
 
-def _build_family(family: str, params, field):
-    """The family's full system at params and the witness inside it."""
-    gens = (build_bkml if family == "bkml" else build_bkm)(params, field)
-    return gens, _witness_of(gens, params)
+def _build(family: str, params, field):
+    return (build_bkml if family == "bkml" else build_bkm)(params, field)
 
 
 def _report_doc(rep, family, params, field_name, seed, t0) -> dict:
@@ -165,10 +162,8 @@ def _report_doc(rep, family, params, field_name, seed, t0) -> dict:
 def _family_report(family: str, params, field, samples: int, seed: int) -> dict:
     """Full verification report for one construction; pure and picklable."""
     t0 = time.perf_counter()
-    gens, witness = _build_family(family, params, field)
-    rep = verify_system(
-        gens, witness=witness, certified=params.k + 1, samples=samples, seed=seed
-    )
+    gens = _build(family, params, field)
+    rep = verify_system(gens, certified=params.k + 1, samples=samples, seed=seed)
     return _report_doc(rep, family, asdict(params), field.name, seed, t0)
 
 
@@ -193,8 +188,7 @@ def _require_family_args(args) -> object:
 
 
 def cmd_construct(args) -> int:
-    params = _require_family_args(args)
-    gens, _ = _build_family(args.family, params, args.field)
+    gens = _build(args.family, _require_family_args(args), args.field)
     _emit(dumps(system_to_dict(gens)), args.out)
     return 0
 
@@ -250,8 +244,7 @@ def cmd_centralizer(args) -> int:
             raise InvalidParams(
                 "centralizer needs either --in or family parameters"
             )
-        params = _require_family_args(args)
-        system, _ = _build_family(args.family, params, args.field)
+        system = _build(args.family, _require_family_args(args), args.field)
     cent = centralizer(system.matrices)
     basis = [
         {"label": f"c{idx + 1}", "entries": matrix_entries(m)}

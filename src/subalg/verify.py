@@ -4,9 +4,13 @@ radical bound and sampled lengths of one generating system, each step once.
 Only the closure's span chain runs in the n*n matrix coordinates.  Every
 later step reads the closure's structure-constant table: commutativity is
 its symmetry, maximality one early-exit rank of the centralizer
-constraints, and the radical, the samples and the chain of a witness
-inside the closure run in the closure's own coordinates, on one
-``radical.Algebra``.
+constraints, and the radical, the samples and the chain of the witness
+run in the closure's own coordinates, on one ``radical.Algebra``.
+
+The witness, for a family and a file alike, is the members that grow
+F*I + J^2 up to a local A, in order, when the empty word is admitted:
+they generate A by Nakayama's lemma, so its length is at least S's own
+and at most the length of A.  Otherwise S itself is measured.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 from .commute import MaximalityVerdict, _maximality
 from .constructions import GeneratingSystem
 from .errors import NotLocalForm
-from .exact_linalg import Subspace
-from .lengths import LengthReport, _chain, _sample_reports, _target_chain
+from .exact_linalg import Subspace, _Echelon, vectorize
+from .lengths import LengthReport, _chain, _coord_chain, _grow, _sample_reports
 from .radical import Algebra, RadicalReport, _bound
 
 
@@ -26,7 +30,7 @@ class VerificationReport:
     """The verdicts of ``verify_system``.
 
     ``own`` is the system's chain report; ``measured`` is the chain whose
-    length is certified and bounded: the witness's, else ``own``.
+    length is certified and bounded: the derived witness's, else ``own``.
     ``radical`` is None when the closure is not scalars plus its radical;
     the bound is then unchecked, and an unchecked bound fails.
     ``sample_lengths`` is None unless samples were drawn.
@@ -63,33 +67,36 @@ class VerificationReport:
 def verify_system(
     system: GeneratingSystem,
     *,
-    witness: GeneratingSystem | None = None,
     certified: int | None = None,
     samples: int = 0,
     seed: int = 0,
 ) -> VerificationReport:
     """Every verdict on S and the algebra it generates.
 
-    The witness (S itself when None) must reach exactly ``certified`` steps
-    when that is given, and stay within the radical bound.  ``samples``
-    seeded random generating systems of the closure are drawn when the
-    algebra is maximal and its bound checked, and must stay within it too.
+    The witness derived from S must reach exactly ``certified`` steps when
+    that is given, and stay within the radical bound.  ``samples`` seeded
+    random generating systems of the closure are drawn when the algebra is
+    maximal and its bound checked, and must stay within it too.
     """
     own, spans = _chain(system)
-    closure = spans[-1]
-    alg = Algebra(closure)
+    alg = Algebra(spans[-1])
     maximality = _maximality(system.matrices, alg)
-    measured = own if witness is None else _target_chain(witness, alg)
     try:
-        radical = _bound(alg.powers, measured.length)
+        powers = alg.powers
     except NotLocalForm:
-        radical = None
+        powers = None
+    measured = own
+    if powers is not None and system.admit_empty_word:
+        members = (alg.coordinates(vectorize(m)) for m in system.matrices)
+        grown = _grow(_Echelon(alg.field, alg.modulus), members, full=alg.d)
+        measured = _coord_chain(alg, grown, True)
+    radical = None if powers is None else _bound(powers, measured.length)
     sample_lengths = None
     if samples > 0 and maximality.is_maximal and radical is not None:
         pairs = _sample_reports(alg, samples, seed)
         sample_lengths = tuple(report.length for _, report in pairs)
     return VerificationReport(
-        closure, own, maximality, measured, certified, radical, sample_lengths
+        alg.space, own, maximality, measured, certified, radical, sample_lengths
     )
 
 

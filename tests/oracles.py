@@ -24,8 +24,10 @@ of members, frontier vectors or basis rows, with no support index;
 radical bound.
 ``reference_witness_system`` and ``reference_witness_system_bkm`` build
 the witness systems by enumerating their unit pairs, not by filtering the
-family's full system.  ``enumerate_words`` lists every word of at most a given length,
-the word-enumeration oracle for span chains.  ``rref``, ``span_of``,
+family's full system.  ``derived_witness`` reads which members of a
+system the witness that ``verify_system`` derives holds.
+``enumerate_words`` lists every word of at most a given length, the
+word-enumeration oracle for span chains.  ``rref``, ``span_of``,
 ``commutator``, ``subspace_contains``, ``subspace_sum``,
 ``contains_vector`` and ``pivots`` are conveniences on top of the
 package's sparse core that only tests use.
@@ -38,6 +40,7 @@ from math import floor, isqrt, log
 import sympy
 from hypothesis import strategies as st
 
+import subalg.verify as verify
 from subalg import (
     QQ,
     BkmParams,
@@ -362,6 +365,35 @@ def reference_witness_system_bkm(p: BkmParams, field: Field = QQ):
         p.n, pairs, field
     )
     return GeneratingSystem(tuple(members), admit_empty_word=True)
+
+
+def derived_witness(system: GeneratingSystem):
+    """``verify_system``'s report on the system and the positions in it of
+    the members of the witness it derived, ascending; None when it
+    measured the system itself.  The witness's coordinates are read where
+    ``verify_system`` hands them to ``_coord_chain``, and matched, in
+    order, to the members' own coordinates."""
+    seen, real = [], verify._coord_chain
+
+    def capture(alg, members, admit_empty_word):
+        seen.append((alg, members))
+        return real(alg, members, admit_empty_word)
+
+    verify._coord_chain = capture
+    try:
+        report = verify.verify_system(system)
+    finally:
+        verify._coord_chain = real
+    if not seen:
+        return report, None
+    [(alg, members)] = seen
+    coords = [alg.coordinates(vectorize(m)) for m in system.matrices]
+    positions, at = [], 0
+    for x in members:
+        at = coords.index(x, at)
+        positions.append(at)
+        at += 1
+    return report, positions
 
 
 def open_bracket_system(field: Field = QQ) -> GeneratingSystem:

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,8 @@ from subalg import (
     PrimeField,
     build_bkm,
     matrix_unit,
+    valid_bkm_params,
+    valid_bkml_params,
 )
 from subalg.cli import main
 from subalg.jsonio import dumps, system_to_dict
@@ -789,7 +792,7 @@ def test_family_n_above_max_n_is_refused_before_building(capsys, monkeypatch, ar
     def unreachable(*args, **kwargs):
         raise AssertionError("a refused n reached the construction")
 
-    monkeypatch.setattr(cli, "_build_family", unreachable)
+    monkeypatch.setattr(cli, "_build", unreachable)
     monkeypatch.setattr(cli, "valid_bkm_params", unreachable)
     rc, out, err = run_cli(capsys, *argv)
     assert (rc, out) == (2, "")
@@ -882,15 +885,17 @@ def chain_runs(monkeypatch):
 def test_verify_runs_each_chain_once(
     capsys, monkeypatch, tmp_path, full_8152, chain_runs
 ):
-    """The system's closure chain runs in n*n coordinates, the witness's on
-    the closure's table, each once."""
+    """The system's closure chain runs in n*n coordinates, the derived
+    witness's on the closure's table, each once, for a file as for a
+    family."""
     coord_chains = _count_calls(monkeypatch, lengths._coord_chain)
     path = tmp_path / "full.json"
     path.write_text(dumps(system_to_dict(full_8152)), encoding="utf-8")
     rc, _, _ = run_cli(capsys, "verify", "--in", str(path), "--samples", "0")
     assert rc == 0
-    assert (len(chain_runs), len(coord_chains)) == (1, 0)
+    assert (len(chain_runs), len(coord_chains)) == (1, 1)
     chain_runs.clear()
+    coord_chains.clear()
     rc, _, _ = run_cli(
         capsys, "verify", "--family", "bkml",
         "--n", "8", "--m", "1", "--l", "5", "--k", "2", "--samples", "0",
@@ -898,6 +903,31 @@ def test_verify_runs_each_chain_once(
     assert rc == 0
     assert [s.labels[:2] for s in chain_runs] == [("I", "B1")]
     assert len(coord_chains) == 1
+
+
+@pytest.mark.parametrize("field", ["rational", "gf:2"])
+def test_a_constructed_file_verifies_as_its_family(capsys, tmp_path, field):
+    """``verify --in`` on a file that ``construct`` wrote derives the same
+    witness as ``verify --family``, on every valid tuple with n <= 8: the
+    documents differ only in what a file does not know of its family."""
+    path = str(tmp_path / "system.json")
+    family_only = ("family", "params", "length_certified", "elapsed_ms")
+    cases = [
+        (family, p)
+        for n in range(1, 9)
+        for family, tuples in (("bkml", valid_bkml_params), ("bkm", valid_bkm_params))
+        for p in tuples(n)
+    ]
+    assert len(cases) == 67
+    for family, p in cases:
+        args = ["--family", family, "--field", field]
+        args += [f"--{key}={value}" for key, value in asdict(p).items()]
+        assert run_cli(capsys, "construct", *args, "--out", path)[0] == 0
+        rc, out, _ = run_cli(capsys, "verify", *args, "--samples", "0")
+        want = (rc, {k: v for k, v in json.loads(out).items() if k not in family_only})
+        rc, out, _ = run_cli(capsys, "verify", "--in", path, "--samples", "0")
+        got = (rc, {k: v for k, v in json.loads(out).items() if k not in family_only})
+        assert got == want, (family, p)
 
 
 @pytest.mark.parametrize(
@@ -908,7 +938,7 @@ def test_verify_runs_each_chain_once(
     ],
 )
 def test_verify_family_builds_its_system_once(capsys, monkeypatch, family, args):
-    """The witness is filtered from the full system already built, so one
+    """The witness is derived from the full system already built, so one
     ``verify --family`` builds the family's system exactly once."""
     two_chain = _count_calls(monkeypatch, constructions.build_bkml)
     one_chain = _count_calls(monkeypatch, constructions.build_bkm)

@@ -24,6 +24,7 @@ from subalg import (
 )
 
 from oracles import (
+    derived_witness,
     mat_pow,
     mat_power_of_chain,
     reference_witness_system,
@@ -110,6 +111,29 @@ def test_witnesses_equal_the_enumerating_builders(field):
             assert got == want, p
             tuples += 1
     assert tuples == 350
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=lambda f: f.name)
+def test_the_derived_witness_is_the_family_witness(field):
+    """From the full system of either family, ``verify_system`` derives the
+    witness that enumerating its unit pairs gives, on every valid tuple
+    with n <= 8, and it reaches k + 1."""
+    cases = [
+        (build, reference, p)
+        for n in range(1, 9)
+        for build, reference, tuples in (
+            (build_bkml, reference_witness_system, valid_bkml_params),
+            (build_bkm, reference_witness_system_bkm, valid_bkm_params),
+        )
+        for p in tuples(n)
+    ]
+    assert len(cases) == 67
+    for build, reference, p in cases:
+        system = build(p, field)
+        rep, positions = derived_witness(system)
+        labels = tuple(system.labels[i] for i in positions)
+        assert labels == reference(p, field).labels, p
+        assert rep.measured.length == p.k + 1, p
 
 
 def test_build_bkm_members():

@@ -16,16 +16,27 @@ from subalg import (
     NotASubalgebra,
     PrimeField,
     algebra_closure,
+    build_bkm,
+    build_bkml,
     li_chain,
     matrix_unit,
     radical_power_dims,
     radical_span,
+    valid_bkm_params,
+    valid_bkml_params,
 )
-from subalg.exact_linalg import _by_row, _Echelon, _vec_mul
+from subalg.exact_linalg import _by_row, _Echelon, _vec_mul, vectorize
 from subalg.lengths import _coord_chain
 from subalg.radical import Algebra, _power_rows
 
-from oracles import coordinate_rows, matrix_power_dims, span_of, table_of
+from oracles import (
+    _spans_modulo,
+    coordinate_rows,
+    derived_witness,
+    matrix_power_dims,
+    span_of,
+    table_of,
+)
 
 FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
 
@@ -106,6 +117,39 @@ def test_coordinate_chain_equals_matrix_chain(field, gens, members, admit):
         assert step2 <= every
     if coords.commutative:
         assert step2 <= s * (s + 1) // 2
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@given(data=st.data())
+def test_the_derived_witness_is_a_minimal_generating_subsystem(field, data):
+    """Members of a family system, a random subset in random order, generate
+    a local A.  The witness ``verify_system`` derives from them generates A
+    (its chain in n*n coordinates reaches A, as the one on the table does),
+    spans A modulo F*I + J^2 only with all its members, and is never
+    shorter than the whole subset.  When A is F*I, it keeps no member."""
+    if data.draw(st.booleans()):
+        full = build_bkml(data.draw(st.sampled_from(valid_bkml_params(7))), field)
+    else:
+        full = build_bkm(data.draw(st.sampled_from(valid_bkm_params(6))), field)
+    members = data.draw(st.permutations(full.members))
+    size = data.draw(st.integers(min_value=1, max_value=len(members)))
+    system = GeneratingSystem(tuple(members[:size]))
+    rep, positions = derived_witness(system)
+    assert rep.radical is not None
+    assert rep.measured.dims[-1] == rep.closure.dim
+    if positions:
+        witness = GeneratingSystem(tuple(system.members[i] for i in positions))
+        assert li_chain(witness, target=rep.closure) == rep.measured
+    else:
+        assert rep.closure.dim == 1
+    alg = Algebra(rep.closure)
+    coords = [alg.coordinates(vectorize(system.matrices[i])) for i in positions]
+    assert _spans_modulo(alg.modulus, coords, field, alg.d)
+    for i in range(len(coords)):
+        rest = coords[:i] + coords[i + 1 :]
+        assert not _spans_modulo(alg.modulus, rest, field, alg.d)
+    assert rep.measured.length >= rep.own.length
+    event(f"the witness drops members: {len(coords) < size}")
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -6,6 +6,7 @@ and no module is large enough to make its compile cost a step more memory."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import subalg
+import subalg.cli
+from subalg import verify_system
 
 PACKAGE = Path(subalg.__file__).parent
 
@@ -109,3 +112,12 @@ def test_names_the_benchmark_patches_still_resolve():
         if obj is None:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_the_witness_is_derived_not_handed_in():
+    """``verify_system`` derives the witness itself, so a family and a file
+    take one path: no caller can hand one in, and the command line holds
+    no code that filters one out of a family's system."""
+    assert "witness" not in inspect.signature(verify_system).parameters
+    assert not hasattr(subalg.cli, "_witness_of")
+    assert not hasattr(subalg.cli, "_build_family")

@@ -181,8 +181,8 @@ def test_sampled_systems_always_generate(seed):
 def test_verdicts_are_invariant_under_similarity(field, data):
     """P S P^-1 generates a similar algebra: the same closure dimension,
     commutativity, centralizer dimension, maximality, lengths and radical
-    nilpotency, in other coordinates.  S is its own witness, so its chain
-    also runs on the closure's table."""
+    nilpotency, in other coordinates.  The witness derived from S, chained
+    on the closure's table, is never shorter than S."""
     if data.draw(st.booleans()):
         full = build_bkml(data.draw(st.sampled_from(valid_bkml_params(7))), field)
     else:
@@ -196,13 +196,14 @@ def test_verdicts_are_invariant_under_similarity(field, data):
     similar = GeneratingSystem(
         tuple((label, p * m * p_inv) for label, m in system.members)
     )
-    want = verify_system(system, witness=system)
-    got = verify_system(similar, witness=similar)
+    want = verify_system(system)
+    got = verify_system(similar)
     assert want.radical is not None
     assert got.closure.dim == want.closure.dim
     assert got.maximality.is_commutative == want.maximality.is_commutative
     assert got.maximality.centralizer_dim == want.maximality.centralizer_dim
     assert got.maximality.is_maximal == want.maximality.is_maximal
     assert got.own.length == want.own.length
-    assert got.measured.dims == want.measured.dims == want.own.dims
+    assert got.measured.dims == want.measured.dims
+    assert want.measured.length >= want.own.length
     assert got.radical.nilpotency == want.radical.nilpotency

@@ -29,7 +29,6 @@ from subalg import (
     valid_bkm_params,
     valid_bkml_params,
 )
-from subalg.cli import _build_family
 from subalg.constructions import _witness_of
 from subalg.exact_linalg import _Echelon, _meeting, _support_index, vectorize
 from subalg.lengths import _chain, _coord_chain
@@ -195,8 +194,7 @@ def test_certification_forms_no_zero_product(monkeypatch):
     monkeypatch.setattr(radical, "_vec_mul", vec_mul)
     monkeypatch.setattr(Algebra, "mul", counted(Algebra.mul))
     params = BkmParams(24, 1, 8)
-    gens, witness = _build_family("bkm", params, QQ)
-    rep = verify_system(gens, witness=witness, certified=params.k + 1)
+    rep = verify_system(build_bkm(params, QQ), certified=params.k + 1)
     assert rep.passed
     assert {name for name, _ in products} == {"_vec_mul", "mul"}
     assert all(nonzero for _, nonzero in products)

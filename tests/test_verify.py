@@ -3,6 +3,7 @@ import pytest
 from subalg import (
     QQ,
     GeneratingSystem,
+    Matrix,
     PrimeField,
     bound_check,
     is_maximal_commutative,
@@ -17,9 +18,7 @@ from oracles import open_bracket_system
 
 
 def test_report_agrees_with_the_library_verdicts(full_8152, witness_8152):
-    rep = verify_system(
-        full_8152, witness=witness_8152, certified=3, samples=3, seed=1
-    )
+    rep = verify_system(full_8152, certified=3, samples=3, seed=1)
     assert rep.closure.dim == 9
     assert rep.own == li_chain(full_8152)
     assert rep.maximality == is_maximal_commutative(full_8152)
@@ -31,16 +30,39 @@ def test_report_agrees_with_the_library_verdicts(full_8152, witness_8152):
     assert rep.passed
 
 
-def test_without_a_witness_the_system_is_measured(full_8152):
+def test_without_a_certified_length_the_witness_is_still_derived(full_8152):
     rep = verify_system(full_8152)
-    assert rep.measured is rep.own
-    assert rep.measured.length == 2
+    assert rep.measured.dims == (1, 5, 7, 9, 9)
+    assert rep.measured.length == 3
+    assert rep.own.length == 2
     assert rep.sample_lengths is None
     assert rep.passed
 
 
 def test_a_missed_certified_length_fails(full_8152):
-    assert not verify_system(full_8152, certified=3).passed
+    assert not verify_system(full_8152, certified=2).passed
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        GeneratingSystem(
+            (("I", Matrix.identity(2, QQ)), ("E11", matrix_unit(2, 1, 1, QQ)))
+        ),
+        GeneratingSystem(
+            (("I", Matrix.identity(2, QQ)), ("x", matrix_unit(2, 1, 2, QQ))),
+            admit_empty_word=False,
+        ),
+    ],
+    ids=["not-local", "no-empty-word"],
+)
+def test_the_system_is_measured_when_no_witness_can_be_derived(system):
+    """The diagonal algebra is not local, so it has no F*I + J^2 to grow;
+    and without the empty word, dropping members is unsound: growing
+    F*I + J^2 of F[x]/(x^2) keeps only x, which does not generate it
+    without I."""
+    rep = verify_system(system)
+    assert rep.measured is rep.own
 
 
 def test_non_commuting_system_fails_without_sampling():
