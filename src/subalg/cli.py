@@ -5,7 +5,8 @@ writes one JSON document (sorted keys, trailing newline) to --out or
 stdout.  Exit codes: 0 when all verdicts pass, 1 when a verdict fails,
 2 on usage errors or malformed input.  The elapsed_ms field is wall-clock
 and informational; everything else is deterministic for a given input,
-field, and seed.
+field, and seed.  A call builds the parser of its own subcommand only;
+help, errors and exit codes are those of the parser of all five.
 """
 
 from __future__ import annotations
@@ -363,22 +364,70 @@ def cmd_sweep(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _add_family_args(parser) -> None:
-    parser.add_argument("--family", choices=("bkml", "bkm"), default="bkml")
-    parser.add_argument("--n", type=_family_n)
-    parser.add_argument("--m", type=_positive_int)
-    parser.add_argument("--l", type=_positive_int)
-    parser.add_argument("--k", type=_positive_int)
-    parser.add_argument(
-        "--field",
+_FAMILY = ("--family", dict(choices=("bkml", "bkm"), default="bkml"))
+_FAMILY_ARGS = (
+    _FAMILY,
+    ("--n", dict(type=_family_n)),
+    ("--m", dict(type=_positive_int)),
+    ("--l", dict(type=_positive_int)),
+    ("--k", dict(type=_positive_int)),
+    ("--field", dict(
         type=_field_arg,
         default=field_from_name("rational"),
         help='scalar field: "rational" or "gf:<prime>"',
-    )
+    )),
+)
+_OUT = ("--out", {})
+_SAMPLING = (
+    ("--samples", dict(type=_samples, default=25)),
+    ("--seed", dict(type=_int, default=0)),
+)
+
+# name: (help, handler, its arguments in the order its help lists them)
+_COMMANDS = {
+    "construct": ("write a generator-set file", cmd_construct, (
+        *_FAMILY_ARGS, ("--out", dict(help="output path (default: stdout)")),
+    )),
+    "verify": ("full verdict for a family or a file", cmd_verify, (
+        ("--in", dict(dest="infile", help="generator-set file")),
+        *_FAMILY_ARGS, *_SAMPLING, _OUT,
+    )),
+    "length": ("span-chain report for a file", cmd_length, (
+        ("--in", dict(dest="infile", required=True)),
+        ("--check-words", dict(
+            action="store_true",
+            help="cross-check every chain step against brute-force word spans",
+        )),
+        _OUT,
+    )),
+    "centralizer": ("dump a centralizer basis", cmd_centralizer, (
+        ("--in", dict(dest="infile")), *_FAMILY_ARGS, _OUT,
+    )),
+    "sweep": ("verify whole parameter grids", cmd_sweep, (
+        ("--n", dict(type=_range_arg, required=True)),
+        ("--m", dict(type=_range_arg)),
+        ("--l", dict(type=_range_arg)),
+        ("--k", dict(type=_range_arg)),
+        _FAMILY,
+        ("--field", dict(type=_field_arg, default=field_from_name("rational"))),
+        *_SAMPLING,
+        ("--jobs", dict(
+            type=_positive_int, default=1,
+            help="worker processes, each verifying a strided share of the "
+            "size-sorted tuples; the document is byte-identical to --jobs 1",
+        )),
+        _OUT,
+    )),
+}
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.
+
+    A parser of one command still names all of them in its usage, which
+    argparse prints with an unrecognized-arguments error.
+    """
     parser = argparse.ArgumentParser(
         prog="subalg",
         description=(
@@ -387,60 +436,25 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="write a generator-set file")
-    _add_family_args(p)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("verify", help="full verdict for a family or a file")
-    p.add_argument("--in", dest="infile", help="generator-set file")
-    _add_family_args(p)
-    p.add_argument("--samples", type=_samples, default=25)
-    p.add_argument("--seed", type=_int, default=0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("length", help="span-chain report for a file")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument(
-        "--check-words",
-        action="store_true",
-        help="cross-check every chain step against brute-force word spans",
-    )
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_length)
-
-    p = sub.add_parser("centralizer", help="dump a centralizer basis")
-    p.add_argument("--in", dest="infile")
-    _add_family_args(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_centralizer)
-
-    p = sub.add_parser("sweep", help="verify whole parameter grids")
-    p.add_argument("--n", type=_range_arg, required=True)
-    p.add_argument("--m", type=_range_arg)
-    p.add_argument("--l", type=_range_arg)
-    p.add_argument("--k", type=_range_arg)
-    p.add_argument("--family", choices=("bkml", "bkm"), default="bkml")
-    p.add_argument(
-        "--field", type=_field_arg, default=field_from_name("rational")
-    )
-    p.add_argument("--samples", type=_samples, default=25)
-    p.add_argument("--seed", type=_int, default=0)
-    p.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="worker processes, each verifying a strided share of the "
-        "size-sorted tuples; the document is byte-identical to --jobs 1",
-    )
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sweep)
-
+    if command:
+        # in the full parser a metavar would rename "argument command" in
+        # its invalid-choice and missing-command errors
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    for name in [command] if command else _COMMANDS:
+        help_, func, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # an argv naming no command gets every command's parser for its help
+    # or its error
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

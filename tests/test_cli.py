@@ -1,3 +1,4 @@
+import argparse
 import json
 import multiprocessing
 import os
@@ -844,6 +845,68 @@ def test_family_n_at_max_n_is_accepted():
     assert args.n == cli.MAX_N == 256
     args = parser.parse_args(["sweep", "--n", "250..256"])
     assert args.n == tuple(range(250, 257))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["nope"],
+        *([command, "-h"] for command in
+          ("construct", "verify", "length", "centralizer", "sweep")),
+        ["verify", "--n", "08"],
+        ["verify", "--family", "bkm", "--n", "8", "--m", "2", "--k", "2",
+         "--samples", "0", "extra"],
+        ["length"],
+        ["verify", "--samples", "10001"],
+    ],
+    ids=" ".join,
+)
+def test_a_call_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    built = run_cli(capsys, *argv)
+    full = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full)
+    assert built == run_cli(capsys, *argv)
+
+
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def recording(self, *args, **kwargs):
+        added.append(args[0])
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+    cli._build_parser.cache_clear()
+    rc, _, _ = run_cli(
+        capsys, "verify", "--family", "bkm", "--n", "8", "--m", "2", "--k", "2",
+        "--samples", "0",
+    )
+    assert rc == 0
+    assert added == [
+        "-h", "-h", "--in", "--family", "--n", "--m", "--l", "--k", "--field",
+        "--samples", "--seed", "--out",
+    ]
+
+
+def test_main_without_argv_runs_the_command_in_sys_argv(
+    capsys, monkeypatch, tmp_path, witness_8152
+):
+    path = tmp_path / "witness.json"
+    path.write_text(dumps(system_to_dict(witness_8152)), encoding="utf-8")
+    expected = run_cli(capsys, "length", "--in", str(path))
+    assert expected[0] == 0
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(
+        cli, "_build_parser", lambda command=None: built.append(command) or build(command)
+    )
+    monkeypatch.setattr(sys, "argv", ["subalg", "length", "--in", str(path)])
+    assert (main(), *capsys.readouterr()) == expected
+    assert built == ["length"]
 
 
 def _count_calls(monkeypatch, real):

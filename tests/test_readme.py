@@ -3,7 +3,8 @@
 The "Library quickstart" block is executed, and what its comments claim is
 checked on the names it binds.  Every ``subalg ...`` line of the README's
 ``sh`` blocks is parsed by the command's own parser, so a renamed flag or
-subcommand fails here before a reader trips on it.
+subcommand fails here before a reader trips on it; the parser ``subalg``
+builds for that one subcommand must read it the same way.
 """
 
 import re
@@ -52,4 +53,6 @@ def test_readme_lists_commands():
 @pytest.mark.parametrize("line", COMMANDS)
 def test_readme_command_parses(line):
     argv = shlex.split(line)[1:]
-    assert _build_parser().parse_args(argv).command == argv[0]
+    args = _build_parser().parse_args(argv)
+    assert args.command == argv[0]
+    assert vars(_build_parser(argv[0]).parse_args(argv)) == vars(args)
