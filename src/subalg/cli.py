@@ -17,9 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, astuple
 from functools import cache
-from multiprocessing import Pipe, Process
 
 from .commute import centralizer
 from .constructions import (
@@ -31,7 +29,7 @@ from .constructions import (
     valid_bkml_params,
 )
 from .errors import InvalidParams, SubalgError
-from .exact_linalg import _Echelon, field_from_name, vectorize
+from .exact_linalg import QQ, _Echelon, field_from_name, vectorize
 from .jsonio import MAX_N, dumps, load_system, matrix_entries, system_to_dict
 from .lengths import _chain, _grow, _word_steps
 from .verify import verify_system
@@ -165,15 +163,17 @@ def _family_report(family: str, params, field, samples: int, seed: int) -> dict:
     t0 = time.perf_counter()
     gens = _build(family, params, field)
     rep = verify_system(gens, certified=params.k + 1, samples=samples, seed=seed)
-    return _report_doc(rep, family, asdict(params), field.name, seed, t0)
+    return _report_doc(rep, family, params.asdict(), field.name, seed, t0)
 
 
-def _file_report(path: str, samples: int, seed: int) -> dict:
-    """Verification report for a generator-set file; no certified length."""
-    system = load_system(path)
-    t0 = time.perf_counter()
-    rep = verify_system(system, samples=samples, seed=seed)
-    return _report_doc(rep, None, None, system.field.name, seed, t0)
+def _load_in(args):
+    """The system of --in, which takes no family parameters and no other field."""
+    if (args.n, args.m, args.l, args.k) != (None,) * 4:
+        raise InvalidParams("--in takes no --n, --m, --l or --k")
+    system = load_system(args.infile)
+    if args.field not in (None, system.field):
+        raise InvalidParams(f"--field {args.field.name}, the file is {system.field.name}")
+    return system
 
 
 def _require_family_args(args) -> object:
@@ -189,21 +189,21 @@ def _require_family_args(args) -> object:
 
 
 def cmd_construct(args) -> int:
-    gens = _build(args.family, _require_family_args(args), args.field)
+    gens = _build(args.family, _require_family_args(args), args.field or QQ)
     _emit(dumps(system_to_dict(gens)), args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
     if args.infile:
-        report = _file_report(args.infile, args.samples, args.seed)
+        system, t0 = _load_in(args), time.perf_counter()
+        rep = verify_system(system, samples=args.samples, seed=args.seed)
+        report = _report_doc(rep, None, None, system.field.name, args.seed, t0)
+    elif args.n is None:
+        raise InvalidParams("verify needs either --in or family parameters")
     else:
-        if args.n is None:
-            raise InvalidParams("verify needs either --in or family parameters")
-        params = _require_family_args(args)
-        report = _family_report(
-            args.family, params, args.field, args.samples, args.seed
-        )
+        params, field = _require_family_args(args), args.field or QQ
+        report = _family_report(args.family, params, field, args.samples, args.seed)
     _emit(dumps(report), args.out)
     return 0 if report["pass"] else 1
 
@@ -239,13 +239,11 @@ def cmd_length(args) -> int:
 
 def cmd_centralizer(args) -> int:
     if args.infile:
-        system = load_system(args.infile)
+        system = _load_in(args)
+    elif args.n is None:
+        raise InvalidParams("centralizer needs either --in or family parameters")
     else:
-        if args.n is None:
-            raise InvalidParams(
-                "centralizer needs either --in or family parameters"
-            )
-        system = _build(args.family, _require_family_args(args), args.field)
+        system = _build(args.family, _require_family_args(args), args.field or QQ)
     cent = centralizer(system.matrices)
     basis = [
         {"label": f"c{idx + 1}", "entries": matrix_entries(m)}
@@ -269,7 +267,7 @@ def _sweep_task(task) -> dict:
     except SubalgError as exc:
         return {
             "family": family,
-            "params": asdict(params),
+            "params": params.asdict(),
             "field": field.name,
             "error": f"{type(exc).__name__}: {exc}",
             "pass": False,
@@ -320,10 +318,11 @@ def cmd_sweep(args) -> int:
             params = ", ".join(f"{k}={v}" for k, v in first["params"].items())
             message += f"; first skipped ({params}): {first['reason']}"
         return _fail2(message)
-    selected.sort(key=astuple)
+    selected.sort(key=cls.astuple)
     tasks = [(args.family, p, args.field, args.samples, args.seed) for p in selected]
     jobs = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
+        from multiprocessing import Pipe, Process  # only a parallel sweep pays for it
         # worker w verifies the size-sorted tasks w, w + jobs, ... and sends
         # their reports over its pipe; a worker that sends none is stopped
         reports, workers = [None] * len(tasks), []
@@ -371,11 +370,7 @@ _FAMILY_ARGS = (
     ("--m", dict(type=_positive_int)),
     ("--l", dict(type=_positive_int)),
     ("--k", dict(type=_positive_int)),
-    ("--field", dict(
-        type=_field_arg,
-        default=field_from_name("rational"),
-        help='scalar field: "rational" or "gf:<prime>"',
-    )),
+    ("--field", dict(type=_field_arg, help='scalar field: "rational" or "gf:<prime>"')),
 )
 _OUT = ("--out", {})
 _SAMPLING = (
@@ -409,7 +404,7 @@ _COMMANDS = {
         ("--l", dict(type=_range_arg)),
         ("--k", dict(type=_range_arg)),
         _FAMILY,
-        ("--field", dict(type=_field_arg, default=field_from_name("rational"))),
+        ("--field", dict(type=_field_arg, default=QQ)),
         *_SAMPLING,
         ("--jobs", dict(
             type=_positive_int, default=1,

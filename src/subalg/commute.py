@@ -18,11 +18,9 @@ and a negated row of a generator, so building it needs no field multiply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .constructions import GeneratingSystem
 from .errors import DimensionMismatch
-from .exact_linalg import Subspace, _check_compatible, _Echelon, kernel, mat_mul
+from .exact_linalg import Record, Subspace, _check_compatible, _Echelon, kernel, mat_mul
 from .lengths import _grow, algebra_closure
 from .radical import Algebra
 
@@ -118,8 +116,7 @@ def centralizer(mats) -> Subspace:
     return kernel([{c: field.one()} for c in zero] + rows, n, field)
 
 
-@dataclass(frozen=True)
-class MaximalityVerdict:
+class MaximalityVerdict(Record):
     """Outcome of the maximal-commutativity check for one system."""
 
     algebra_dim: int

@@ -14,19 +14,16 @@ identity, "B1"/"B2" (or "B") for the chains, "E_i_j" for units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     EmptySystem,
     IndexOutOfRange,
     InvalidParams,
     UnknownCoefficientKey,
 )
-from .exact_linalg import QQ, Field, Matrix, _check_compatible, matrix_unit
+from .exact_linalg import QQ, Field, Matrix, Record, _check_compatible, matrix_unit
 
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class ConstructionParams(Record):
     """Parameters (n, m, l, k) of the two-chain family."""
 
     n: int
@@ -49,8 +46,7 @@ class ConstructionParams:
             )
 
 
-@dataclass(frozen=True)
-class BkmParams:
+class BkmParams(Record):
     """Parameters (n, m, k) of the one-chain family."""
 
     n: int
@@ -68,8 +64,7 @@ class BkmParams:
             )
 
 
-@dataclass(frozen=True)
-class IndexSets:
+class IndexSets(Record):
     """Row and column index sets that place the unit generators."""
 
     row_indices: tuple
@@ -95,8 +90,7 @@ def shift_matrix(n: int, start: int, k: int, field: Field = QQ) -> Matrix:
     return Matrix(n, field, rows)
 
 
-@dataclass(frozen=True)
-class GeneratingSystem:
+class GeneratingSystem(Record):
     """At least one labeled matrix over one field, with an empty-word
     convention; ``n`` and ``field`` are the first member's.
 
@@ -167,18 +161,14 @@ def build_bkm(p: BkmParams, field: Field = QQ) -> GeneratingSystem:
     return GeneratingSystem(tuple(members), admit_empty_word=True)
 
 
-def _without(system: GeneratingSystem, *labels) -> GeneratingSystem:
-    """The system with the members of the given labels left out."""
-    kept = tuple(m for m in system.members if m[0] not in labels)
-    return GeneratingSystem(kept, admit_empty_word=system.admit_empty_word)
-
-
 def _witness_of(system: GeneratingSystem, p) -> GeneratingSystem:
     """The witness inside ``system``, the full system of either family at p:
     it without I and the unit E(s, s+k+1) of each chain row s (m, and l
     for two chains)."""
     rows = (p.m, p.l) if isinstance(p, ConstructionParams) else (p.m,)
-    return _without(system, "I", *(f"E_{s}_{s + p.k + 1}" for s in rows))
+    dropped = {"I", *(f"E_{s}_{s + p.k + 1}" for s in rows)}
+    kept = tuple(m for m in system.members if m[0] not in dropped)
+    return GeneratingSystem(kept, admit_empty_word=system.admit_empty_word)
 
 
 def witness_system(p: ConstructionParams, field: Field = QQ) -> GeneratingSystem:

@@ -45,7 +45,7 @@ which prints ``.rows``, the package itself never reads the dense views.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from math import isqrt
 
 from .errors import DimensionMismatch, FieldMismatch, IndexOutOfRange, InvalidParams
 
@@ -61,26 +61,69 @@ MAX_MODULUS = 2**31 - 1
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 # A rational literal: a decimal integer or num/den, in ASCII digits.
 _RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-class Field:
+class Record:
+    """An immutable value: its fields are its class's annotated names, in order,
+    with class-level defaults.  It equals the records of its class alone."""
+
+    _fields, _defaults = (), {}
+
+    def __init_subclass__(cls):
+        own = vars(cls).get("__annotations__", {})
+        cls._fields += tuple(own)
+        cls._defaults = cls._defaults | {k: v for k, v in vars(cls).items() if k in own}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            given = dict(zip(names, args), **kwargs)
+            values = {**self._defaults, **given}
+            if len(given) < len(args) + len(kwargs) or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__} takes the fields {names}")
+            args = map(values.get, names)
+        # field by field: asking for __dict__ would slow every later field read
+        setter = object.__setattr__
+        for name, value in zip(names, args):
+            setter(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Checks the fields of a new record; a subclass may override it."""
+
+    def astuple(self):
+        return tuple([getattr(self, k) for k in self._fields])
+
+    def asdict(self):
+        return dict(zip(self._fields, self.astuple()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.astuple() == other.astuple()
+
+    def __hash__(self):
+        return hash(self.astuple())
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot set or delete {name!r} of an immutable record")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        body = ", ".join(f"{k}={v!r}" for k, v in self.asdict().items())
+        return f"{type(self).__qualname__}({body})"
+
+
+class Field(Record):
     """Scalar arithmetic for one field; instances are small value objects."""
 
-    name: str = "?"
+    name = "?"
 
     def zero(self):
         return 0
@@ -139,7 +182,6 @@ def _int_if_integral(x):
     return x
 
 
-@dataclass(frozen=True)
 class RationalField(Field):
     """Arbitrary-precision rationals.
 
@@ -148,9 +190,7 @@ class RationalField(Field):
     hash alike, and ``str`` prints them alike.
     """
 
-    @property
-    def name(self) -> str:
-        return "rational"
+    name = "rational"
 
     def from_int(self, i: int):
         return int(i)
@@ -195,7 +235,6 @@ class RationalField(Field):
             y[k] = v
 
 
-@dataclass(frozen=True)
 class PrimeField(Field):
     """GF(p) with elements stored as canonical residues in range(p)."""
 
@@ -290,8 +329,7 @@ def _as_sparse(vec, ncoords: int, field: Field) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """Immutable n-by-n matrix with 1-based index accessors.
 
     ``sparse_rows`` is a tuple of n ``{col: value}`` maps (0-based columns,
@@ -530,8 +568,7 @@ class _Echelon:
         return Subspace(n, self.field, self.canonical())
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A subspace of vectorized n-by-n matrices, held as a unique RREF basis.
 
     ``pivot_rows`` maps each pivot, in ascending order, to its basis row, a

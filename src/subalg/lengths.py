@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .constructions import GeneratingSystem
 from .errors import (
@@ -61,6 +60,7 @@ from .errors import (
 )
 from .exact_linalg import (
     Matrix,
+    Record,
     Subspace,
     _check_compatible,
     _by_row,
@@ -73,8 +73,7 @@ from .exact_linalg import (
 from .radical import Algebra
 
 
-@dataclass(frozen=True)
-class LengthReport:
+class LengthReport(Record):
     """Chain dimensions, the step where growth stopped, and the length.
 
     ``dims`` lists dim L_0 through dim L_s where s is the first step whose

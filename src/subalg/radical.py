@@ -29,13 +29,13 @@ coordinates, J does not depend on the basis A is given in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
 from .errors import NotASubalgebra, NotLocalForm, NotNilpotent
 from .exact_linalg import (
     Matrix,
     PrimeField,
+    Record,
     Subspace,
     _by_row,
     _Echelon,
@@ -267,8 +267,7 @@ def nilpotency_index(radical: Subspace) -> int:
     return len(radical_power_dims(radical))
 
 
-@dataclass(frozen=True)
-class RadicalReport:
+class RadicalReport(Record):
     """Radical data of a generated algebra plus the length bound verdict."""
 
     radical_dim: int
@@ -281,12 +280,7 @@ class RadicalReport:
 def _bound(powers: list, length: int | None) -> RadicalReport:
     """The bound step: a length (None if never reached) against N - 1,
     where N is the number of ``powers`` J, J^2, ..., 0."""
-    nilpotency = len(powers)
-    return RadicalReport(
-        radical_dim=len(powers[0]),
-        nilpotency=nilpotency,
-        power_dims=tuple(len(rows) for rows in powers),
-        bound_holds=length is not None and length <= nilpotency - 1,
-        length=length,
-    )
+    dims = tuple(len(rows) for rows in powers)
+    holds = length is not None and length <= len(dims) - 1
+    return RadicalReport(dims[0], len(dims), dims, holds, length)
 

@@ -15,18 +15,15 @@ and at most the length of A.  Otherwise S itself is measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .commute import MaximalityVerdict, _maximality
 from .constructions import GeneratingSystem
 from .errors import NotLocalForm
-from .exact_linalg import Subspace, _Echelon, vectorize
+from .exact_linalg import Record, Subspace, _Echelon, vectorize
 from .lengths import LengthReport, _chain, _coord_chain, _grow, _sample_reports
 from .radical import Algebra, RadicalReport, _bound
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """The verdicts of ``verify_system``.
 
     ``own`` is the system's chain report; ``measured`` is the chain whose

@@ -6,7 +6,6 @@ import shutil
 import subprocess
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -220,6 +219,31 @@ def test_word_budget_is_checked_before_any_word_is_formed(
     assert products == []
 
 
+@pytest.mark.parametrize("command", ["verify", "centralizer"])
+@pytest.mark.parametrize("file_field", ["rational", "gf:7"])
+def test_a_file_takes_no_family_argument_and_no_other_field(
+    capsys, tmp_path, command, file_field
+):
+    """With --in, --n/--m/--l/--k and a --field naming another field than
+    the file's are usage errors; --field naming the file's own is fine."""
+    path = str(tmp_path / "bkm.json")
+    family = ("--family", "bkm", "--n", "6", "--m", "1", "--k", "1")
+    assert run_cli(capsys, "construct", *family, "--field", file_field, "--out", path)[0] == 0
+    other = "gf:7" if file_field == "rational" else "rational"
+    for extra in (["--n", "9"], ["--m", "1"], ["--l", "4"], ["--k", "1"]):
+        rc, out, err = run_cli(capsys, command, "--in", path, *extra)
+        assert (rc, out) == (2, ""), extra
+        assert err == "error: --in takes no --n, --m, --l or --k\n"
+    rc, out, err = run_cli(capsys, command, "--in", path, "--field", other)
+    assert (rc, out) == (2, "")
+    assert err == f"error: --field {other}, the file is {file_field}\n"
+    rc, out, _ = run_cli(capsys, command, "--in", path, "--field", file_field)
+    assert rc == 0
+    assert json.loads(out)["field"] == file_field
+    _, plain, _ = run_cli(capsys, command, "--in", path)
+    assert without_timing(json.loads(out)) == without_timing(json.loads(plain))
+
+
 def test_centralizer_from_family(capsys):
     rc, out, _ = run_cli(
         capsys, "centralizer", "--family", "bkm", "--n", "6", "--m", "1", "--k", "1"
@@ -357,7 +381,7 @@ def test_console_script_entry_point(tmp_path):
 
 
 class _InlineProcess:
-    """Stands in for multiprocessing.Process in ``cli``: runs its target
+    """Stands in for multiprocessing.Process in a sweep: runs its target
     in-process at start() and records the share of tasks each worker gets."""
 
     shares: list = []
@@ -402,8 +426,8 @@ def _inline_pipe(duplex=True):
 @pytest.fixture
 def inline_workers(monkeypatch):
     _InlineProcess.shares = []
-    monkeypatch.setattr(cli, "Process", _InlineProcess)
-    monkeypatch.setattr(cli, "Pipe", _inline_pipe)
+    monkeypatch.setattr(multiprocessing, "Process", _InlineProcess)
+    monkeypatch.setattr(multiprocessing, "Pipe", _inline_pipe)
     return _InlineProcess
 
 
@@ -508,7 +532,8 @@ def test_a_failed_sweep_worker_is_an_error_and_stops_the_other(
         return real(family, params, field, samples, seed)
 
     monkeypatch.setattr(cli, "_family_report", faulty)
-    monkeypatch.setattr(cli, "Process", multiprocessing.get_context("fork").Process)
+    fork_process = multiprocessing.get_context("fork").Process
+    monkeypatch.setattr(multiprocessing, "Process", fork_process)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     t0 = time.monotonic()
     with pytest.raises(RuntimeError, match="sweep worker 0 sent no reports"):
@@ -984,7 +1009,7 @@ def test_a_constructed_file_verifies_as_its_family(capsys, tmp_path, field):
     assert len(cases) == 67
     for family, p in cases:
         args = ["--family", family, "--field", field]
-        args += [f"--{key}={value}" for key, value in asdict(p).items()]
+        args += [f"--{key}={value}" for key, value in p.asdict().items()]
         assert run_cli(capsys, "construct", *args, "--out", path)[0] == 0
         rc, out, _ = run_cli(capsys, "verify", *args, "--samples", "0")
         want = (rc, {k: v for k, v in json.loads(out).items() if k not in family_only})

@@ -86,6 +86,41 @@ def test_module_imports_first_in_a_fresh_interpreter(module):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_no_module_imports_dataclasses():
+    """The records share one base (``exact_linalg.Record``), so importing
+    the package generates and compiles no methods."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n == "dataclasses"]
+    assert found == []
+
+
+def test_the_cli_starts_without_dataclasses_inspect_or_multiprocessing():
+    """A fresh ``import subalg.cli`` loads none of them: only a sweep with
+    --jobs above 1 imports multiprocessing, when it starts its workers."""
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import subalg.cli\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert "subalg.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "multiprocessing"} == set()
+
+
 # Names patched by bench/tracing.py's ``Tracer.install`` and by
 # bench/test_bench.py, beyond the tracer's ``SPANS``.
 BENCH_PATCHED = [
